@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .episodes import Episode
+from .ostim import softmax
 from .predictions import PredictionSheet
 from .transforms import CenteringPolicy, center_normalize
 
@@ -24,12 +25,6 @@ class BaselineConfig:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def simpleshot_classify(
@@ -51,7 +46,7 @@ def simpleshot_classify(
     )
     centroids = center_normalize(centroids, np.zeros(episode.dim))
     logits = temperature * (queries @ centroids.T)
-    probs = _softmax(logits)
+    probs = softmax(logits)
     return PredictionSheet(
         probs=probs,
         outlier_score=-probs.max(axis=1),

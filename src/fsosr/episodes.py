@@ -2,8 +2,8 @@
 
 Every episode is a pure function of ``(seed, episode_index)``: the sampler
 seeds a counter-based Philox generator with that pair, so episodes are
-reproducible across runs and platforms and can be generated independently
-in parallel workers.
+reproducible across runs and platforms and can be generated independently,
+in any order or grouping.
 """
 
 from __future__ import annotations

@@ -39,3 +39,18 @@ class DivergenceError(FsosrError):
     """Non-finite loss or gradient encountered during prototype refinement."""
 
     exit_code = 4
+
+
+class SliceError(Exception):
+    """Item ``index`` of a batched computation failed with ``error``.
+
+    Batched code raises it so the caller can tell which episode of a chunk
+    failed. Items before ``index`` had not failed when it was raised; items
+    after it were not checked. ``run`` and the one-episode refinement
+    functions raise ``error`` in its place.
+    """
+
+    def __init__(self, index: int, error: Exception) -> None:
+        super().__init__(f"item {index}: {error}")
+        self.index = index
+        self.error = error

@@ -24,16 +24,25 @@ which pushes query predictions to be individually confident while keeping
 class usage spread out. Gradients are computed analytically, including the
 chain rule through the prototype normalization; the centering vector stays
 frozen throughout.
+
+One kernel serves all three variants: it refines E same-shape episodes as
+(E, n, D) arrays, with the inputs normalized once before the first step.
+Every product is a per-episode matrix product, so an episode's result does
+not depend on the other episodes of its batch. ``loss_and_grad``,
+``compute_loss``, ``refine`` and ``predict`` are the same code with E=1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, DivergenceError
+from .errors import DegenerateFeatureError, DivergenceError, SliceError
 from .episodes import Episode
 from .predictions import PredictionSheet
 from .transforms import CenteringPolicy, center_normalize
@@ -112,32 +121,259 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return np.where(p > _PLOGP_FLOOR, p * np.log(np.maximum(p, _PLOGP_FLOOR)), 0.0)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _normalized_prototypes(ps: PrototypeSet) -> tuple[np.ndarray, np.ndarray]:
-    shifted = ps.w - ps.mu
-    radii = np.linalg.norm(shifted, axis=1)
-    if np.any(radii < _EPS):
-        k = int(np.argmax(radii < _EPS))
-        raise DegenerateFeatureError(f"prototype {k} coincides with the centering point")
-    return shifted / radii[:, None], radii
+class _Batch(NamedTuple):
+    """E prototype sets of one variant, stacked: ``w`` (E, K, D), ``mu``
+    (E, D) and ``dummy`` (E, D) or None."""
+
+    w: np.ndarray
+    mu: np.ndarray
+    dummy: np.ndarray | None
+    variant: Variant
 
 
-def _logit_matrix(u: np.ndarray, ps: PrototypeSet, temperature: float) -> np.ndarray:
-    """Logits for already-normalized inputs ``u`` of shape (N, D)."""
-    v, _ = _normalized_prototypes(ps)
-    inlier = temperature * (u @ v.T)
-    if ps.variant is Variant.CLOSED:
+def _batch(states: Sequence[PrototypeSet]) -> _Batch:
+    variant = states[0].variant
+    if any(ps.variant is not variant for ps in states):
+        raise ValueError("a batch must hold a single variant")
+    dummy = None
+    if variant is Variant.EXPLICIT_DUMMY:
+        dummy = np.stack([ps.dummy for ps in states])
+    return _Batch(
+        np.stack([ps.w for ps in states]), np.stack([ps.mu for ps in states]), dummy, variant
+    )
+
+
+class _Inputs(NamedTuple):
+    """Frozen inputs of E same-shape episodes, center-normalized once at
+    each episode's centering vector. ``support`` and ``query`` are views of
+    ``rows``; ``label_index`` holds the flat index of each support row's
+    label column in an (E, n_support, C) array."""
+
+    rows: np.ndarray  # (E, n_support + n_query, D)
+    support: np.ndarray
+    query: np.ndarray
+    label_index: np.ndarray  # (E, n_support)
+
+
+def _inputs(states: Sequence[PrototypeSet], episodes: Sequence[Episode]) -> _Inputs:
+    per_episode = []
+    for i, (ps, episode) in enumerate(zip(states, episodes, strict=True)):
+        try:
+            per_episode.append(
+                np.concatenate(
+                    [
+                        center_normalize(episode.support_vectors, ps.mu),
+                        center_normalize(episode.query_vectors, ps.mu),
+                    ]
+                )
+            )
+        except DegenerateFeatureError as exc:
+            raise SliceError(i, exc) from exc
+    labels = np.stack([episode.support_labels for episode in episodes])
+    n_episodes, n_support = labels.shape
+    n_cols = states[0].n_way + (states[0].variant is not Variant.CLOSED)
+    label_index = (
+        np.arange(n_episodes * n_support).reshape(n_episodes, n_support) * n_cols + labels
+    )
+    rows = np.stack(per_episode)
+    return _Inputs(rows, rows[:, :n_support], rows[:, n_support:], label_index)
+
+
+def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit prototype directions (E, K, D) and radii (E, K) about ``mu``."""
+    shifted = w - mu[:, None, :]
+    radii = np.linalg.norm(shifted, axis=-1)
+    if radii.min() < _EPS:
+        bad = radii < _EPS
+        i = int(np.argmax(bad.any(axis=1)))
+        k = int(np.argmax(bad[i]))
+        raise SliceError(
+            i, DegenerateFeatureError(f"prototype {k} coincides with the centering point")
+        )
+    return shifted / radii[..., None], radii
+
+
+def _logits(u: np.ndarray, v: np.ndarray, batch: _Batch, temperature: float) -> np.ndarray:
+    """Logits (E, n, C) of normalized inputs ``u`` against directions ``v``."""
+    inlier = temperature * (u @ v.swapaxes(-1, -2))
+    if batch.variant is Variant.CLOSED:
         return inlier
-    if ps.variant is Variant.IMPLICIT:
-        extra = -inlier.mean(axis=1)
+    if batch.variant is Variant.IMPLICIT:
+        extra = -inlier.mean(axis=-1)
     else:
-        extra = temperature * (u @ ps.dummy)
-    return np.concatenate([inlier, extra[:, None]], axis=1)
+        extra = temperature * (u @ batch.dummy[..., None])[..., 0]
+    return np.concatenate([inlier, extra[..., None]], axis=-1)
+
+
+class _Forward(NamedTuple):
+    v: np.ndarray
+    radii: np.ndarray
+    p_support: np.ndarray  # (E, n_support, C)
+    p_query: np.ndarray  # (E, n_query, C)
+
+
+def _forward(inputs: _Inputs, batch: _Batch, temperature: float) -> _Forward:
+    v, radii = _directions(batch.w, batch.mu)
+    return _Forward(
+        v,
+        radii,
+        softmax(_logits(inputs.support, v, batch, temperature)),
+        softmax(_logits(inputs.query, v, batch, temperature)),
+    )
+
+
+def _label_probs(fwd: _Forward, inputs: _Inputs) -> np.ndarray:
+    """(E, n_support): the probability each support row gives its label."""
+    return np.take(fwd.p_support, inputs.label_index)
+
+
+def _loss_terms(fwd: _Forward, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
+    """One breakdown per episode."""
+    n_episodes, n_query = fwd.p_query.shape[:2]
+    ce = -np.log(_label_probs(fwd, inputs)).mean(axis=-1)
+    marginal = -_xlogx(fwd.p_query.mean(axis=1)).sum(axis=-1)
+    conditional = -_xlogx(fwd.p_query).reshape(n_episodes, -1).sum(axis=-1) / n_query
+    total = ce - marginal + alpha * conditional
+    return [
+        LossBreakdown(float(c), float(m), float(h), float(t))
+        for c, m, h, t in zip(ce, marginal, conditional, total)
+    ]
+
+
+def _gradient(
+    inputs: _Inputs, fwd: _Forward, batch: _Batch, cfg: OstimConfig
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients w.r.t. the prototypes (E, K, D) and the dummy vector (E, D).
+
+    The gradient flows through the softmax, both entropy terms, and the
+    prototype normalization; inputs and the centering vector are constants.
+    """
+    tau = cfg.temperature
+    k_way = fwd.v.shape[1]
+    p_q = fwd.p_query
+    n_s, n_q = fwd.p_support.shape[1], p_q.shape[1]
+
+    # d(loss)/d(logit), support rows: softmax cross-entropy.
+    g_s = fwd.p_support.copy()
+    g_s.reshape(-1)[inputs.label_index] -= 1.0
+    g_s /= n_s
+
+    # Query rows: marginal-entropy and conditional-entropy terms.
+    log_p_hat = np.log(p_q.mean(axis=1))
+    g_m = p_q * (log_p_hat[:, None, :] - p_q @ log_p_hat[..., None]) / n_q
+    log_p_q = np.log(p_q)
+    row_dot = (p_q * log_p_q).sum(axis=-1, keepdims=True)
+    g_c = -(cfg.alpha / n_q) * p_q * (log_p_q - row_dot)
+    g_all = np.concatenate([g_s, g_m + g_c], axis=1)
+
+    dummy_grad = None
+    if batch.variant is Variant.CLOSED:
+        g_sim = tau * g_all
+    elif batch.variant is Variant.IMPLICIT:
+        g_sim = tau * (g_all[..., :k_way] - g_all[..., k_way:] / k_way)
+    else:
+        g_sim = tau * g_all[..., :k_way]
+        u_t = inputs.rows.swapaxes(-1, -2)
+        dummy_grad = (u_t @ (tau * g_all[..., k_way])[..., None])[..., 0]
+
+    v = fwd.v
+    v_grad = g_sim.swapaxes(-1, -2) @ inputs.rows
+    w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / fwd.radii[..., None]
+    return w_grad, dummy_grad
+
+
+def _forward_and_grad(
+    inputs: _Inputs, batch: _Batch, cfg: OstimConfig
+) -> tuple[_Forward, np.ndarray, np.ndarray | None]:
+    """One refinement step's forward pass and gradients."""
+    fwd = _forward(inputs, batch, cfg.temperature)
+    return (fwd, *_gradient(inputs, fwd, batch, cfg))
+
+
+def _check_finite(
+    step: int, label_p: np.ndarray, w_grad: np.ndarray, dummy_grad: np.ndarray | None
+) -> None:
+    """Raise for the first episode whose loss or gradient is not finite.
+
+    The loss is finite exactly when every support row gives its label a
+    nonzero probability: the gradients are finite only if all probabilities
+    are, and then both entropy terms are too.
+    """
+    ok = (label_p > 0).all(axis=1) & np.isfinite(w_grad).all(axis=(1, 2))
+    if dummy_grad is not None:
+        ok &= np.isfinite(dummy_grad).all(axis=1)
+    if not ok.all():
+        raise SliceError(
+            int(np.argmin(ok)), DivergenceError(f"non-finite loss or gradient at step {step}")
+        )
+
+
+def _refine(
+    states: Sequence[PrototypeSet],
+    episodes: Sequence[Episode],
+    cfg: OstimConfig,
+    keep_trace: bool,
+) -> tuple[list[PrototypeSet], list[list[LossBreakdown]]]:
+    """The refinement kernel: ``cfg.n_steps`` full-batch gradient-descent
+    steps on every episode at once."""
+    traces: list[list[LossBreakdown]] = [[] for _ in states]
+    if cfg.n_steps == 0 or not states:
+        return list(states), traces
+    inputs = _inputs(states, episodes)
+    batch = _batch(states)
+    for step in range(cfg.n_steps):
+        fwd, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
+        _check_finite(step, _label_probs(fwd, inputs), w_grad, dummy_grad)
+        if keep_trace:
+            for trace, breakdown in zip(traces, _loss_terms(fwd, inputs, cfg.alpha)):
+                trace.append(breakdown)
+        dummy = batch.dummy
+        if dummy_grad is not None:
+            dummy = dummy - cfg.learning_rate * dummy_grad
+        batch = batch._replace(w=batch.w - cfg.learning_rate * w_grad, dummy=dummy)
+    refined = []
+    for i, ps in enumerate(states):
+        dummy = None if batch.dummy is None else batch.dummy[i]
+        try:
+            refined.append(PrototypeSet(w=batch.w[i], mu=ps.mu, variant=ps.variant, dummy=dummy))
+        except ValueError as exc:
+            raise SliceError(i, exc) from exc
+    return refined, traces
+
+
+def refine_batch(
+    states: Sequence[PrototypeSet], episodes: Sequence[Episode], cfg: OstimConfig
+) -> list[PrototypeSet]:
+    """Refine E same-shape episodes of one variant in one kernel call.
+
+    Item i of the result equals ``refine(states[i], episodes[i], cfg)[0]``
+    bit for bit. A failure raises ``SliceError`` naming the first failing
+    episode of the step at which it happened, wrapping the error ``refine``
+    would raise for that episode. Episodes before it may still fail at a
+    later step, so a caller that needs the first failing episode refines
+    that prefix again.
+    """
+    return _refine(states, episodes, cfg, keep_trace=False)[0]
+
+
+def _one_episode(fn):
+    """E=1 views raise their episode's own error rather than a SliceError."""
+
+    @functools.wraps(fn)
+    def view(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except SliceError as exc:
+            raise exc.error from None
+
+    return view
 
 
 def init_prototypes(
@@ -165,31 +401,19 @@ def init_prototypes(
     return PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
 
 
+@_one_episode
 def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.ndarray:
     """Logit vector(s) for raw feature input ``z`` (single vector or batch)."""
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     u = center_normalize(z[None, :] if single else z, ps.mu)
-    out = _logit_matrix(u, ps, temperature)
+    batch = _batch([ps])
+    v, _ = _directions(batch.w, batch.mu)
+    out = _logits(u[None], v, batch, temperature)[0]
     return out[0] if single else out
 
 
-def _loss_terms(
-    p_support: np.ndarray,
-    support_labels: np.ndarray,
-    p_query: np.ndarray,
-    alpha: float,
-) -> LossBreakdown:
-    n_support = p_support.shape[0]
-    n_query = p_query.shape[0]
-    ce = float(-np.log(p_support[np.arange(n_support), support_labels]).mean())
-    p_marginal = p_query.mean(axis=0)
-    marginal_entropy = float(-_xlogx(p_marginal).sum())
-    conditional_entropy = float(-_xlogx(p_query).sum() / n_query)
-    total = ce - marginal_entropy + alpha * conditional_entropy
-    return LossBreakdown(ce, marginal_entropy, conditional_entropy, total)
-
-
+@_one_episode
 def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBreakdown:
     """Objective value split into its three terms.
 
@@ -197,65 +421,23 @@ def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBr
     labels are one-hot over the closed classes (the outlier column, when
     present, carries zero target mass).
     """
-    u_s = center_normalize(episode.support_vectors, ps.mu)
-    u_q = center_normalize(episode.query_vectors, ps.mu)
-    p_s = _softmax(_logit_matrix(u_s, ps, cfg.temperature))
-    p_q = _softmax(_logit_matrix(u_q, ps, cfg.temperature))
-    return _loss_terms(p_s, episode.support_labels, p_q, cfg.alpha)
+    inputs = _inputs([ps], [episode])
+    fwd = _forward(inputs, _batch([ps]), cfg.temperature)
+    return _loss_terms(fwd, inputs, cfg.alpha)[0]
 
 
+@_one_episode
 def loss_and_grad(
     ps: PrototypeSet, episode: Episode, cfg: OstimConfig
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray | None]:
-    """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector).
-
-    The gradient flows through the softmax, both entropy terms, and the
-    prototype normalization; inputs and the centering vector are constants.
-    """
-    tau = cfg.temperature
-    k_way = ps.n_way
-    u_s = center_normalize(episode.support_vectors, ps.mu)
-    u_q = center_normalize(episode.query_vectors, ps.mu)
-    v, radii = _normalized_prototypes(ps)
-    n_s, n_q = u_s.shape[0], u_q.shape[0]
-
-    logits_s = _logit_matrix(u_s, ps, tau)
-    logits_q = _logit_matrix(u_q, ps, tau)
-    p_s = _softmax(logits_s)
-    p_q = _softmax(logits_q)
-    breakdown = _loss_terms(p_s, episode.support_labels, p_q, cfg.alpha)
-
-    # d(loss)/d(logit), support rows: softmax cross-entropy.
-    g_s = p_s.copy()
-    g_s[np.arange(n_s), episode.support_labels] -= 1.0
-    g_s /= n_s
-
-    # Query rows: marginal-entropy and conditional-entropy terms. Softmax
-    # outputs are strictly positive, so the logs are finite.
-    log_p_hat = np.log(p_q.mean(axis=0))
-    g_m = p_q * (log_p_hat[None, :] - (p_q @ log_p_hat)[:, None]) / n_q
-    log_p_q = np.log(p_q)
-    row_dot = (p_q * log_p_q).sum(axis=1)
-    g_c = -(cfg.alpha / n_q) * p_q * (log_p_q - row_dot[:, None])
-    g_q = g_m + g_c
-
-    g_all = np.vstack([g_s, g_q])
-    u_all = np.vstack([u_s, u_q])
-
-    dummy_grad = None
-    if ps.variant is Variant.CLOSED:
-        g_sim = tau * g_all
-    elif ps.variant is Variant.IMPLICIT:
-        g_sim = tau * (g_all[:, :k_way] - g_all[:, k_way:] / k_way)
-    else:
-        g_sim = tau * g_all[:, :k_way]
-        dummy_grad = u_all.T @ (tau * g_all[:, k_way])
-
-    v_grad = g_sim.T @ u_all
-    w_grad = (v_grad - v * (v_grad * v).sum(axis=1, keepdims=True)) / radii[:, None]
-    return breakdown, w_grad, dummy_grad
+    """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector)."""
+    inputs = _inputs([ps], [episode])
+    fwd, w_grad, dummy_grad = _forward_and_grad(inputs, _batch([ps]), cfg)
+    breakdown = _loss_terms(fwd, inputs, cfg.alpha)[0]
+    return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
 
 
+@_one_episode
 def refine(
     ps: PrototypeSet, episode: Episode, cfg: OstimConfig
 ) -> tuple[PrototypeSet, list[LossBreakdown]]:
@@ -265,24 +447,11 @@ def refine(
     before its update. Non-finite losses or gradients abort with the step
     index rather than silently propagating NaNs.
     """
-    state = ps
-    trace: list[LossBreakdown] = []
-    for step in range(cfg.n_steps):
-        breakdown, w_grad, dummy_grad = loss_and_grad(state, episode, cfg)
-        finite = np.isfinite(breakdown.total) and np.all(np.isfinite(w_grad))
-        if finite and dummy_grad is not None:
-            finite = bool(np.all(np.isfinite(dummy_grad)))
-        if not finite:
-            raise DivergenceError(f"non-finite loss or gradient at step {step}")
-        new_w = state.w - cfg.learning_rate * w_grad
-        new_dummy = state.dummy
-        if dummy_grad is not None:
-            new_dummy = state.dummy - cfg.learning_rate * dummy_grad
-        state = replace(state, w=new_w, dummy=new_dummy)
-        trace.append(breakdown)
-    return state, trace
+    states, traces = _refine([ps], [episode], cfg, keep_trace=True)
+    return states[0], traces[0]
 
 
+@_one_episode
 def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionSheet:
     """Softmax predictions for the episode's queries.
 
@@ -290,7 +459,9 @@ def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionS
     otherwise the negative maximum closed-set probability.
     """
     u_q = center_normalize(episode.query_vectors, ps.mu)
-    probs = _softmax(_logit_matrix(u_q, ps, cfg.temperature))
+    batch = _batch([ps])
+    v, _ = _directions(batch.w, batch.mu)
+    probs = softmax(_logits(u_q[None], v, batch, cfg.temperature))[0]
     k_way = ps.n_way
     if ps.variant is Variant.CLOSED:
         outlier_score = -probs.max(axis=1)

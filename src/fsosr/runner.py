@@ -2,9 +2,13 @@
 dispatch, the validation sweep, and report emission.
 
 Every method in a run consumes the identical episode stream (same
-``(seed, index)`` pairs), so cross-method comparisons are paired. Episode
-evaluations are independent and can fan out to a thread pool; results are
-reduced in index order, so reports do not depend on the worker count.
+``(seed, index)`` pairs), so cross-method comparisons are paired. The loop
+walks the stream in chunks of ``CHUNK_SIZE`` consecutive episodes: each
+transductive method refines a whole chunk in one batched kernel call, and
+the inductive methods go episode by episode. Results are reduced in index
+order and the kernel's per-episode results do not depend on the chunk, so
+reports do not depend on the chunk size. ``workers`` is accepted and
+validated but selects no code path.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
-from .errors import ConfigError, DataError, FsosrError, SamplingError
+from .errors import ConfigError, DataError, FsosrError, SamplingError, SliceError
 from .feature_store import FeatureSet, base_mean, load_feature_store
 from .metrics import EpisodeReport, RunReport, aggregate, score_episode, score_sheet
 from .transforms import CENTERING_KINDS, CenteringPolicy
@@ -28,6 +31,9 @@ from .transforms import CENTERING_KINDS, CenteringPolicy
 TRANSDUCTIVE_METHODS = ("ostim", "tim_closed", "explicit_dummy")
 INDUCTIVE_METHODS = ("simpleshot", "knn", "strong_baseline")
 METHODS = TRANSDUCTIVE_METHODS + INDUCTIVE_METHODS
+
+# Consecutive episodes evaluated together; reports do not depend on it.
+CHUNK_SIZE = 16
 
 _VARIANT_OF_METHOD = {
     "tim_closed": ostim.Variant.CLOSED,
@@ -198,18 +204,21 @@ def episode_checksum(episode: Episode) -> int:
     return crc & 0xFFFFFFFF
 
 
-def evaluate_method(
+def _each(fn, *columns: list) -> list:
+    """``fn`` over the zipped ``columns`` in order; the first failure
+    becomes a SliceError at its position."""
+    out = []
+    for position, args in enumerate(zip(*columns)):
+        try:
+            out.append(fn(*args))
+        except (FsosrError, ValueError) as exc:
+            raise SliceError(position, exc) from exc
+    return out
+
+
+def _score_inductive(
     method: str, episode: Episode, cfg: RunConfig, base_mu: np.ndarray | None
 ) -> EpisodeReport:
-    """Score one method on one episode."""
-    if method in TRANSDUCTIVE_METHODS:
-        policy = _policy(cfg.ostim_centering, base_mu)
-        variant = _VARIANT_OF_METHOD.get(method, cfg.ostim_variant)
-        state = ostim.init_prototypes(episode, policy, variant)
-        state, _ = ostim.refine(state, episode, cfg.ostim_cfg)
-        sheet = ostim.predict(state, episode, cfg.ostim_cfg)
-        return score_sheet(sheet, episode.query_truth)
-
     policy = _policy(cfg.baseline_centering, base_mu)
     if method == "simpleshot":
         sheet = baselines.simpleshot_classify(
@@ -225,19 +234,59 @@ def evaluate_method(
     return score_episode(episode.query_truth, scores, sheet.closed_pred)
 
 
-def _evaluate_episode(
-    fs: FeatureSet, cfg: RunConfig, index: int, base_mu: np.ndarray | None, split: str
-) -> tuple[int, dict[str, EpisodeReport]]:
-    episode = sample_episode(fs, cfg.episode, index, split=split)
-    reports = {}
+def evaluate_method(
+    method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None
+) -> list[EpisodeReport]:
+    """Score one method on a chunk of same-shape episodes.
+
+    A failure raises SliceError naming the chunk position of a failing
+    episode; see ``ostim.refine_batch`` for what that says about the
+    episodes before it.
+    """
+    if method not in TRANSDUCTIVE_METHODS:
+        return _each(lambda ep: _score_inductive(method, ep, cfg, base_mu), episodes)
+
+    variant = _VARIANT_OF_METHOD.get(method, cfg.ostim_variant)
+    states = _each(
+        lambda ep: ostim.init_prototypes(ep, _policy(cfg.ostim_centering, base_mu), variant),
+        episodes,
+    )
+    states = ostim.refine_batch(states, episodes, cfg.ostim_cfg)
+    return _each(
+        lambda state, ep: score_sheet(ostim.predict(state, ep, cfg.ostim_cfg), ep.query_truth),
+        states,
+        episodes,
+    )
+
+
+def _evaluate_chunk(
+    episodes: list[Episode], start: int, cfg: RunConfig, base_mu: np.ndarray | None
+) -> dict[str, list[EpisodeReport]]:
+    """Every method on one chunk, or the first failing (episode, method) in
+    stream order raised as ``episode i, method m: ...``.
+
+    After a failure at position p, later methods (and a rerun of the failed
+    one) only see the episodes before p: a failure there is earlier in
+    stream order, and one at p or beyond is not.
+    """
+    reports: dict[str, list[EpisodeReport]] = {}
+    failure = None
+    limit = len(episodes)
     for method in cfg.methods:
-        try:
-            reports[method] = evaluate_method(method, episode, cfg, base_mu)
-        except FsosrError as exc:
-            raise type(exc)(f"episode {index}, method {method}: {exc}") from exc
-        except ValueError as exc:
-            raise DataError(f"episode {index}, method {method}: {exc}") from exc
-    return episode_checksum(episode), reports
+        while limit:
+            try:
+                reports[method] = evaluate_method(method, episodes[:limit], cfg, base_mu)
+                break
+            except SliceError as exc:
+                failure = (start + exc.index, method, exc.error)
+                limit = exc.index
+    if failure is not None:
+        index, method, exc = failure
+        message = f"episode {index}, method {method}: {exc}"
+        if isinstance(exc, FsosrError):
+            raise type(exc)(message) from exc
+        raise DataError(message) from exc
+    return reports
 
 
 def _needs_base_mu(cfg: RunConfig) -> bool:
@@ -253,31 +302,26 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
 
     Returns one RunReport per method and, when ``output_dir`` is set, writes
     ``run_report.json`` and ``run_report.csv``. Output is byte-identical
-    across repeated runs and worker counts.
+    across repeated runs, worker counts and chunk sizes.
     """
     if fs is None:
         fs = load_feature_store(cfg.store)
     base_mu = base_mean(fs) if _needs_base_mu(cfg) else None
 
-    indices = range(cfg.n_episodes)
-    if cfg.workers == 1:
-        results = [_evaluate_episode(fs, cfg, i, base_mu, split) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_evaluate_episode, fs, cfg, i, base_mu, split)
-                for i in indices
-            ]
-            results = [f.result() for f in futures]
-
+    per_method: dict[str, list[EpisodeReport]] = {method: [] for method in cfg.methods}
     stream_crc = 0
-    for checksum, _ in results:
-        stream_crc = zlib.crc32(checksum.to_bytes(4, "little"), stream_crc)
+    for start in range(0, cfg.n_episodes, CHUNK_SIZE):
+        indices = range(start, min(start + CHUNK_SIZE, cfg.n_episodes))
+        episodes = [sample_episode(fs, cfg.episode, i, split=split) for i in indices]
+        for method, reports in _evaluate_chunk(episodes, start, cfg, base_mu).items():
+            per_method[method] += reports
+        for episode in episodes:
+            checksum = episode_checksum(episode)
+            stream_crc = zlib.crc32(checksum.to_bytes(4, "little"), stream_crc)
 
     snapshot = _config_snapshot(cfg)
     run_reports = {
-        method: aggregate([r[method] for _, r in results], method, snapshot)
-        for method in cfg.methods
+        method: aggregate(per_method[method], method, snapshot) for method in cfg.methods
     }
     if cfg.output_dir is not None:
         write_reports(run_reports, cfg, Path(cfg.output_dir), stream_crc & 0xFFFFFFFF)

@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fsosr.runner as runner_module
 from fsosr import (
     CenteringPolicy,
     EpisodeSpec,
@@ -325,7 +326,7 @@ def test_criterion_7_ablation_trends():
     )
 
 
-def test_criterion_8_run_determinism(tmp_path):
+def test_criterion_8_run_determinism(tmp_path, monkeypatch):
     fs = generate(
         SynthSpec(dim=8, n_classes=16, points_per_class=16, centroid_radius=1.0,
                   within_std=0.4, seed=9, split_fractions=(0.25, 0.25, 0.5))
@@ -337,26 +338,32 @@ def test_criterion_8_run_determinism(tmp_path):
         episode=EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=4,
                             n_open_classes=2, seed=5),
         methods=("ostim", "simpleshot", "knn"),
-        n_episodes=6,
+        n_episodes=7,
         ostim_cfg=OstimConfig(n_steps=20),
     )
-    outputs = []
-    for name, workers in (("r1", 1), ("r2", 1), ("r3", 3)):
+
+    def report_bytes(name: str, workers: int) -> tuple[bytes, bytes]:
         out_dir = tmp_path / name
         run(replace(base_cfg, output_dir=str(out_dir), workers=workers))
-        outputs.append(
-            (
-                (out_dir / "run_report.json").read_bytes(),
-                (out_dir / "run_report.csv").read_bytes(),
-            )
+        return (
+            (out_dir / "run_report.json").read_bytes(),
+            (out_dir / "run_report.csv").read_bytes(),
         )
-    identical_reruns = outputs[0] == outputs[1]
-    identical_workers = outputs[0][0] == outputs[2][0] and outputs[0][1] == outputs[2][1]
+
+    reference = report_bytes("r1", 1)
+    identical_reruns = report_bytes("r2", 1) == reference
+    identical_workers = report_bytes("r3", 3) == reference
+    # 7 episodes leave a partial last chunk at every chunk size but 1.
+    chunk_sizes = (1, 3, runner_module.CHUNK_SIZE)
+    identical_chunks = True
+    for chunk in chunk_sizes:
+        monkeypatch.setattr(runner_module, "CHUNK_SIZE", chunk)
+        identical_chunks &= report_bytes(f"c{chunk}", 3) == reference
     _gate(
         8,
-        "repeated runs and 1-vs-3-worker runs produce byte-identical "
-        "JSON and CSV reports",
-        identical_reruns and identical_workers,
+        "repeated runs, 1-vs-3-worker runs and chunk sizes "
+        f"{', '.join(map(str, chunk_sizes))} produce byte-identical JSON and CSV reports",
+        identical_reruns and identical_workers and identical_chunks,
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 import fsosr.ostim as ostim_mod
 from fsosr import (
     CenteringPolicy,
+    DegenerateFeatureError,
     DivergenceError,
     OstimConfig,
     PrototypeSet,
@@ -23,7 +24,9 @@ from fsosr import (
     loss_and_grad,
     predict,
     refine,
+    refine_batch,
 )
+from fsosr.errors import SliceError
 
 from conftest import make_episode
 
@@ -297,20 +300,81 @@ class TestRefine:
     def test_divergence_reports_step(self, rng, monkeypatch):
         episode = make_episode(rng)
         ps = init_prototypes(episode, CenteringPolicy("task"))
-        real = ostim_mod.loss_and_grad
+        # The kernel's per-step forward pass and gradient, poisoned at step 2.
+        real = ostim_mod._forward_and_grad
         calls = {"n": 0}
 
         def poisoned(*args, **kwargs):
-            breakdown, w_grad, dummy_grad = real(*args, **kwargs)
+            fwd, w_grad, dummy_grad = real(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 3:
                 w_grad = w_grad.copy()
-                w_grad[0, 0] = np.nan
-            return breakdown, w_grad, dummy_grad
+                w_grad[0, 0, 0] = np.nan
+            return fwd, w_grad, dummy_grad
 
-        monkeypatch.setattr(ostim_mod, "loss_and_grad", poisoned)
+        monkeypatch.setattr(ostim_mod, "_forward_and_grad", poisoned)
         with pytest.raises(DivergenceError, match="step 2"):
             refine(ps, episode, OstimConfig(n_steps=10))
+
+
+def _underflowing_support_episode(rng):
+    """Closed-variant episode whose first support row points at the other
+    class's prototype; queries are orthogonal to both prototypes."""
+    episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=2,
+                           n_open_classes=1, dim=3)
+    object.__setattr__(episode, "support_vectors", np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
+    object.__setattr__(episode, "query_vectors", np.tile([0.0, 0.0, 1.0], (6, 1)))
+    ps = PrototypeSet(w=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), mu=np.zeros(3),
+                      variant=Variant.CLOSED)
+    return ps, episode
+
+
+class TestRefineBatch:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_slices_match_single_episode_refine(self, rng, variant):
+        episodes = [make_episode(rng, n_way=3, n_shot=2, dim=6) for _ in range(3)]
+        states = [init_prototypes(e, CenteringPolicy("task"), variant) for e in episodes]
+        cfg = OstimConfig(n_steps=30, learning_rate=0.05)
+        batched = refine_batch(states, episodes, cfg)
+        for state, episode, got in zip(states, episodes, batched):
+            want, _ = refine(state, episode, cfg)
+            assert np.array_equal(got.w, want.w)
+            assert (want.dummy is None) == (got.dummy is None)
+            if want.dummy is not None:
+                assert np.array_equal(got.dummy, want.dummy)
+
+    def test_degenerate_prototype_names_its_slice(self, rng):
+        episodes = [make_episode(rng) for _ in range(3)]
+        states = [init_prototypes(e, CenteringPolicy("task")) for e in episodes]
+        w = states[1].w.copy()
+        w[2] = states[1].mu
+        states[1] = replace(states[1], w=w)
+        with pytest.raises(SliceError) as info:
+            refine_batch(states, episodes, OstimConfig(n_steps=5))
+        assert info.value.index == 1
+        assert isinstance(info.value.error, DegenerateFeatureError)
+        assert "prototype 2" in str(info.value.error)
+
+    def test_loss_only_divergence_raises(self, rng):
+        # At temperature 1000 the first support row gives its own label
+        # probability exp(-1000) = 0: infinite cross-entropy, finite gradient.
+        cfg = OstimConfig(temperature=1000.0, n_steps=3)
+        ps, episode = _underflowing_support_episode(rng)
+        with np.errstate(divide="ignore"):
+            breakdown, w_grad, _ = loss_and_grad(ps, episode, cfg)
+        assert math.isinf(breakdown.ce) and np.all(np.isfinite(w_grad))
+        with pytest.raises(DivergenceError, match="step 0"):
+            refine(ps, episode, cfg)
+
+        # The same episode with each support row on its own prototype.
+        _, healthy = _underflowing_support_episode(rng)
+        object.__setattr__(healthy, "support_vectors", ps.w.copy())
+        refine(ps, healthy, cfg)
+        with pytest.raises(SliceError) as info:
+            refine_batch([ps] * 3, [healthy, episode, healthy], cfg)
+        assert info.value.index == 1
+        assert isinstance(info.value.error, DivergenceError)
+        assert "step 0" in str(info.value.error)
 
 
 class TestPredict:

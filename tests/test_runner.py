@@ -8,21 +8,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fsosr.baselines as baselines_mod
+import fsosr.ostim as ostim_mod
+import fsosr.runner as runner_mod
 from fsosr import (
     ConfigError,
     DataError,
+    DegenerateFeatureError,
+    DivergenceError,
     EpisodeSpec,
     OstimConfig,
     RunConfig,
     SynthSpec,
     config_from_dict,
     generate,
+    load_feature_store,
     run,
     save_feature_store,
     sweep_alpha,
 )
 from fsosr.runner import episode_checksum, load_config
 from fsosr.episodes import sample_episode
+from fsosr.transforms import task_mean
+
+CHUNK_SIZES = (1, 3, runner_mod.CHUNK_SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +132,18 @@ class TestRun:
         assert (out_a / "run_report.json").read_bytes() == (out_b / "run_report.json").read_bytes()
         assert (out_a / "run_report.csv").read_bytes() == (out_b / "run_report.csv").read_bytes()
 
-    def test_worker_count_invariance(self, store_path, tmp_path):
-        out_a, out_b = tmp_path / "w1", tmp_path / "w3"
-        cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)
+    def test_worker_count_invariance(self, store_path, tmp_path, monkeypatch):
+        # 7 episodes: a partial last chunk at every chunk size but 1.
+        out_a = tmp_path / "w1"
+        cfg = tiny_config(store_path, methods=("ostim", "explicit_dummy", "knn"), n_episodes=7)
         run(replace(cfg, output_dir=str(out_a), workers=1))
-        run(replace(cfg, output_dir=str(out_b), workers=3))
-        assert (out_a / "run_report.json").read_bytes() == (out_b / "run_report.json").read_bytes()
-        assert (out_a / "run_report.csv").read_bytes() == (out_b / "run_report.csv").read_bytes()
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+            for workers in (1, 3):
+                out_b = tmp_path / f"c{chunk}-w{workers}"
+                run(replace(cfg, output_dir=str(out_b), workers=workers))
+                for name in ("run_report.json", "run_report.csv"):
+                    assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_paired_episode_stream(self, store_path, tmp_path):
         # different method lists, same episode stream fingerprint
@@ -196,6 +210,100 @@ class TestRun:
         cfg = tiny_config(str(path), methods=("simpleshot",))
         with pytest.raises(DataError, match="base"):
             run(cfg)
+
+
+def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
+    """Make the refinement of stream episode i produce a NaN gradient at
+    step plan[i]. Episodes are told apart by their task mean, the centering
+    vector of the default ``task`` policy."""
+    fs = load_feature_store(cfg.store)
+    step_of = {
+        task_mean(sample_episode(fs, cfg.episode, i)).tobytes(): step
+        for i, step in plan.items()
+    }
+    real = ostim_mod._forward_and_grad
+    calls: list = []  # [inputs, steps taken] of the running kernel call
+
+    def poisoned(inputs, batch, ostim_cfg):
+        fwd, w_grad, dummy_grad = real(inputs, batch, ostim_cfg)
+        if not calls or calls[-1][0] is not inputs:
+            calls.append([inputs, 0])
+        step = calls[-1][1]
+        calls[-1][1] += 1
+        w_grad = w_grad.copy()
+        for e, mu in enumerate(batch.mu):
+            if step_of.get(mu.tobytes()) == step:
+                w_grad[e, 0, 0] = np.nan
+        return fwd, w_grad, dummy_grad
+
+    monkeypatch.setattr(ostim_mod, "_forward_and_grad", poisoned)
+
+
+def knn_fails_at(monkeypatch, cfg: RunConfig, index: int) -> None:
+    fs = load_feature_store(cfg.store)
+    target = episode_checksum(sample_episode(fs, cfg.episode, index))
+    real = baselines_mod.knn_outlier_score
+
+    def poisoned(episode, policy, k=1):
+        if episode_checksum(episode) == target:
+            raise ValueError("poisoned knn")
+        return real(episode, policy, k)
+
+    monkeypatch.setattr(baselines_mod, "knn_outlier_score", poisoned)
+
+
+class TestChunkFailures:
+    """A failure inside a chunk is reported as the first failing
+    (episode, method) of the stream, whatever the chunk size."""
+
+    def expect(self, monkeypatch, cfg, error, message):
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+            with pytest.raises(error, match=message):
+                run(cfg)
+
+    def test_divergence_in_later_slice(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("ostim",), n_episodes=6)
+        diverge_at(monkeypatch, cfg, {2: 3})
+        self.expect(monkeypatch, cfg, DivergenceError,
+                    r"^episode 2, method ostim: non-finite loss or gradient at step 3$")
+
+    def test_earlier_episode_failing_at_later_step_wins(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("ostim",), n_episodes=6)
+        diverge_at(monkeypatch, cfg, {3: 1, 1: 5})
+        self.expect(monkeypatch, cfg, DivergenceError,
+                    r"^episode 1, method ostim: non-finite loss or gradient at step 5$")
+
+    def test_degenerate_prototype_in_later_slice(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("ostim", "tim_closed"), n_episodes=6)
+        fs = load_feature_store(store_path)
+        target = task_mean(sample_episode(fs, cfg.episode, 2)).tobytes()
+        real = ostim_mod.init_prototypes
+
+        def poisoned(episode, policy, variant):
+            state = real(episode, policy, variant)
+            if variant is ostim_mod.Variant.CLOSED and state.mu.tobytes() == target:
+                w = state.w.copy()
+                w[1] = state.mu
+                state = replace(state, w=w)
+            return state
+
+        monkeypatch.setattr(ostim_mod, "init_prototypes", poisoned)
+        self.expect(monkeypatch, cfg, DegenerateFeatureError,
+                    r"^episode 2, method tim_closed: prototype 1 coincides")
+
+    def test_earlier_episode_wins_across_methods(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)
+        diverge_at(monkeypatch, cfg, {4: 2})
+        knn_fails_at(monkeypatch, cfg, 2)
+        self.expect(monkeypatch, cfg, DataError, r"^episode 2, method knn: poisoned knn$")
+
+    def test_earlier_method_wins_on_the_same_episode(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)
+        diverge_at(monkeypatch, cfg, {1: 6, 3: 0})
+        knn_fails_at(monkeypatch, cfg, 1)
+        self.expect(monkeypatch, cfg, DivergenceError,
+                    r"^episode 1, method ostim: non-finite loss or gradient at step 6$")
 
 
 class TestSweep:
