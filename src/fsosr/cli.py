@@ -15,30 +15,10 @@ import numpy as np
 
 from . import runner, synthgen
 from .diagnostics import split_diagnostics
-from .episodes import EpisodeSpec, sample_episode
+from .episodes import sample_episode
 from .errors import ConfigError, FsosrError
 from .feature_store import ingest_csv, load_feature_store, save_feature_store
 from .synthgen import SynthSpec
-
-
-def _load_json(path: str, context: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {context} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{context} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context} {path} must be a JSON object")
-    return doc
-
-
-def _episode_spec(doc: dict) -> EpisodeSpec:
-    known = {"n_way", "n_shot", "n_query_per_class", "n_open_classes", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown episode spec keys: {sorted(unknown)}")
-    return EpisodeSpec(**doc)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -48,7 +28,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    doc = _load_json(args.spec, "synth spec")
+    doc = runner.read_json(args.spec, "synth spec")
     if "split_fractions" in doc:
         doc["split_fractions"] = tuple(doc["split_fractions"])
     if isinstance(doc.get("global_shift"), list):
@@ -64,8 +44,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    doc = runner.read_json(args.spec, "episode spec") if args.spec else {}
+    spec = runner.episode_spec_from_dict(doc)
     fs = load_feature_store(args.store)
-    spec = _episode_spec(_load_json(args.spec, "episode spec")) if args.spec else EpisodeSpec()
     out_dir = Path(args.dump)
     out_dir.mkdir(parents=True, exist_ok=True)
     for index in range(args.n):

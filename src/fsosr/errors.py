@@ -1,4 +1,9 @@
-"""Exception hierarchy. Exit codes used by the CLI hang off the classes."""
+"""Exception hierarchy. Exit codes used by the CLI hang off the classes.
+
+Batched code raises these errors as they are, without the position of the
+failing item; ``runner`` finds the failing episode by replaying its chunk
+one episode at a time.
+"""
 
 from __future__ import annotations
 
@@ -40,17 +45,3 @@ class DivergenceError(FsosrError):
 
     exit_code = 4
 
-
-class SliceError(Exception):
-    """Item ``index`` of a batched computation failed with ``error``.
-
-    Batched code raises it so the caller can tell which episode of a chunk
-    failed. Items before ``index`` had not failed when it was raised; items
-    after it were not checked. ``run`` and the one-episode refinement
-    functions raise ``error`` in its place.
-    """
-
-    def __init__(self, index: int, error: Exception) -> None:
-        super().__init__(f"item {index}: {error}")
-        self.index = index
-        self.error = error

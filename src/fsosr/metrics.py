@@ -78,18 +78,6 @@ def _check_scores(scores, is_outlier) -> tuple[np.ndarray, np.ndarray]:
     return scores, is_outlier
 
 
-def accuracy(sheet: PredictionSheet, truth: np.ndarray) -> float:
-    """Fraction of inlier queries whose closed-set prediction is correct.
-
-    Outlier queries are excluded entirely; they have no closed-set label.
-    """
-    truth = np.asarray(truth, dtype=np.int64)
-    inlier = truth != OUTLIER
-    if not inlier.any():
-        raise ValueError("accuracy needs at least one inlier query")
-    return float((sheet.closed_pred[inlier] == truth[inlier]).mean())
-
-
 def auroc(scores, is_outlier) -> float:
     """Probability that a random outlier outscores a random inlier, ties
     counted half (midrank form of the Mann-Whitney statistic)."""

@@ -34,7 +34,6 @@ not depend on the other episodes of its batch. ``loss_and_grad``,
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, DivergenceError, SliceError
+from .errors import DegenerateFeatureError, DivergenceError
 from .episodes import Episode
 from .predictions import PredictionSheet
 from .transforms import CenteringPolicy, center_normalize
@@ -163,26 +162,23 @@ class _Inputs(NamedTuple):
 
 
 def _inputs(states: Sequence[PrototypeSet], episodes: Sequence[Episode]) -> _Inputs:
-    per_episode = []
-    for i, (ps, episode) in enumerate(zip(states, episodes, strict=True)):
-        try:
-            per_episode.append(
-                np.concatenate(
-                    [
-                        center_normalize(episode.support_vectors, ps.mu),
-                        center_normalize(episode.query_vectors, ps.mu),
-                    ]
-                )
+    rows = np.stack(
+        [
+            np.concatenate(
+                [
+                    center_normalize(episode.support_vectors, ps.mu),
+                    center_normalize(episode.query_vectors, ps.mu),
+                ]
             )
-        except DegenerateFeatureError as exc:
-            raise SliceError(i, exc) from exc
+            for ps, episode in zip(states, episodes, strict=True)
+        ]
+    )
     labels = np.stack([episode.support_labels for episode in episodes])
     n_episodes, n_support = labels.shape
     n_cols = states[0].n_way + (states[0].variant is not Variant.CLOSED)
     label_index = (
         np.arange(n_episodes * n_support).reshape(n_episodes, n_support) * n_cols + labels
     )
-    rows = np.stack(per_episode)
     return _Inputs(rows, rows[:, :n_support], rows[:, n_support:], label_index)
 
 
@@ -191,12 +187,8 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shifted = w - mu[:, None, :]
     radii = np.linalg.norm(shifted, axis=-1)
     if radii.min() < _EPS:
-        bad = radii < _EPS
-        i = int(np.argmax(bad.any(axis=1)))
-        k = int(np.argmax(bad[i]))
-        raise SliceError(
-            i, DegenerateFeatureError(f"prototype {k} coincides with the centering point")
-        )
+        k = int(np.argmax((radii < _EPS).any(axis=0)))
+        raise DegenerateFeatureError(f"prototype {k} coincides with the centering point")
     return shifted / radii[..., None], radii
 
 
@@ -300,19 +292,15 @@ def _forward_and_grad(
 def _check_finite(
     step: int, label_p: np.ndarray, w_grad: np.ndarray, dummy_grad: np.ndarray | None
 ) -> None:
-    """Raise for the first episode whose loss or gradient is not finite.
+    """Raise if some episode's loss or gradient is not finite.
 
     The loss is finite exactly when every support row gives its label a
     nonzero probability: the gradients are finite only if all probabilities
     are, and then both entropy terms are too.
     """
-    ok = (label_p > 0).all(axis=1) & np.isfinite(w_grad).all(axis=(1, 2))
-    if dummy_grad is not None:
-        ok &= np.isfinite(dummy_grad).all(axis=1)
-    if not ok.all():
-        raise SliceError(
-            int(np.argmin(ok)), DivergenceError(f"non-finite loss or gradient at step {step}")
-        )
+    finite = (label_p > 0).all() and np.isfinite(w_grad).all()
+    if not (finite and (dummy_grad is None or np.isfinite(dummy_grad).all())):
+        raise DivergenceError(f"non-finite loss or gradient at step {step}")
 
 
 def _refine(
@@ -338,13 +326,13 @@ def _refine(
         if dummy_grad is not None:
             dummy = dummy - cfg.learning_rate * dummy_grad
         batch = batch._replace(w=batch.w - cfg.learning_rate * w_grad, dummy=dummy)
-    refined = []
-    for i, ps in enumerate(states):
-        dummy = None if batch.dummy is None else batch.dummy[i]
-        try:
-            refined.append(PrototypeSet(w=batch.w[i], mu=ps.mu, variant=ps.variant, dummy=dummy))
-        except ValueError as exc:
-            raise SliceError(i, exc) from exc
+    refined = [
+        PrototypeSet(
+            w=batch.w[i], mu=ps.mu, variant=ps.variant,
+            dummy=None if batch.dummy is None else batch.dummy[i],
+        )
+        for i, ps in enumerate(states)
+    ]
     return refined, traces
 
 
@@ -354,26 +342,12 @@ def refine_batch(
     """Refine E same-shape episodes of one variant in one kernel call.
 
     Item i of the result equals ``refine(states[i], episodes[i], cfg)[0]``
-    bit for bit. A failure raises ``SliceError`` naming the first failing
-    episode of the step at which it happened, wrapping the error ``refine``
-    would raise for that episode. Episodes before it may still fail at a
-    later step, so a caller that needs the first failing episode refines
-    that prefix again.
+    bit for bit, so an episode that fails in a batch fails alone with the
+    same error. A failure raises the plain error of some failing episode
+    without saying which; a caller that needs to know refines the episodes
+    one at a time.
     """
     return _refine(states, episodes, cfg, keep_trace=False)[0]
-
-
-def _one_episode(fn):
-    """E=1 views raise their episode's own error rather than a SliceError."""
-
-    @functools.wraps(fn)
-    def view(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SliceError as exc:
-            raise exc.error from None
-
-    return view
 
 
 def init_prototypes(
@@ -401,7 +375,6 @@ def init_prototypes(
     return PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
 
 
-@_one_episode
 def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.ndarray:
     """Logit vector(s) for raw feature input ``z`` (single vector or batch)."""
     z = np.asarray(z, dtype=np.float64)
@@ -413,7 +386,6 @@ def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.nda
     return out[0] if single else out
 
 
-@_one_episode
 def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBreakdown:
     """Objective value split into its three terms.
 
@@ -426,7 +398,6 @@ def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBr
     return _loss_terms(fwd, inputs, cfg.alpha)[0]
 
 
-@_one_episode
 def loss_and_grad(
     ps: PrototypeSet, episode: Episode, cfg: OstimConfig
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray | None]:
@@ -437,7 +408,6 @@ def loss_and_grad(
     return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
 
 
-@_one_episode
 def refine(
     ps: PrototypeSet, episode: Episode, cfg: OstimConfig
 ) -> tuple[PrototypeSet, list[LossBreakdown]]:
@@ -451,7 +421,6 @@ def refine(
     return states[0], traces[0]
 
 
-@_one_episode
 def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionSheet:
     """Softmax predictions for the episode's queries.
 

@@ -2,13 +2,17 @@
 dispatch, the validation sweep, and report emission.
 
 Every method in a run consumes the identical episode stream (same
-``(seed, index)`` pairs), so cross-method comparisons are paired. The loop
-walks the stream in chunks of ``CHUNK_SIZE`` consecutive episodes: each
-transductive method refines a whole chunk in one batched kernel call, and
-the inductive methods go episode by episode. Results are reduced in index
-order and the kernel's per-episode results do not depend on the chunk, so
-reports do not depend on the chunk size. ``workers`` is accepted and
-validated but selects no code path.
+``(seed, index)`` pairs), so cross-method comparisons are paired. ``METHODS``
+maps each method name to the config section whose centering it uses and to
+its chunk evaluator. The loop walks the stream in chunks of ``CHUNK_SIZE``
+consecutive episodes and scores every method on the whole chunk: the
+transductive methods refine it in one batched kernel call, the inductive
+ones go episode by episode. Results are reduced in index order and the
+kernel's per-episode results do not depend on the chunk, so reports do not
+depend on the chunk size. Batched code does not say which episode failed:
+a failing chunk is replayed one episode at a time to name the first failing
+(episode, method) in stream order. ``workers`` is accepted and validated but
+selects no code path.
 """
 
 from __future__ import annotations
@@ -16,29 +20,22 @@ from __future__ import annotations
 import csv
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
-from .errors import ConfigError, DataError, FsosrError, SamplingError, SliceError
+from .errors import ConfigError, DataError, FsosrError, SamplingError
 from .feature_store import FeatureSet, base_mean, load_feature_store
 from .metrics import EpisodeReport, RunReport, aggregate, score_episode, score_sheet
 from .transforms import CENTERING_KINDS, CenteringPolicy
 
-TRANSDUCTIVE_METHODS = ("ostim", "tim_closed", "explicit_dummy")
-INDUCTIVE_METHODS = ("simpleshot", "knn", "strong_baseline")
-METHODS = TRANSDUCTIVE_METHODS + INDUCTIVE_METHODS
-
 # Consecutive episodes evaluated together; reports do not depend on it.
 CHUNK_SIZE = 16
-
-_VARIANT_OF_METHOD = {
-    "tim_closed": ostim.Variant.CLOSED,
-    "explicit_dummy": ostim.Variant.EXPLICIT_DUMMY,
-}
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ class RunConfig:
         if not self.methods:
             raise ConfigError("methods must be a nonempty list")
         for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+            if not isinstance(m, str) or m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if self.workers < 1:
@@ -72,15 +69,92 @@ class RunConfig:
                 )
 
 
-def _build(cls, section: dict, fields_map: dict[str, str], context: str):
+class Method(NamedTuple):
+    section: str  # config section ("ostim" or "baseline") whose centering it uses
+    evaluate: Callable[[list[Episode], RunConfig, CenteringPolicy], list[EpisodeReport]]
+
+
+def _refined(variant: ostim.Variant | None):
+    """Refine the chunk in one kernel call with ``variant``, or with the
+    configured ``ostim.variant`` when it is None."""
+
+    def evaluate(episodes, cfg, policy):
+        chosen = cfg.ostim_variant if variant is None else variant
+        states = [ostim.init_prototypes(ep, policy, chosen) for ep in episodes]
+        states = ostim.refine_batch(states, episodes, cfg.ostim_cfg)
+        return [
+            score_sheet(ostim.predict(state, ep, cfg.ostim_cfg), ep.query_truth)
+            for state, ep in zip(states, episodes)
+        ]
+
+    return evaluate
+
+
+def _each_episode(score):
+    """Score the chunk episode by episode with ``score(episode, baseline_cfg, policy)``."""
+    return lambda episodes, cfg, policy: [score(ep, cfg.baseline_cfg, policy) for ep in episodes]
+
+
+def _simpleshot(ep, bcfg, policy):
+    return score_sheet(baselines.simpleshot_classify(ep, policy, bcfg.temperature), ep.query_truth)
+
+
+def _knn(ep, bcfg, policy):
+    return score_episode(ep.query_truth, baselines.knn_outlier_score(ep, policy, bcfg.knn_k))
+
+
+def _strong_baseline(ep, bcfg, policy):
+    """Nearest-centroid classification with k-NN outlier scores."""
+    sheet = baselines.simpleshot_classify(ep, policy, bcfg.temperature)
+    scores = baselines.knn_outlier_score(ep, policy, bcfg.knn_k)
+    return score_episode(ep.query_truth, scores, sheet.closed_pred)
+
+
+METHODS: dict[str, Method] = {
+    "ostim": Method("ostim", _refined(None)),
+    "tim_closed": Method("ostim", _refined(ostim.Variant.CLOSED)),
+    "explicit_dummy": Method("ostim", _refined(ostim.Variant.EXPLICIT_DUMMY)),
+    "simpleshot": Method("baseline", _each_episode(_simpleshot)),
+    "knn": Method("baseline", _each_episode(_knn)),
+    "strong_baseline": Method("baseline", _each_episode(_strong_baseline)),
+}
+
+
+def _centering(method: str, cfg: RunConfig) -> str:
+    return getattr(cfg, f"{METHODS[method].section}_centering")
+
+
+def _integer(value, key: str) -> int:
+    """A count from JSON: an integral number (``3`` or ``3.0``), else ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _build(cls, section, fields_map: dict[str, str], context: str):
+    """``cls`` from a JSON object; fields annotated ``int`` take counts only."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} config must be a JSON object, got {section!r}")
     unknown = set(section) - set(fields_map) - {"centering", "variant"}
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
-    kwargs = {attr: section[key] for key, attr in fields_map.items() if key in section}
+    counts = {f.name for f in fields(cls) if f.type in ("int", int)}
+    kwargs = {
+        attr: _integer(section[key], f"{context}.{key}") if attr in counts else section[key]
+        for key, attr in fields_map.items()
+        if key in section
+    }
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SamplingError) as exc:
         raise ConfigError(f"bad {context} config: {exc}") from exc
+
+
+def episode_spec_from_dict(section) -> EpisodeSpec:
+    """Parse and validate an ``episodes`` section (an EpisodeSpec document)."""
+    return _build(EpisodeSpec, section, {f.name: f.name for f in fields(EpisodeSpec)}, "episodes")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -97,15 +171,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     if "store" not in doc:
         raise ConfigError("config is missing the 'store' path")
 
-    try:
-        episode = _build(
-            EpisodeSpec,
-            doc.get("episodes", {}),
-            {k: k for k in ("n_way", "n_shot", "n_query_per_class", "n_open_classes", "seed")},
-            "episodes",
-        )
-    except SamplingError as exc:
-        raise ConfigError(f"bad episodes config: {exc}") from exc
+    episode = episode_spec_from_dict(doc.get("episodes", {}))
     ostim_section = doc.get("ostim", {})
     ostim_cfg = _build(
         ostim.OstimConfig,
@@ -129,32 +195,42 @@ def config_from_dict(doc: dict) -> RunConfig:
     methods = doc.get("methods", ["ostim"])
     if not isinstance(methods, list):
         raise ConfigError("methods must be a list of method names")
-    try:
-        return RunConfig(
-            store=str(doc["store"]),
-            episode=episode,
-            methods=tuple(methods),
-            n_episodes=int(doc.get("n_episodes", 600)),
-            workers=int(doc.get("workers", 1)),
-            output_dir=doc.get("output_dir"),
-            ostim_cfg=ostim_cfg,
-            ostim_variant=ostim_variant,
-            ostim_centering=ostim_section.get("centering", "task"),
-            baseline_cfg=baseline_cfg,
-            baseline_centering=baseline_section.get("centering", "base"),
-        )
-    except SamplingError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not isinstance(doc["store"], str):
+        raise ConfigError(f"store must be a path string, got {doc['store']!r}")
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
+    return RunConfig(
+        store=doc["store"],
+        episode=episode,
+        methods=tuple(methods),
+        n_episodes=_integer(doc.get("n_episodes", 600), "n_episodes"),
+        workers=_integer(doc.get("workers", 1), "workers"),
+        output_dir=output_dir,
+        ostim_cfg=ostim_cfg,
+        ostim_variant=ostim_variant,
+        ostim_centering=ostim_section.get("centering", "task"),
+        baseline_cfg=baseline_cfg,
+        baseline_centering=baseline_section.get("centering", "base"),
+    )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_json(path: str | Path, what: str = "config") -> dict:
+    """The JSON object in the file at ``path``; ConfigError if it cannot be
+    read, is not JSON or is not an object. ``what`` names it in messages."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return doc
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return config_from_dict(read_json(path))
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
@@ -204,59 +280,16 @@ def episode_checksum(episode: Episode) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _each(fn, *columns: list) -> list:
-    """``fn`` over the zipped ``columns`` in order; the first failure
-    becomes a SliceError at its position."""
-    out = []
-    for position, args in enumerate(zip(*columns)):
-        try:
-            out.append(fn(*args))
-        except (FsosrError, ValueError) as exc:
-            raise SliceError(position, exc) from exc
-    return out
-
-
-def _score_inductive(
-    method: str, episode: Episode, cfg: RunConfig, base_mu: np.ndarray | None
-) -> EpisodeReport:
-    policy = _policy(cfg.baseline_centering, base_mu)
-    if method == "simpleshot":
-        sheet = baselines.simpleshot_classify(
-            episode, policy, cfg.baseline_cfg.temperature
-        )
-        return score_sheet(sheet, episode.query_truth)
-    if method == "knn":
-        scores = baselines.knn_outlier_score(episode, policy, cfg.baseline_cfg.knn_k)
-        return score_episode(episode.query_truth, scores)
-    # strong baseline: nearest-centroid classification, k-NN outlier scores
-    sheet = baselines.simpleshot_classify(episode, policy, cfg.baseline_cfg.temperature)
-    scores = baselines.knn_outlier_score(episode, policy, cfg.baseline_cfg.knn_k)
-    return score_episode(episode.query_truth, scores, sheet.closed_pred)
-
-
 def evaluate_method(
     method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None
 ) -> list[EpisodeReport]:
-    """Score one method on a chunk of same-shape episodes.
+    """Score one method on a chunk of same-shape episodes, in order.
 
-    A failure raises SliceError naming the chunk position of a failing
-    episode; see ``ostim.refine_batch`` for what that says about the
-    episodes before it.
+    A failure raises the plain error of some failing episode of the chunk;
+    ``_evaluate_chunk`` finds out which one.
     """
-    if method not in TRANSDUCTIVE_METHODS:
-        return _each(lambda ep: _score_inductive(method, ep, cfg, base_mu), episodes)
-
-    variant = _VARIANT_OF_METHOD.get(method, cfg.ostim_variant)
-    states = _each(
-        lambda ep: ostim.init_prototypes(ep, _policy(cfg.ostim_centering, base_mu), variant),
-        episodes,
-    )
-    states = ostim.refine_batch(states, episodes, cfg.ostim_cfg)
-    return _each(
-        lambda state, ep: score_sheet(ostim.predict(state, ep, cfg.ostim_cfg), ep.query_truth),
-        states,
-        episodes,
-    )
+    policy = _policy(_centering(method, cfg), base_mu)
+    return METHODS[method].evaluate(episodes, cfg, policy)
 
 
 def _evaluate_chunk(
@@ -265,36 +298,24 @@ def _evaluate_chunk(
     """Every method on one chunk, or the first failing (episode, method) in
     stream order raised as ``episode i, method m: ...``.
 
-    After a failure at position p, later methods (and a rerun of the failed
-    one) only see the episodes before p: a failure there is earlier in
-    stream order, and one at p or beyond is not.
+    A failure is located by replaying the chunk one episode at a time,
+    methods in config order. Batched results equal one-episode results, so
+    the replay fails where the chunk did; if it does not, the chunk's own
+    error is raised.
     """
-    reports: dict[str, list[EpisodeReport]] = {}
-    failure = None
-    limit = len(episodes)
-    for method in cfg.methods:
-        while limit:
-            try:
-                reports[method] = evaluate_method(method, episodes[:limit], cfg, base_mu)
-                break
-            except SliceError as exc:
-                failure = (start + exc.index, method, exc.error)
-                limit = exc.index
-    if failure is not None:
-        index, method, exc = failure
-        message = f"episode {index}, method {method}: {exc}"
-        if isinstance(exc, FsosrError):
-            raise type(exc)(message) from exc
-        raise DataError(message) from exc
-    return reports
-
-
-def _needs_base_mu(cfg: RunConfig) -> bool:
-    uses_inductive = any(m in INDUCTIVE_METHODS for m in cfg.methods)
-    uses_transductive = any(m in TRANSDUCTIVE_METHODS for m in cfg.methods)
-    return (uses_inductive and cfg.baseline_centering == "base") or (
-        uses_transductive and cfg.ostim_centering == "base"
-    )
+    try:
+        return {method: evaluate_method(method, episodes, cfg, base_mu) for method in cfg.methods}
+    except (FsosrError, ValueError):
+        for offset, episode in enumerate(episodes):
+            for method in cfg.methods:
+                try:
+                    evaluate_method(method, [episode], cfg, base_mu)
+                except (FsosrError, ValueError) as exc:
+                    message = f"episode {start + offset}, method {method}: {exc}"
+                    if isinstance(exc, FsosrError):
+                        raise type(exc)(message) from exc
+                    raise DataError(message) from exc
+        raise
 
 
 def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> dict[str, RunReport]:
@@ -306,7 +327,8 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     """
     if fs is None:
         fs = load_feature_store(cfg.store)
-    base_mu = base_mean(fs) if _needs_base_mu(cfg) else None
+    needs_base_mu = any(_centering(m, cfg) == "base" for m in cfg.methods)
+    base_mu = base_mean(fs) if needs_base_mu else None
 
     per_method: dict[str, list[EpisodeReport]] = {method: [] for method in cfg.methods}
     stream_crc = 0

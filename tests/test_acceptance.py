@@ -41,6 +41,7 @@ from fsosr import (
     precision_at_recall,
     predict,
     refine,
+    refine_batch,
     run,
     sample_episode,
     save_feature_store,
@@ -68,11 +69,25 @@ SPEC_B = EpisodeSpec(seed=777)
 CFG_B = OstimConfig(alpha=1.0, learning_rate=0.05)
 
 N_TREND_EPISODES = 500
+TREND_CHUNK = 100  # episodes per refine_batch call
 
 
 def _gate(number: int, description: str, passed: bool) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {number}: {description}")
     assert passed, f"criterion {number} failed: {description}"
+
+
+def _trend_chunks(fs, spec: EpisodeSpec):
+    """The trend stream as lists of consecutive episodes, each refined in one
+    ``refine_batch`` call; its slices equal one-episode ``refine`` bit for bit."""
+    for start in range(0, N_TREND_EPISODES, TREND_CHUNK):
+        stop = min(start + TREND_CHUNK, N_TREND_EPISODES)
+        yield [sample_episode(fs, spec, index) for index in range(start, stop)]
+
+
+def _refined(episodes, policy, variant, cfg):
+    states = [init_prototypes(episode, policy, variant) for episode in episodes]
+    return refine_batch(states, episodes, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -88,39 +103,36 @@ def store_a_run():
             "ent_in_init", "ent_in_final", "ent_out_init", "ent_out_final",
         )
     }
-    for index in range(N_TREND_EPISODES):
-        episode = sample_episode(fs, SPEC_A, index)
-        base_pol = CenteringPolicy("base", mu_base)
-        task_pol = CenteringPolicy("task")
+    base_pol = CenteringPolicy("base", mu_base)
+    task_pol = CenteringPolicy("task")
+    for episodes in _trend_chunks(fs, SPEC_A):
+        inits = [init_prototypes(episode, task_pol, Variant.IMPLICIT) for episode in episodes]
+        finals = refine_batch(inits, episodes, CFG_A)
+        closed = _refined(episodes, task_pol, Variant.CLOSED, CFG_A)
+        for episode, init, final, closed_state in zip(episodes, inits, finals, closed):
+            sheet_ss = simpleshot_classify(episode, base_pol, 10.0)
+            knn_scores = knn_outlier_score(episode, base_pol, 1)
+            strong = score_episode(episode.query_truth, knn_scores, sheet_ss.closed_pred)
+            agg["ss_acc"].append(strong.acc)
+            agg["strong_auroc"].append(strong.auroc)
 
-        sheet_ss = simpleshot_classify(episode, base_pol, 10.0)
-        knn_scores = knn_outlier_score(episode, base_pol, 1)
-        strong = score_episode(episode.query_truth, knn_scores, sheet_ss.closed_pred)
-        agg["ss_acc"].append(strong.acc)
-        agg["strong_auroc"].append(strong.auroc)
+            sheet_init = predict(init, episode, CFG_A)
+            sheet_final = predict(final, episode, CFG_A)
+            report = score_sheet(sheet_final, episode.query_truth)
+            agg["ostim_acc"].append(report.acc)
+            agg["ostim_auroc"].append(report.auroc)
 
-        state = init_prototypes(episode, task_pol, Variant.IMPLICIT)
-        sheet_init = predict(state, episode, CFG_A)
-        state, _ = refine(state, episode, CFG_A)
-        sheet_final = predict(state, episode, CFG_A)
-        report = score_sheet(sheet_final, episode.query_truth)
-        agg["ostim_acc"].append(report.acc)
-        agg["ostim_auroc"].append(report.auroc)
+            outlier = episode.is_outlier
+            ent_init = closed_set_entropy(sheet_init)
+            ent_final = closed_set_entropy(sheet_final)
+            agg["ent_in_init"].append(ent_init[~outlier].mean())
+            agg["ent_in_final"].append(ent_final[~outlier].mean())
+            agg["ent_out_init"].append(ent_init[outlier].mean())
+            agg["ent_out_final"].append(ent_final[outlier].mean())
 
-        outlier = episode.is_outlier
-        ent_init = closed_set_entropy(sheet_init)
-        ent_final = closed_set_entropy(sheet_final)
-        agg["ent_in_init"].append(ent_init[~outlier].mean())
-        agg["ent_in_final"].append(ent_final[~outlier].mean())
-        agg["ent_out_init"].append(ent_init[outlier].mean())
-        agg["ent_out_final"].append(ent_final[outlier].mean())
-
-        closed, _ = refine(
-            init_prototypes(episode, task_pol, Variant.CLOSED), episode, CFG_A
-        )
-        agg["tim_auroc"].append(
-            score_sheet(predict(closed, episode, CFG_A), episode.query_truth).auroc
-        )
+            agg["tim_auroc"].append(
+                score_sheet(predict(closed_state, episode, CFG_A), episode.query_truth).auroc
+            )
     means = {k: float(np.mean(v)) for k, v in agg.items()}
     means["elapsed"] = time.monotonic() - t0
     return means
@@ -284,32 +296,32 @@ def test_criterion_7_ablation_trends():
     mu_base = base_mean(fs)
     acc_init, acc_final = [], []
     aupr_of = {"task": [], "base": [], "none": [], "dummy": [], "init": []}
-    for index in range(N_TREND_EPISODES):
-        episode = sample_episode(fs, SPEC_B, index)
-        policies = {
-            "task": CenteringPolicy("task"),
-            "base": CenteringPolicy("base", mu_base),
-            "none": CenteringPolicy("none"),
+    policies = {
+        "task": CenteringPolicy("task"),
+        "base": CenteringPolicy("base", mu_base),
+        "none": CenteringPolicy("none"),
+    }
+    for episodes in _trend_chunks(fs, SPEC_B):
+        refined = {
+            name: _refined(episodes, policy, Variant.IMPLICIT, CFG_B)
+            for name, policy in policies.items()
         }
-        state = init_prototypes(episode, policies["task"], Variant.IMPLICIT)
-        report_init = score_sheet(predict(state, episode, CFG_B), episode.query_truth)
-        acc_init.append(report_init.acc)
-        aupr_of["init"].append(report_init.aupr)
-        for name, policy in policies.items():
-            refined, _ = refine(
-                init_prototypes(episode, policy, Variant.IMPLICIT), episode, CFG_B
+        dummies = _refined(episodes, policies["task"], Variant.EXPLICIT_DUMMY, CFG_B)
+        for j, episode in enumerate(episodes):
+            state = init_prototypes(episode, policies["task"], Variant.IMPLICIT)
+            report_init = score_sheet(predict(state, episode, CFG_B), episode.query_truth)
+            acc_init.append(report_init.acc)
+            aupr_of["init"].append(report_init.aupr)
+            for name in policies:
+                report = score_sheet(
+                    predict(refined[name][j], episode, CFG_B), episode.query_truth
+                )
+                aupr_of[name].append(report.aupr)
+                if name == "task":
+                    acc_final.append(report.acc)
+            aupr_of["dummy"].append(
+                score_sheet(predict(dummies[j], episode, CFG_B), episode.query_truth).aupr
             )
-            report = score_sheet(predict(refined, episode, CFG_B), episode.query_truth)
-            aupr_of[name].append(report.aupr)
-            if name == "task":
-                acc_final.append(report.acc)
-        dummy, _ = refine(
-            init_prototypes(episode, policies["task"], Variant.EXPLICIT_DUMMY),
-            episode, CFG_B,
-        )
-        aupr_of["dummy"].append(
-            score_sheet(predict(dummy, episode, CFG_B), episode.query_truth).aupr
-        )
 
     m = {k: float(np.mean(v)) for k, v in aupr_of.items()}
     a0, a1 = float(np.mean(acc_init)), float(np.mean(acc_final))

@@ -111,6 +111,27 @@ class TestExitCodes:
         assert main(["run", "--config", str(config)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_config_value_is_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"store": "store.fsos", "n_episodes": "abc"}))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "n_episodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [{"n_way": 1}, {"n_way": "5"}])
+    def test_bad_episode_section_is_2_for_sample_and_run(
+        self, synth_store, tmp_path, capsys, section
+    ):
+        spec = tmp_path / "episode.json"
+        spec.write_text(json.dumps(section))
+        assert main(["sample", "--store", str(synth_store), "--spec", str(spec),
+                     "--dump", str(tmp_path / "episodes")]) == 2
+        sample_err = capsys.readouterr().err
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"store": str(synth_store), "episodes": section}))
+        assert main(["run", "--config", str(config)]) == 2
+        # One parser: the same message from both commands.
+        assert capsys.readouterr().err == sample_err
+
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -9,12 +9,12 @@ from fsosr import (
     OUTLIER,
     EpisodeReport,
     PredictionSheet,
-    accuracy,
     aggregate,
     auroc,
     aupr,
     precision_at_recall,
     score_episode,
+    score_sheet,
 )
 
 
@@ -76,35 +76,40 @@ def sheet_from_probs(probs):
 
 
 class TestAccuracy:
+    """Closed-set accuracy as ``score_sheet`` reports it."""
+
     def test_all_inliers_correct(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
         sheet = sheet_from_probs(probs)
         truth = np.array([0, 1, OUTLIER])
-        assert accuracy(sheet, truth) == 1.0
+        assert score_sheet(sheet, truth).acc == 1.0
 
     def test_three_of_four(self):
         probs = np.array([[0.9, 0.1]] * 4 + [[0.1, 0.9]])
         sheet = sheet_from_probs(probs)
         truth = np.array([0, 0, 0, 1, OUTLIER])
-        assert accuracy(sheet, truth) == 0.75
+        assert score_sheet(sheet, truth).acc == 0.75
 
     def test_chance_level(self, rng):
         k = 4
         n = 40_000
         probs = rng.dirichlet(np.ones(k), size=n)
-        sheet = sheet_from_probs(probs)
         truth = rng.integers(0, k, size=n)
-        assert abs(accuracy(sheet, truth) - 1 / k) < 0.01
+        # One outlier query, so the episode also has an AUROC; accuracy
+        # ignores it.
+        sheet = sheet_from_probs(np.vstack([probs, np.full(k, 1 / k)]))
+        truth = np.append(truth, OUTLIER)
+        assert abs(score_sheet(sheet, truth).acc - 1 / k) < 0.01
 
     def test_outliers_excluded(self):
         probs = np.array([[0.9, 0.1], [0.9, 0.1]])
         sheet = sheet_from_probs(probs)
-        assert accuracy(sheet, np.array([0, OUTLIER])) == 1.0
+        assert score_sheet(sheet, np.array([0, OUTLIER])).acc == 1.0
 
     def test_no_inliers_raises(self):
         sheet = sheet_from_probs(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="inlier"):
-            accuracy(sheet, np.array([OUTLIER]))
+            score_sheet(sheet, np.array([OUTLIER]))
 
 
 class TestAuroc:

@@ -26,7 +26,6 @@ from fsosr import (
     refine,
     refine_batch,
 )
-from fsosr.errors import SliceError
 
 from conftest import make_episode
 
@@ -349,11 +348,15 @@ class TestRefineBatch:
         w = states[1].w.copy()
         w[2] = states[1].mu
         states[1] = replace(states[1], w=w)
-        with pytest.raises(SliceError) as info:
-            refine_batch(states, episodes, OstimConfig(n_steps=5))
-        assert info.value.index == 1
-        assert isinstance(info.value.error, DegenerateFeatureError)
-        assert "prototype 2" in str(info.value.error)
+        cfg = OstimConfig(n_steps=5)
+        with pytest.raises(DegenerateFeatureError, match="prototype 2") as batched:
+            refine_batch(states, episodes, cfg)
+        # The failing slice fails alone with the same error; the others do not.
+        with pytest.raises(DegenerateFeatureError) as alone:
+            refine(states[1], episodes[1], cfg)
+        assert str(batched.value) == str(alone.value)
+        refine(states[0], episodes[0], cfg)
+        refine(states[2], episodes[2], cfg)
 
     def test_loss_only_divergence_raises(self, rng):
         # At temperature 1000 the first support row gives its own label
@@ -370,11 +373,8 @@ class TestRefineBatch:
         _, healthy = _underflowing_support_episode(rng)
         object.__setattr__(healthy, "support_vectors", ps.w.copy())
         refine(ps, healthy, cfg)
-        with pytest.raises(SliceError) as info:
+        with pytest.raises(DivergenceError, match="step 0"):
             refine_batch([ps] * 3, [healthy, episode, healthy], cfg)
-        assert info.value.index == 1
-        assert isinstance(info.value.error, DivergenceError)
-        assert "step 0" in str(info.value.error)
 
 
 class TestPredict:

@@ -109,6 +109,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="episodes"):
             config_from_dict({"store": store_path, "episodes": {"n_way": 1}})
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"n_episodes": "abc"}, "n_episodes"),
+            ({"n_episodes": 2.7}, "n_episodes"),
+            ({"workers": None}, "workers"),
+            ({"ostim": 5}, "ostim"),
+            ({"episodes": ["n_way"]}, "episodes"),
+            ({"episodes": {"n_way": "5"}}, "episodes.n_way"),
+            ({"ostim": {"n_steps": 2.5}}, "ostim.n_steps"),
+            ({"baseline": {"knn_k": None}}, "baseline.knn_k"),
+            ({"methods": ["ostim", []]}, "unknown method"),
+            ({"output_dir": 3}, "output_dir"),
+            ({"store": None}, "store"),
+        ],
+    )
+    def test_bad_values_are_config_errors_naming_the_key(self, store_path, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"store": store_path, **doc})
+
+    def test_integral_counts_accepted(self, store_path):
+        cfg = config_from_dict({"store": store_path, "n_episodes": 3.0,
+                                "episodes": {"n_way": 4.0}})
+        assert cfg.n_episodes == 3 and isinstance(cfg.n_episodes, int)
+        assert cfg.episode.n_way == 4 and isinstance(cfg.episode.n_way, int)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
@@ -210,6 +236,20 @@ class TestRun:
         cfg = tiny_config(str(path), methods=("simpleshot",))
         with pytest.raises(DataError, match="base"):
             run(cfg)
+
+    def test_failure_only_in_a_batch_is_raised_as_it_is(self, store_path, monkeypatch):
+        # The one-episode replay finds nothing, so the chunk's own error stands.
+        real = ostim_mod.refine_batch
+
+        def batch_only(states, episodes, cfg):
+            if len(states) > 1:
+                raise ValueError("batch-only failure")
+            return real(states, episodes, cfg)
+
+        monkeypatch.setattr(ostim_mod, "refine_batch", batch_only)
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
+        with pytest.raises(ValueError, match="^batch-only failure$"):
+            run(tiny_config(store_path, methods=("ostim",), n_episodes=3))
 
 
 def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
