@@ -18,7 +18,6 @@ from .diagnostics import split_diagnostics
 from .episodes import sample_episode
 from .errors import ConfigError, FsosrError
 from .feature_store import ingest_csv, load_feature_store, save_feature_store
-from .synthgen import SynthSpec
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -28,15 +27,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    doc = runner.read_json(args.spec, "synth spec")
-    if "split_fractions" in doc:
-        doc["split_fractions"] = tuple(doc["split_fractions"])
-    if isinstance(doc.get("global_shift"), list):
-        doc["global_shift"] = tuple(doc["global_shift"])
-    try:
-        spec = SynthSpec(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth spec: {exc}") from exc
+    spec = runner.synth_spec_from_dict(runner.read_json(args.spec, "synth spec"))
     fs = synthgen.generate(spec)
     save_feature_store(fs, args.out)
     print(f"wrote {fs.n} vectors, dim {fs.dim}, {fs.n_classes} classes -> {args.out}")

@@ -95,9 +95,9 @@ def validate_feature_set(fs: FeatureSet) -> None:
     c = len(fs.class_names)
     if c == 0:
         raise DataError("no classes declared")
-    bad = np.argwhere(~np.isfinite(fs.vectors))
-    if bad.size:
-        i, j = bad[0]
+    finite = np.isfinite(fs.vectors)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
         raise DataError(f"non-finite component at vector {i}, component {j}")
     if fs.labels.min() < 0 or fs.labels.max() >= c:
         i = int(np.argmax((fs.labels < 0) | (fs.labels >= c)))
@@ -158,7 +158,12 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def load_feature_store(path: str | Path) -> FeatureSet:
-    """Load and fully validate a feature store written by save_feature_store."""
+    """Load a feature store written by save_feature_store.
+
+    The loader checks the file format and the sidecar's structure; the
+    FeatureSet it builds checks the contents, once. Every failure is a
+    StoreError naming the store or its sidecar.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -192,32 +197,13 @@ def load_feature_store(path: str | Path) -> FeatureSet:
             f"{path}: {available - payload_size} unexpected trailing bytes after checksum"
         )
 
-    payload = raw[payload_start : payload_start + payload_size]
+    payload = memoryview(raw)[payload_start : payload_start + payload_size]
     (stored_crc,) = struct.unpack_from("<I", raw, payload_start + payload_size)
     actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise StoreError(
             f"{path}: checksum mismatch (stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x})"
-        )
-
-    records = np.frombuffer(payload, dtype=_record_dtype(dim))
-    labels = records["label"].astype(np.int64)
-    vectors = np.array(records["vec"], dtype=np.float32)
-
-    out_of_range = np.flatnonzero(labels >= c)
-    if out_of_range.size:
-        i = int(out_of_range[0])
-        raise StoreError(
-            f"{path}: label {int(labels[i])} out of range [0, {c}) in record {i} "
-            f"(byte offset {payload_start + i * record_size})"
-        )
-    bad = np.argwhere(~np.isfinite(vectors))
-    if bad.size:
-        i, j = bad[0]
-        raise StoreError(
-            f"{path}: non-finite value at vector {i}, component {j} "
-            f"(byte offset {payload_start + i * record_size + 4 + 4 * int(j)})"
         )
 
     meta_path = sidecar_path(path)
@@ -227,6 +213,8 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         meta = json.loads(meta_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StoreError(f"{meta_path}: unreadable sidecar ({exc})") from exc
+    if not isinstance(meta, dict):
+        meta = {}
     class_names = meta.get("class_names")
     splits = meta.get("splits")
     if not isinstance(class_names, list) or len(class_names) != c:
@@ -235,18 +223,16 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         )
     if not isinstance(splits, dict) or set(splits) != set(SPLITS):
         raise StoreError(f"{meta_path}: splits must have exactly the keys {SPLITS}")
-    split_of_class: dict[int, str] = {}
-    for split, ids in splits.items():
-        for cid in ids:
-            if not isinstance(cid, int) or not 0 <= cid < c:
-                raise StoreError(f"{meta_path}: class id {cid!r} invalid for C={c}")
-            if cid in split_of_class:
-                raise StoreError(f"{meta_path}: class {cid} assigned to two splits")
-            split_of_class[cid] = split
-    if len(split_of_class) != c:
-        missing = sorted(set(range(c)) - set(split_of_class))
-        raise StoreError(f"{meta_path}: classes {missing} missing a split assignment")
+    try:
+        split_of_class = _split_assignment(splits, meta_path, {})
+    except DataError as exc:
+        raise StoreError(str(exc)) from exc
 
+    records = np.frombuffer(payload, dtype=_record_dtype(dim))
+    labels = records["label"].astype(np.int64)
+    vectors = np.array(records["vec"], dtype=np.float32)
+    # Free the file bytes before the FeatureSet allocates its finiteness mask.
+    del records, payload, raw
     try:
         return FeatureSet(
             vectors=vectors,
@@ -256,6 +242,30 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         )
     except DataError as exc:
         raise StoreError(f"{path}: {exc}") from exc
+
+
+def _split_assignment(splits: dict, source: Path, name_to_id: dict[str, int]) -> dict[int, str]:
+    """Class id -> split from a ``{split: [class, ...]}`` object. A class is
+    a name from ``name_to_id`` or an integer id; anything else raises
+    DataError naming ``source``, the split and the entry."""
+    split_of_class: dict[int, str] = {}
+    for split in SPLITS:
+        refs = splits.get(split, [])
+        if not isinstance(refs, list):
+            raise DataError(f"{source}: split {split!r} must be a list, got {refs!r}")
+        for ref in refs:
+            if isinstance(ref, str) and ref in name_to_id:
+                cid = name_to_id[ref]
+            elif isinstance(ref, int) and not isinstance(ref, bool):
+                cid = ref
+            else:
+                raise DataError(
+                    f"{source}: split {split!r} entry {ref!r} is not a class name or id"
+                )
+            if cid in split_of_class:
+                raise DataError(f"{source}: class {cid} assigned to two splits")
+            split_of_class[cid] = split
+    return split_of_class
 
 
 def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Path) -> FeatureSet:
@@ -302,24 +312,11 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
         raise DataError(f"cannot read split file {splits_path}: {exc}") from exc
     if not isinstance(split_spec, dict) or not set(split_spec) <= set(SPLITS):
         raise DataError(f"{splits_path}: expected a JSON object with keys from {SPLITS}")
-    split_of_class: dict[int, str] = {}
-    for split in SPLITS:
-        for ref in split_spec.get(split, []):
-            if isinstance(ref, str):
-                if ref not in name_to_id:
-                    raise DataError(f"{splits_path}: unknown class name {ref!r}")
-                cid = name_to_id[ref]
-            else:
-                cid = int(ref)
-            if cid in split_of_class:
-                raise DataError(f"{splits_path}: class {cid} assigned to two splits")
-            split_of_class[cid] = split
-
     fs = FeatureSet(
         vectors=vectors,
         labels=labels,
         class_names=tuple(class_names),
-        split_of_class=split_of_class,
+        split_of_class=_split_assignment(split_spec, Path(splits_path), name_to_id),
     )
     save_feature_store(fs, out_path)
     return fs

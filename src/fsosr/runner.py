@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -32,6 +33,7 @@ from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, SamplingError
 from .feature_store import FeatureSet, base_mean, load_feature_store
 from .metrics import EpisodeReport, RunReport, aggregate, score_episode, score_sheet
+from .synthgen import SynthSpec
 from .transforms import CENTERING_KINDS, CenteringPolicy
 
 # Consecutive episodes evaluated together; reports do not depend on it.
@@ -133,28 +135,58 @@ def _integer(value, key: str) -> int:
     return value
 
 
-def _build(cls, section, fields_map: dict[str, str], context: str):
-    """``cls`` from a JSON object; fields annotated ``int`` take counts only."""
+def _number(value, key: str):
+    """A finite JSON number, returned as it is, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str) -> tuple:
+    """A JSON list of finite numbers as a tuple, else ConfigError."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+# How ``_build`` reads a field's JSON value, by the field's annotation.
+_PARSERS = {
+    "int": _integer,
+    "float": _number,
+    "tuple[float, float, float]": _numbers,
+    "float | tuple[float, ...]":
+        lambda v, key: _numbers(v, key) if isinstance(v, list) else _number(v, key),
+}
+
+
+def _build(cls, section, fields_map: dict[str, str], context: str, also: tuple[str, ...] = ()):
+    """``cls`` from a JSON object, its fields read by ``_PARSERS``. Keys in
+    ``also`` may appear in the section; the caller reads them."""
     if not isinstance(section, dict):
         raise ConfigError(f"{context} config must be a JSON object, got {section!r}")
-    unknown = set(section) - set(fields_map) - {"centering", "variant"}
+    unknown = set(section) - set(fields_map) - set(also)
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
-    counts = {f.name for f in fields(cls) if f.type in ("int", int)}
+    kinds = {f.name: f.type for f in fields(cls)}
     kwargs = {
-        attr: _integer(section[key], f"{context}.{key}") if attr in counts else section[key]
+        attr: _PARSERS.get(kinds[attr], lambda v, _: v)(section[key], f"{context}.{key}")
         for key, attr in fields_map.items()
         if key in section
     }
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, SamplingError) as exc:
+    except (TypeError, ValueError, SamplingError, ConfigError) as exc:
         raise ConfigError(f"bad {context} config: {exc}") from exc
 
 
 def episode_spec_from_dict(section) -> EpisodeSpec:
     """Parse and validate an ``episodes`` section (an EpisodeSpec document)."""
     return _build(EpisodeSpec, section, {f.name: f.name for f in fields(EpisodeSpec)}, "episodes")
+
+
+def synth_spec_from_dict(section) -> SynthSpec:
+    """Parse and validate a ``synth`` spec (a SynthSpec document)."""
+    return _build(SynthSpec, section, {f.name: f.name for f in fields(SynthSpec)}, "synth")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -179,6 +211,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         {"alpha": "alpha", "n_steps": "n_steps", "lr": "learning_rate",
          "temperature": "temperature"},
         "ostim",
+        also=("centering", "variant"),
     )
     try:
         ostim_variant = ostim.Variant(ostim_section.get("variant", "implicit"))
@@ -190,6 +223,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         baseline_section,
         {"knn_k": "knn_k", "temperature": "temperature"},
         "baseline",
+        also=("centering",),
     )
 
     methods = doc.get("methods", ["ostim"])

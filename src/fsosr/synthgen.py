@@ -43,16 +43,15 @@ class SynthSpec:
         object.__setattr__(self, "split_fractions", fractions)
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        shape = np.shape(self.global_shift)
+        if shape not in ((), (self.dim,)):
+            raise ConfigError(
+                f"global_shift must be scalar or length {self.dim}, got shape {shape}"
+            )
 
     def shift_vector(self) -> np.ndarray:
         shift = np.asarray(self.global_shift, dtype=np.float64)
-        if shift.ndim == 0:
-            return np.full(self.dim, float(shift))
-        if shift.shape != (self.dim,):
-            raise ConfigError(
-                f"global_shift must be scalar or length {self.dim}, got shape {shift.shape}"
-            )
-        return shift
+        return np.full(self.dim, float(shift)) if shift.ndim == 0 else shift
 
 
 def _split_counts(fractions: tuple[float, float, float], n_classes: int) -> list[int]:

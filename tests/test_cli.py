@@ -132,6 +132,32 @@ class TestExitCodes:
         # One parser: the same message from both commands.
         assert capsys.readouterr().err == sample_err
 
+    @pytest.mark.parametrize("value, key", [
+        ({"split_fractions": 5}, "synth.split_fractions"),
+        ({"split_fractions": [0.5, 0.5, "a"]}, "synth.split_fractions[2]"),
+        ({"n_classes": 2.5}, "synth.n_classes"),
+        ({"global_shift": "abc"}, "synth.global_shift"),
+        ({"global_shift": [1.0, 2.0]}, "synth config: global_shift"),
+        ({"centroid_radius": None}, "synth.centroid_radius"),
+        ({"variant": "closed"}, "unknown synth config keys"),
+    ])
+    def test_bad_synth_spec_is_2_naming_the_key(self, tmp_path, capsys, value, key):
+        spec = {"dim": 5, "n_classes": 12, "points_per_class": 10,
+                "centroid_radius": 1.5, "within_std": 0.4}
+        spec_path = tmp_path / "synth.json"
+        spec_path.write_text(json.dumps({**spec, **value}))
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "s.fsos")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_malformed_split_file_is_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "feats.csv"
+        csv_path.write_text("a,0.5,1.5\nb,2.5,3.5\n")
+        splits_path = tmp_path / "splits.json"
+        splits_path.write_text(json.dumps({"base": [None], "test": ["b"]}))
+        assert main(["ingest", "--csv", str(csv_path), "--splits", str(splits_path),
+                     "--out", str(tmp_path / "o.fsos")]) == 3
+        assert "split 'base' entry None" in capsys.readouterr().err
+
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

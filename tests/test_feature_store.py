@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -150,19 +153,61 @@ class TestCorruption:
         with pytest.raises(StoreError, match="two splits"):
             load_feature_store(stored)
 
-    def test_nan_payload_reported_with_offset(self, stored):
+    @staticmethod
+    def rewrite_payload(stored, offset, data):
+        """Overwrite payload bytes at ``offset`` and restore the checksum."""
         raw = bytearray(stored.read_bytes())
+        raw[offset : offset + len(data)] = data
+        raw[-4:] = struct.pack("<I", zlib.crc32(raw[24:-4]) & 0xFFFFFFFF)
+        stored.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("splits", [
+        {"base": 5, "val": [], "test": [1]},
+        {"base": [None], "val": [], "test": [1]},
+        {"base": [True], "val": [], "test": [0]},
+        {"base": [0.5], "val": [], "test": [1]},
+    ])
+    def test_sidecar_bad_class_ids(self, stored, splits):
+        meta = json.loads(sidecar_path(stored).read_text())
+        meta["splits"] = splits
+        sidecar_path(stored).write_text(json.dumps(meta))
+        with pytest.raises(StoreError, match="split 'base'"):
+            load_feature_store(stored)
+
+    def test_nan_payload_reported_with_vector_and_component(self, stored):
         record_size = 4 + 4 * 4
         # second component of vector 3
-        offset = 24 + 3 * record_size + 4 + 4
-        raw[offset : offset + 4] = struct.pack("<f", float("nan"))
-        payload = bytes(raw[24 : 24 + 10 * record_size])
-        import zlib
-
-        raw[-4:] = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-        stored.write_bytes(bytes(raw))
+        self.rewrite_payload(stored, 24 + 3 * record_size + 4 + 4, struct.pack("<f", float("nan")))
         with pytest.raises(StoreError, match=r"vector 3, component 1"):
             load_feature_store(stored)
+
+    def test_label_out_of_range_names_path_label_and_vector(self, stored):
+        record_size = 4 + 4 * 4
+        self.rewrite_payload(stored, 24 + 7 * record_size, struct.pack("<I", 2))  # C = 2
+        with pytest.raises(StoreError, match=r"store\.fsos: label 2 at vector 7 out of range"):
+            load_feature_store(stored)
+
+
+def test_load_peak_memory_is_bounded(tmp_path, rng):
+    """A load holds the file bytes, the vectors, the labels and one
+    finiteness mask at most: well under 2.5x the payload."""
+    n, dim = 20_000, 32
+    fs = FeatureSet(
+        vectors=rng.normal(size=(n, dim)).astype(np.float32),
+        labels=np.arange(n) % 4,
+        class_names=("a", "b", "c", "d"),
+        split_of_class={0: "base", 1: "base", 2: "test", 3: "test"},
+    )
+    path = tmp_path / "big.fsos"
+    save_feature_store(fs, path)
+    del fs
+    tracemalloc.start()
+    try:
+        load_feature_store(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * (4 + 4 * dim)
 
 
 class TestBaseMean:
@@ -236,6 +281,21 @@ class TestIngest:
             loaded.vectors[loaded.labels == 1],
             np.array([[1, 2], [5, 6]], dtype=np.float32),
         )
+
+    @pytest.mark.parametrize("splits, entry", [
+        ({"base": [None], "test": ["b"]}, "entry None"),
+        ({"base": 5}, "must be a list, got 5"),
+        ({"base": [0.5], "test": ["b"]}, "entry 0.5"),
+        ({"base": [True], "test": ["a"]}, "entry True"),
+        ({"base": ["owl"], "test": ["a", "b"]}, "entry 'owl'"),
+    ])
+    def test_malformed_split_file_names_split_and_entry(self, tmp_path, splits, entry):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text("a,1.0,2.0\nb,3.0,4.0\n")
+        splits_file = tmp_path / "splits.json"
+        splits_file.write_text(json.dumps(splits))
+        with pytest.raises(DataError, match=rf"split 'base'.*{re.escape(entry)}"):
+            ingest_csv(csv_file, splits_file, tmp_path / "o.fsos")
 
     def test_ragged_rows_rejected(self, tmp_path):
         csv_file = tmp_path / "data.csv"

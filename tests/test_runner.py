@@ -123,6 +123,9 @@ class TestConfigParsing:
             ({"methods": ["ostim", []]}, "unknown method"),
             ({"output_dir": 3}, "output_dir"),
             ({"store": None}, "store"),
+            ({"ostim": {"alpha": "abc"}}, "ostim.alpha"),
+            ({"baseline": {"temperature": True}}, "baseline.temperature"),
+            ({"baseline": {"variant": "closed"}}, "unknown baseline config keys"),
         ],
     )
     def test_bad_values_are_config_errors_naming_the_key(self, store_path, doc, key):
