@@ -5,6 +5,7 @@ baseline the transductive methods are measured against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:  # also refuses NaN
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def simpleshot_classify(

@@ -37,6 +37,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     doc = runner.read_json(args.spec, "episode spec") if args.spec else {}
     spec = runner.episode_spec_from_dict(doc)
+    if args.n < 0:
+        raise ConfigError(f"--n must be >= 0, got {args.n}")
     fs = load_feature_store(args.store)
     out_dir = Path(args.dump)
     out_dir.mkdir(parents=True, exist_ok=True)

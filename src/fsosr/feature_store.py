@@ -42,7 +42,8 @@ class FeatureSet:
     Split assignment is per class: every class id maps to exactly one of
     ``base``, ``val`` or ``test``, so a class never straddles splits. All
     invariants are checked eagerly at construction; the arrays are frozen
-    afterwards and safe to share across threads.
+    afterwards and safe to share across threads. Float32 vectors are kept as
+    given, uncopied: a loaded store's are a strided view of its file.
     """
 
     vectors: np.ndarray
@@ -51,7 +52,7 @@ class FeatureSet:
     split_of_class: dict[int, str]
 
     def __post_init__(self) -> None:
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        vectors = np.asarray(self.vectors, dtype=np.float32)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
@@ -126,7 +127,7 @@ def base_mean(fs: FeatureSet) -> np.ndarray:
     mask = np.isin(fs.labels, base_classes)
     if not mask.any():
         raise DataError("no base-split vectors; cannot compute base mean")
-    return fs.vectors[mask].astype(np.float64).mean(axis=0)
+    return fs.vectors[mask].mean(axis=0, dtype=np.float64)
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -136,17 +137,19 @@ def _record_dtype(dim: int) -> np.dtype:
 def save_feature_store(fs: FeatureSet, path: str | Path) -> None:
     """Write the binary store plus its JSON sidecar.
 
-    The float32 payload round-trips bit-exactly through load_feature_store.
+    ``fs`` is validated again, since its fields can be replaced after
+    construction: an invalid set writes nothing. The record array is the one
+    copy of the payload. It round-trips bit-exactly through load_feature_store.
     """
     validate_feature_set(fs)
     path = Path(path)
     records = np.empty(fs.n, dtype=_record_dtype(fs.dim))
-    records["label"] = fs.labels.astype(np.uint32)
+    records["label"] = fs.labels
     records["vec"] = fs.vectors
-    payload = records.tobytes()
-    header = _HEADER.pack(MAGIC, VERSION, fs.dim, fs.n, fs.n_classes)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    path.write_bytes(header + payload + struct.pack("<I", crc))
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, fs.dim, fs.n, fs.n_classes))
+        fh.write(records)
+        fh.write(struct.pack("<I", zlib.crc32(records)))
 
     splits = {s: fs.classes_in_split(s) for s in SPLITS}
     meta = {"class_names": list(fs.class_names), "splits": splits}
@@ -162,7 +165,8 @@ def load_feature_store(path: str | Path) -> FeatureSet:
 
     The loader checks the file format and the sidecar's structure; the
     FeatureSet it builds checks the contents, once. Every failure is a
-    StoreError naming the store or its sidecar.
+    StoreError naming the store or its sidecar. The vectors are a read-only
+    view of the file's bytes, which stay alive with the FeatureSet.
     """
     path = Path(path)
     try:
@@ -181,7 +185,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
     if dim == 0 or n == 0 or c == 0:
         raise StoreError(f"{path}: header declares empty store (D={dim}, N={n}, C={c})")
 
-    record_size = 4 + 4 * dim
+    record_size = _record_dtype(dim).itemsize
     payload_start = _HEADER.size
     payload_size = n * record_size
     available = len(raw) - payload_start - 4
@@ -229,14 +233,10 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         raise StoreError(str(exc)) from exc
 
     records = np.frombuffer(payload, dtype=_record_dtype(dim))
-    labels = records["label"].astype(np.int64)
-    vectors = np.array(records["vec"], dtype=np.float32)
-    # Free the file bytes before the FeatureSet allocates its finiteness mask.
-    del records, payload, raw
     try:
         return FeatureSet(
-            vectors=vectors,
-            labels=labels,
+            vectors=records["vec"],
+            labels=records["label"],
             class_names=tuple(str(name) for name in class_names),
             split_of_class=split_of_class,
         )

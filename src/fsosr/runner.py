@@ -159,11 +159,22 @@ _PARSERS = {
 }
 
 
-def _build(cls, section, fields_map: dict[str, str], context: str, also: tuple[str, ...] = ()):
-    """``cls`` from a JSON object, its fields read by ``_PARSERS``. Keys in
-    ``also`` may appear in the section; the caller reads them."""
+# Each section's JSON keys and the dataclass fields they set.
+_KEYS = {
+    "episodes": {f.name: f.name for f in fields(EpisodeSpec)},
+    "synth": {f.name: f.name for f in fields(SynthSpec)},
+    "ostim": {"alpha": "alpha", "n_steps": "n_steps", "lr": "learning_rate",
+              "temperature": "temperature"},
+    "baseline": {"knn_k": "knn_k", "temperature": "temperature"},
+}
+
+
+def _build(cls, section, context: str, also: tuple[str, ...] = ()):
+    """``cls`` from the JSON object of section ``context``, its ``_KEYS`` read
+    by ``_PARSERS``. Keys in ``also`` may appear too; the caller reads them."""
     if not isinstance(section, dict):
         raise ConfigError(f"{context} config must be a JSON object, got {section!r}")
+    fields_map = _KEYS[context]
     unknown = set(section) - set(fields_map) - set(also)
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
@@ -181,12 +192,12 @@ def _build(cls, section, fields_map: dict[str, str], context: str, also: tuple[s
 
 def episode_spec_from_dict(section) -> EpisodeSpec:
     """Parse and validate an ``episodes`` section (an EpisodeSpec document)."""
-    return _build(EpisodeSpec, section, {f.name: f.name for f in fields(EpisodeSpec)}, "episodes")
+    return _build(EpisodeSpec, section, "episodes")
 
 
 def synth_spec_from_dict(section) -> SynthSpec:
     """Parse and validate a ``synth`` spec (a SynthSpec document)."""
-    return _build(SynthSpec, section, {f.name: f.name for f in fields(SynthSpec)}, "synth")
+    return _build(SynthSpec, section, "synth")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -205,25 +216,14 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     episode = episode_spec_from_dict(doc.get("episodes", {}))
     ostim_section = doc.get("ostim", {})
-    ostim_cfg = _build(
-        ostim.OstimConfig,
-        ostim_section,
-        {"alpha": "alpha", "n_steps": "n_steps", "lr": "learning_rate",
-         "temperature": "temperature"},
-        "ostim",
-        also=("centering", "variant"),
-    )
+    ostim_cfg = _build(ostim.OstimConfig, ostim_section, "ostim", also=("centering", "variant"))
     try:
         ostim_variant = ostim.Variant(ostim_section.get("variant", "implicit"))
     except ValueError as exc:
         raise ConfigError(f"bad ostim.variant: {exc}") from exc
     baseline_section = doc.get("baseline", {})
     baseline_cfg = _build(
-        baselines.BaselineConfig,
-        baseline_section,
-        {"knn_k": "knn_k", "temperature": "temperature"},
-        "baseline",
-        also=("centering",),
+        baselines.BaselineConfig, baseline_section, "baseline", also=("centering",)
     )
 
     methods = doc.get("methods", ["ostim"])
@@ -268,30 +268,17 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
+    def section(obj, context: str, **extra) -> dict:
+        return {**{key: getattr(obj, attr) for key, attr in _KEYS[context].items()}, **extra}
+
     return {
         "store": cfg.store,
-        "episodes": {
-            "n_way": cfg.episode.n_way,
-            "n_shot": cfg.episode.n_shot,
-            "n_query_per_class": cfg.episode.n_query_per_class,
-            "n_open_classes": cfg.episode.n_open_classes,
-            "seed": cfg.episode.seed,
-        },
+        "episodes": section(cfg.episode, "episodes"),
         "methods": list(cfg.methods),
         "n_episodes": cfg.n_episodes,
-        "ostim": {
-            "alpha": cfg.ostim_cfg.alpha,
-            "n_steps": cfg.ostim_cfg.n_steps,
-            "lr": cfg.ostim_cfg.learning_rate,
-            "temperature": cfg.ostim_cfg.temperature,
-            "variant": cfg.ostim_variant.value,
-            "centering": cfg.ostim_centering,
-        },
-        "baseline": {
-            "knn_k": cfg.baseline_cfg.knn_k,
-            "temperature": cfg.baseline_cfg.temperature,
-            "centering": cfg.baseline_centering,
-        },
+        "ostim": section(cfg.ostim_cfg, "ostim", variant=cfg.ostim_variant.value,
+                         centering=cfg.ostim_centering),
+        "baseline": section(cfg.baseline_cfg, "baseline", centering=cfg.baseline_centering),
     }
 
 
@@ -416,24 +403,25 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
     """Evaluate the transductive objective's alpha over validation episodes.
 
     Returns the AUROC-maximizing value (ties broken toward the smaller
-    alpha) and the full table.
+    alpha) and the full table. Every grid value is checked before the store
+    is loaded.
     """
     if not grid:
         raise ConfigError("sweep grid must be nonempty")
+    try:
+        points = [replace(cfg.ostim_cfg, alpha=float(alpha)) for alpha in grid]
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep grid: {exc}") from exc
     fs = load_feature_store(cfg.store)
     if not fs.classes_in_split("val"):
         raise DataError("store has no validation split to sweep over")
     table = []
-    for alpha in grid:
-        sweep_cfg = replace(
-            cfg,
-            methods=("ostim",),
-            ostim_cfg=replace(cfg.ostim_cfg, alpha=float(alpha)),
-        )
+    for ostim_cfg in points:
+        sweep_cfg = replace(cfg, methods=("ostim",), ostim_cfg=ostim_cfg)
         report = run(sweep_cfg, fs=fs, split="val")["ostim"]
         table.append(
             {
-                "alpha": float(alpha),
+                "alpha": ostim_cfg.alpha,
                 "auroc": report.metrics["auroc"].mean,
                 "acc": report.metrics["acc"].mean,
                 "aupr": report.metrics["aupr"].mean,

@@ -176,7 +176,10 @@ class TestConfig:
         cfg = baselines.BaselineConfig()
         assert cfg.knn_k == 1 and cfg.temperature == 10.0
 
-    @pytest.mark.parametrize("kwargs", [dict(knn_k=0), dict(temperature=0.0)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(knn_k=0), dict(temperature=0.0), dict(temperature=float("inf")),
+        dict(temperature=float("nan")),
+    ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             baselines.BaselineConfig(**kwargs)

@@ -178,6 +178,27 @@ class TestExitCodes:
                                       "n_episodes": 1}))
         assert main(["run", "--config", str(config)]) == 3
 
+    @pytest.mark.parametrize("grid, value", [
+        ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("0.5,nan", "nan"),
+    ])
+    def test_bad_sweep_grid_is_2_naming_the_value(self, tmp_path, capsys, grid, value):
+        # An absent store would exit 3: every grid point is checked before the load.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"store": str(tmp_path / "absent.fsos")}))
+        assert main(["sweep", "--config", str(config), "--param", "ostim.alpha",
+                     "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert f"alpha must be finite and >= 0, got {value}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", ["-1", "-2"])
+    def test_negative_sample_count_is_2(self, synth_store, tmp_path, capsys, n):
+        dump = tmp_path / "episodes"
+        assert main(["sample", "--store", str(synth_store), "--n", n,
+                     "--dump", str(dump)]) == 2
+        assert f"--n must be >= 0, got {n}" in capsys.readouterr().err
+        assert not dump.exists()
+
     def test_sweep_rejects_other_params(self, synth_store, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"store": str(synth_store)}))

@@ -81,6 +81,18 @@ class TestRoundTrip:
         loaded = load_feature_store(path)
         assert loaded.n == 10 and loaded.dim == 4 and loaded.n_classes == 2
 
+    def test_resave_reproduces_the_file_and_vectors_are_read_only(self, tmp_path, rng):
+        fs = make_feature_set(rng, splits={c: s for c, s in
+                                           zip(range(6), ["base", "val", "val", "test", "test", "test"])})
+        first, second = tmp_path / "first.fsos", tmp_path / "second.fsos"
+        save_feature_store(fs, first)
+        loaded = load_feature_store(first)
+        save_feature_store(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert sidecar_path(second).read_text() == sidecar_path(first).read_text()
+        with pytest.raises(ValueError):
+            loaded.vectors[0, 0] = 7.0
+
     def test_save_refuses_invalid_state(self, tmp_path):
         fs = small_fs()
         object.__setattr__(fs, "labels", np.zeros(10, dtype=np.int64))  # bypass init
@@ -188,26 +200,43 @@ class TestCorruption:
             load_feature_store(stored)
 
 
-def test_load_peak_memory_is_bounded(tmp_path, rng):
-    """A load holds the file bytes, the vectors, the labels and one
-    finiteness mask at most: well under 2.5x the payload."""
-    n, dim = 20_000, 32
-    fs = FeatureSet(
-        vectors=rng.normal(size=(n, dim)).astype(np.float32),
-        labels=np.arange(n) % 4,
+PEAK_N, PEAK_DIM = 20_000, 32
+PEAK_PAYLOAD = PEAK_N * (4 + 4 * PEAK_DIM)
+
+
+def peak_feature_set(rng) -> FeatureSet:
+    return FeatureSet(
+        vectors=rng.normal(size=(PEAK_N, PEAK_DIM)).astype(np.float32),
+        labels=np.arange(PEAK_N) % 4,
         class_names=("a", "b", "c", "d"),
         split_of_class={0: "base", 1: "base", 2: "test", 3: "test"},
     )
-    path = tmp_path / "big.fsos"
-    save_feature_store(fs, path)
-    del fs
+
+
+def traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        load_feature_store(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * (4 + 4 * dim)
+
+
+def test_load_peak_memory_is_bounded(tmp_path, rng):
+    """A load holds the file bytes (which the vectors view), the int64
+    labels and one finiteness mask at most: about 1.3x the payload at
+    D=32, under 1.5x."""
+    path = tmp_path / "big.fsos"
+    save_feature_store(peak_feature_set(rng), path)
+    assert traced_peak(lambda: load_feature_store(path)) < 1.5 * PEAK_PAYLOAD
+
+
+def test_save_peak_memory_is_bounded(tmp_path, rng):
+    """A save holds one finiteness mask, then the record array it writes:
+    the payload once, never a second copy of it."""
+    fs = peak_feature_set(rng)
+    path = tmp_path / "big.fsos"
+    assert traced_peak(lambda: save_feature_store(fs, path)) <= 1.5 * PEAK_PAYLOAD
 
 
 class TestBaseMean:
@@ -253,6 +282,18 @@ class TestBaseMean:
         fs1 = FeatureSet(vectors, labels, ("a", "b"), {0: "base", 1: "base"})
         fs2 = FeatureSet(vectors[perm], labels[perm], ("a", "b"), {0: "base", 1: "base"})
         assert np.allclose(base_mean(fs1), base_mean(fs2), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 64])
+    def test_equals_the_float64_copy_mean(self, rng, dim):
+        n = 20_001  # longer than numpy's 8192-element cast buffer
+        fs = FeatureSet(
+            vectors=(rng.normal(size=(n, dim)) * 10 + 3).astype(np.float32),
+            labels=rng.integers(0, 3, size=n),
+            class_names=("a", "b", "c"),
+            split_of_class={0: "base", 1: "base", 2: "test"},
+        )
+        mask = fs.labels < 2
+        assert np.array_equal(base_mean(fs), fs.vectors[mask].astype(np.float64).mean(axis=0))
 
     def test_no_base_vectors(self):
         fs = small_fs(split_of_class={0: "test", 1: "test"})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,26 @@ def random_state(rng, episode, variant: Variant) -> PrototypeSet:
     mu = 0.3 * rng.normal(size=episode.dim)
     dummy = rng.normal(size=episode.dim) if variant is Variant.EXPLICIT_DUMMY else None
     return PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(alpha=-1.0), "alpha must be finite and >= 0, got -1.0"),
+        (dict(alpha=math.nan), "alpha must be finite and >= 0, got nan"),
+        (dict(alpha=math.inf), "alpha must be finite and >= 0, got inf"),
+        (dict(n_steps=-1), "n_steps must be >= 0, got -1"),
+        (dict(learning_rate=0.0), "learning_rate must be finite and > 0, got 0.0"),
+        (dict(learning_rate=math.inf), "learning_rate must be finite and > 0, got inf"),
+        (dict(learning_rate=math.nan), "learning_rate must be finite and > 0, got nan"),
+        (dict(temperature=math.inf), "temperature must be finite and > 0, got inf"),
+        (dict(temperature=-math.inf), "temperature must be finite and > 0, got -inf"),
+    ])
+    def test_rejects_bad_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OstimConfig(**kwargs)
+
+    def test_accepts_zero_alpha_and_steps(self):
+        assert OstimConfig(alpha=0.0, n_steps=0).alpha == 0.0
 
 
 class TestInit:
