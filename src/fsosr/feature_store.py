@@ -41,9 +41,9 @@ class FeatureSet:
 
     Split assignment is per class: every class id maps to exactly one of
     ``base``, ``val`` or ``test``, so a class never straddles splits. All
-    invariants are checked eagerly at construction; the arrays are frozen
-    afterwards and safe to share across threads. Float32 vectors are kept as
-    given, uncopied: a loaded store's are a strided view of its file.
+    invariants are checked eagerly at construction. Float32 vectors and int64
+    labels are not copied: the set holds read-only views of the given arrays,
+    sharing the caller's memory (a loaded store's vectors view its file).
     """
 
     vectors: np.ndarray
@@ -52,8 +52,8 @@ class FeatureSet:
     split_of_class: dict[int, str]
 
     def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors, dtype=np.float32)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        vectors = np.asarray(self.vectors, dtype=np.float32).view()
+        labels = np.ascontiguousarray(self.labels, dtype=np.int64).view()
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", tuple(self.class_names))

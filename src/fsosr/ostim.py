@@ -28,8 +28,8 @@ frozen throughout.
 One kernel serves all three variants: it refines E same-shape episodes as
 (E, n, D) arrays, with the inputs normalized once before the first step.
 Every product is a per-episode matrix product, so an episode's result does
-not depend on the other episodes of its batch. ``loss_and_grad``,
-``compute_loss``, ``refine`` and ``predict`` are the same code with E=1.
+not depend on the other episodes of its batch. ``logits`` (so
+``predict``), ``loss_and_grad``, ``compute_loss`` and ``refine`` are its E=1 views.
 """
 
 from __future__ import annotations
@@ -429,10 +429,7 @@ def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionS
     The outlierness score is the outlier-column probability when one exists,
     otherwise the negative maximum closed-set probability.
     """
-    u_q = center_normalize(episode.query_vectors, ps.mu)
-    batch = _batch([ps])
-    v, _ = _directions(batch.w, batch.mu)
-    probs = softmax(_logits(u_q[None], v, batch, cfg.temperature))[0]
+    probs = softmax(logits(ps, episode.query_vectors, cfg.temperature))
     k_way = ps.n_way
     if ps.variant is Variant.CLOSED:
         outlier_score = -probs.max(axis=1)

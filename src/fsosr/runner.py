@@ -5,14 +5,14 @@ Every method in a run consumes the identical episode stream (same
 ``(seed, index)`` pairs), so cross-method comparisons are paired. ``METHODS``
 maps each method name to the config section whose centering it uses and to
 its chunk evaluator. The loop walks the stream in chunks of ``CHUNK_SIZE``
-consecutive episodes and scores every method on the whole chunk: the
-transductive methods refine it in one batched kernel call, the inductive
-ones go episode by episode. Results are reduced in index order and the
-kernel's per-episode results do not depend on the chunk, so reports do not
-depend on the chunk size. Batched code does not say which episode failed:
-a failing chunk is replayed one episode at a time to name the first failing
-(episode, method) in stream order. ``workers`` is accepted and validated but
-selects no code path.
+consecutive episodes and scores the methods on the whole chunk in
+``METHODS`` order: the transductive ones refine it in one batched kernel
+call, ``simpleshot`` and ``knn`` go episode by episode, and
+``strong_baseline`` reuses their reports, running either one itself when it
+is not configured. Results are reduced in index order and do not depend on
+the chunk. A failing chunk is replayed one episode at a time, methods in
+config order, to name the first failing (episode, method) in stream order.
+``workers`` is accepted and validated but selects no code path.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class RunConfig:
         for m in self.methods:
             if not isinstance(m, str) or m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
+            if self.methods.count(m) > 1:
+                raise ConfigError(f"method {m!r} is listed more than once in methods")
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if self.workers < 1:
@@ -73,14 +75,14 @@ class RunConfig:
 
 class Method(NamedTuple):
     section: str  # config section ("ostim" or "baseline") whose centering it uses
-    evaluate: Callable[[list[Episode], RunConfig, CenteringPolicy], list[EpisodeReport]]
+    evaluate: Callable[[list[Episode], RunConfig, CenteringPolicy, dict], list[EpisodeReport]]
 
 
 def _refined(variant: ostim.Variant | None):
     """Refine the chunk in one kernel call with ``variant``, or with the
     configured ``ostim.variant`` when it is None."""
 
-    def evaluate(episodes, cfg, policy):
+    def evaluate(episodes, cfg, policy, done):
         chosen = cfg.ostim_variant if variant is None else variant
         states = [ostim.init_prototypes(ep, policy, chosen) for ep in episodes]
         states = ostim.refine_batch(states, episodes, cfg.ostim_cfg)
@@ -94,7 +96,7 @@ def _refined(variant: ostim.Variant | None):
 
 def _each_episode(score):
     """Score the chunk episode by episode with ``score(episode, baseline_cfg, policy)``."""
-    return lambda episodes, cfg, policy: [score(ep, cfg.baseline_cfg, policy) for ep in episodes]
+    return lambda episodes, cfg, policy, _: [score(ep, cfg.baseline_cfg, policy) for ep in episodes]
 
 
 def _simpleshot(ep, bcfg, policy):
@@ -105,11 +107,13 @@ def _knn(ep, bcfg, policy):
     return score_episode(ep.query_truth, baselines.knn_outlier_score(ep, policy, bcfg.knn_k))
 
 
-def _strong_baseline(ep, bcfg, policy):
-    """Nearest-centroid classification with k-NN outlier scores."""
-    sheet = baselines.simpleshot_classify(ep, policy, bcfg.temperature)
-    scores = baselines.knn_outlier_score(ep, policy, bcfg.knn_k)
-    return score_episode(ep.query_truth, scores, sheet.closed_pred)
+def _strong_baseline(episodes, cfg, policy, done):
+    """``knn``'s reports with ``simpleshot``'s accuracy, at the same centering."""
+    simpleshot, knn = (
+        done[m] if m in done else METHODS[m].evaluate(episodes, cfg, policy, done)
+        for m in ("simpleshot", "knn")
+    )
+    return [replace(k, acc=s.acc) for s, k in zip(simpleshot, knn)]
 
 
 METHODS: dict[str, Method] = {
@@ -118,7 +122,7 @@ METHODS: dict[str, Method] = {
     "explicit_dummy": Method("ostim", _refined(ostim.Variant.EXPLICIT_DUMMY)),
     "simpleshot": Method("baseline", _each_episode(_simpleshot)),
     "knn": Method("baseline", _each_episode(_knn)),
-    "strong_baseline": Method("baseline", _each_episode(_strong_baseline)),
+    "strong_baseline": Method("baseline", _strong_baseline),
 }
 
 
@@ -302,15 +306,16 @@ def episode_checksum(episode: Episode) -> int:
 
 
 def evaluate_method(
-    method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None
+    method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None,
+    done: dict[str, list[EpisodeReport]] | None = None,
 ) -> list[EpisodeReport]:
     """Score one method on a chunk of same-shape episodes, in order.
 
-    A failure raises the plain error of some failing episode of the chunk;
-    ``_evaluate_chunk`` finds out which one.
+    ``done`` holds the chunk's reports so far. A failure raises the plain
+    error of some failing episode; ``_evaluate_chunk`` finds out which one.
     """
     policy = _policy(_centering(method, cfg), base_mu)
-    return METHODS[method].evaluate(episodes, cfg, policy)
+    return METHODS[method].evaluate(episodes, cfg, policy, done or {})
 
 
 def _evaluate_chunk(
@@ -324,8 +329,11 @@ def _evaluate_chunk(
     the replay fails where the chunk did; if it does not, the chunk's own
     error is raised.
     """
+    done: dict[str, list[EpisodeReport]] = {}
     try:
-        return {method: evaluate_method(method, episodes, cfg, base_mu) for method in cfg.methods}
+        for method in (m for m in METHODS if m in cfg.methods):
+            done[method] = evaluate_method(method, episodes, cfg, base_mu, done)
+        return done
     except (FsosrError, ValueError):
         for offset, episode in enumerate(episodes):
             for method in cfg.methods:

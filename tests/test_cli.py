@@ -111,6 +111,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(config)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_method_listed_twice_is_2_before_the_store_loads(self, tmp_path, capsys):
+        config = tmp_path / "twice.json"
+        config.write_text(json.dumps({"store": str(tmp_path / "absent.fsos"),
+                                      "methods": ["knn", "simpleshot", "knn"]}))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "method 'knn' is listed more than once" in capsys.readouterr().err
+
     def test_bad_config_value_is_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"store": "store.fsos", "n_episodes": "abc"}))

@@ -60,6 +60,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             fs.vectors[0, 0] = 7.0
 
+    def test_callers_arrays_stay_writeable_and_shared(self):
+        v = np.arange(40, dtype=np.float32).reshape(10, 4)
+        l = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int64)
+        fs = FeatureSet(v, l, ("a", "b"), {0: "base", 1: "test"})
+        assert v.flags.writeable and l.flags.writeable
+        assert not fs.vectors.flags.writeable and not fs.labels.flags.writeable
+        assert np.shares_memory(fs.vectors, v) and np.shares_memory(fs.labels, l)
+        v[0, 0] = 7.0  # the set shares the caller's memory
+        assert fs.vectors[0, 0] == 7.0
+
 
 class TestRoundTrip:
     def test_identity(self, tmp_path, rng):

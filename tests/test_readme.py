@@ -35,3 +35,8 @@ def test_run_config_parses_and_sets_every_documented_value():
         elif key in snapshot:
             assert snapshot[key] == value, key
     assert cfg.workers == doc["workers"] and cfg.output_dir == doc["output_dir"]
+
+
+def test_method_table_lists_exactly_the_registry():
+    methods = README.read_text().split("\n## Methods\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` ", methods, re.M) == list(runner.METHODS)

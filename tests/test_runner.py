@@ -27,9 +27,12 @@ from fsosr import (
     save_feature_store,
     sweep_alpha,
 )
-from fsosr.runner import episode_checksum, load_config
+from fsosr.baselines import knn_outlier_score, simpleshot_classify
 from fsosr.episodes import sample_episode
-from fsosr.transforms import task_mean
+from fsosr.feature_store import base_mean
+from fsosr.metrics import aggregate, score_episode
+from fsosr.runner import episode_checksum, load_config
+from fsosr.transforms import CenteringPolicy, task_mean
 
 CHUNK_SIZES = (1, 3, runner_mod.CHUNK_SIZE)
 
@@ -126,6 +129,7 @@ class TestConfigParsing:
             ({"ostim": {"alpha": "abc"}}, "ostim.alpha"),
             ({"baseline": {"temperature": True}}, "baseline.temperature"),
             ({"baseline": {"variant": "closed"}}, "unknown baseline config keys"),
+            ({"methods": ["knn", "ostim", "knn"]}, "method 'knn' is listed more than once"),
         ],
     )
     def test_bad_values_are_config_errors_naming_the_key(self, store_path, doc, key):
@@ -255,6 +259,57 @@ class TestRun:
             run(tiny_config(store_path, methods=("ostim",), n_episodes=3))
 
 
+STRONG_BASELINE_METHOD_LISTS = [
+    ("simpleshot", "knn", "strong_baseline"),
+    ("strong_baseline", "knn"),
+    ("knn", "strong_baseline"),
+    ("strong_baseline",),
+]
+
+
+class TestStrongBaseline:
+    """``strong_baseline`` is the chunk's ``knn`` report with the
+    ``simpleshot`` accuracy, however the methods are listed or chunked."""
+
+    @pytest.mark.parametrize("methods", STRONG_BASELINE_METHOD_LISTS)
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_equals_the_per_episode_composition(self, store_path, monkeypatch, methods, chunk):
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+        cfg = tiny_config(store_path, methods=methods, n_episodes=7)
+        fs = load_feature_store(store_path)
+        policy = CenteringPolicy("base", base_mean(fs))
+        bcfg = cfg.baseline_cfg
+        expected = []
+        for i in range(cfg.n_episodes):
+            episode = sample_episode(fs, cfg.episode, i)
+            sheet = simpleshot_classify(episode, policy, bcfg.temperature)
+            scores = knn_outlier_score(episode, policy, bcfg.knn_k)
+            expected.append(score_episode(episode.query_truth, scores, sheet.closed_pred))
+        snapshot = runner_mod._config_snapshot(cfg)
+        assert run(cfg, fs=fs)["strong_baseline"] == aggregate(expected, "strong_baseline", snapshot)
+
+    def test_reuses_the_simpleshot_and_knn_results(self, store_path, monkeypatch):
+        calls = {"simpleshot_classify": [], "knn_outlier_score": []}
+        for name, log in calls.items():
+            real = getattr(baselines_mod, name)
+
+            def counted(episode, *args, real=real, log=log):
+                log.append(episode_checksum(episode))
+                return real(episode, *args)
+
+            monkeypatch.setattr(baselines_mod, name, counted)
+        cfg = tiny_config(store_path, methods=("strong_baseline", "knn", "simpleshot"),
+                          n_episodes=7)
+        fs = load_feature_store(store_path)
+        stream = [episode_checksum(sample_episode(fs, cfg.episode, i)) for i in range(7)]
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+            for log in calls.values():
+                log.clear()
+            run(cfg, fs=fs)
+            assert calls == {"simpleshot_classify": stream, "knn_outlier_score": stream}
+
+
 def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
     """Make the refinement of stream episode i produce a NaN gradient at
     step plan[i]. Episodes are told apart by their task mean, the centering
@@ -338,6 +393,18 @@ class TestChunkFailures:
     def test_earlier_episode_wins_across_methods(self, store_path, monkeypatch):
         cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)
         diverge_at(monkeypatch, cfg, {4: 2})
+        knn_fails_at(monkeypatch, cfg, 2)
+        self.expect(monkeypatch, cfg, DataError, r"^episode 2, method knn: poisoned knn$")
+
+    def test_strong_baseline_listed_first_names_itself(self, store_path, monkeypatch):
+        # The chunk evaluates knn first; the replay goes in config order.
+        cfg = tiny_config(store_path, methods=("strong_baseline", "knn"), n_episodes=6)
+        knn_fails_at(monkeypatch, cfg, 2)
+        self.expect(monkeypatch, cfg, DataError,
+                    r"^episode 2, method strong_baseline: poisoned knn$")
+
+    def test_knn_listed_first_names_knn(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("knn", "strong_baseline"), n_episodes=6)
         knn_fails_at(monkeypatch, cfg, 2)
         self.expect(monkeypatch, cfg, DataError, r"^episode 2, method knn: poisoned knn$")
 
