@@ -69,6 +69,6 @@ def knn_outlier_score(
     support = center_normalize(episode.support_vectors, mu)
     queries = center_normalize(episode.query_vectors, mu)
     diffs = queries[:, None, :] - support[None, :, :]
-    distances = np.sqrt((diffs**2).sum(axis=-1))
+    distances = np.sqrt(np.square(diffs, out=diffs).sum(axis=-1))
     distances.sort(axis=1)
     return distances[:, :k].mean(axis=1)

@@ -95,7 +95,9 @@ def sample_episode(
     that hold at least ``n_shot + n_query_per_class`` vectors; the first
     ``n_way`` drawn become closed-set, the next ``n_open_classes`` open-set.
     Instances are then drawn per class without replacement, support before
-    queries, so support and query sets are disjoint.
+    queries, so support and query sets are disjoint. Class sizes and each
+    class's rows come from the set's per-class row index, built on the first
+    call for ``fs`` and shared by every later one, so no call scans the labels.
     """
     if episode_index < 0:
         raise SamplingError(f"episode_index must be >= 0, got {episode_index}")
@@ -121,7 +123,7 @@ def sample_episode(
     query_truth: list[np.ndarray] = []
 
     for slot, cid in enumerate(closed_classes):
-        pool = np.flatnonzero(fs.labels == cid)
+        pool = fs.class_rows(cid)
         pick = pool[rng.choice(pool.size, size=needed_per_class, replace=False)]
         support_rows.append(pick[: spec.n_shot])
         support_labels.append(np.full(spec.n_shot, slot, dtype=np.int64))
@@ -129,7 +131,7 @@ def sample_episode(
         query_truth.append(np.full(spec.n_query_per_class, slot, dtype=np.int64))
 
     for cid in open_classes:
-        pool = np.flatnonzero(fs.labels == cid)
+        pool = fs.class_rows(cid)
         pick = pool[rng.choice(pool.size, size=spec.n_query_per_class, replace=False)]
         query_rows.append(pick)
         query_truth.append(np.full(spec.n_query_per_class, OUTLIER, dtype=np.int64))

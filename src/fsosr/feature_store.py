@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -44,6 +48,11 @@ class FeatureSet:
     invariants are checked eagerly at construction. Float32 vectors and int64
     labels are not copied: the set holds read-only views of the given arrays,
     sharing the caller's memory (a loaded store's vectors view its file).
+
+    ``class_rows`` and ``class_counts`` read a per-class row index (CSR: the
+    rows in stable label order plus per-class offsets). It is built once, on
+    the first call, not at construction or load, and is then kept on the set
+    and shared by every later episode and run drawn from it.
     """
 
     vectors: np.ndarray
@@ -78,8 +87,24 @@ class FeatureSet:
             raise DataError(f"unknown split {split!r}; expected one of {SPLITS}")
         return sorted(c for c, s in self.split_of_class.items() if s == split)
 
+    @cached_property
+    def _row_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, offsets): class ``c``'s rows, ascending, are
+        ``rows[offsets[c]:offsets[c + 1]]``."""
+        rows = np.argsort(self.labels, kind="stable")
+        offsets = np.zeros(self.n_classes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.labels, minlength=self.n_classes), out=offsets[1:])
+        rows.flags.writeable = offsets.flags.writeable = False
+        return rows, offsets
+
     def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
+        return np.diff(self._row_index[1])
+
+    def class_rows(self, cid: int) -> np.ndarray:
+        """Row indices of class ``cid`` in ascending order, as a read-only
+        view of the index; equal to ``np.flatnonzero(labels == cid)``."""
+        rows, offsets = self._row_index
+        return rows[offsets[cid] : offsets[cid + 1]]
 
 
 def validate_feature_set(fs: FeatureSet) -> None:
@@ -140,20 +165,37 @@ def save_feature_store(fs: FeatureSet, path: str | Path) -> None:
     ``fs`` is validated again, since its fields can be replaced after
     construction: an invalid set writes nothing. The record array is the one
     copy of the payload. It round-trips bit-exactly through load_feature_store.
+    Both files are written whole to temporary files and only then renamed over
+    the old ones, so a save that fails while writing leaves an earlier store
+    and sidecar intact.
     """
     validate_feature_set(fs)
     path = Path(path)
     records = np.empty(fs.n, dtype=_record_dtype(fs.dim))
     records["label"] = fs.labels
     records["vec"] = fs.vectors
-    with open(path, "wb") as fh:
+    splits = {s: fs.classes_in_split(s) for s in SPLITS}
+    meta = {"class_names": list(fs.class_names), "splits": splits}
+    with atomic_write(path, "wb") as fh, atomic_write(sidecar_path(path), "w") as side:
         fh.write(_HEADER.pack(MAGIC, VERSION, fs.dim, fs.n, fs.n_classes))
         fh.write(records)
         fh.write(struct.pack("<I", zlib.crc32(records)))
+        side.write(json.dumps(meta, indent=2, sort_keys=True))
 
-    splits = {s: fs.classes_in_split(s) for s in SPLITS}
-    meta = {"class_names": list(fs.class_names), "splits": splits}
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True))
+
+@contextmanager
+def atomic_write(path: Path, mode: str, **open_kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` for writing. ``path`` is
+    replaced by it only if the block completes; otherwise the temporary file
+    is removed and any earlier ``path`` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -277,7 +319,7 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
     """
     csv_path = Path(csv_path)
     tokens: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -291,20 +333,20 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
             if len(row) < 2:
                 raise DataError(f"{csv_path}:{lineno}: need label plus >=1 feature")
             try:
-                rows.append([float(x) for x in row[1:]])
+                rows.append(np.array([float(x) for x in row[1:]], dtype=np.float32))
             except ValueError as exc:
                 raise DataError(f"{csv_path}:{lineno}: bad feature value ({exc})") from exc
             tokens.append(row[0])
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
-    widths = {len(r) for r in rows}
+    widths = {r.size for r in rows}
     if len(widths) != 1:
         raise DataError(f"{csv_path}: inconsistent feature counts {sorted(widths)}")
 
     class_names = sorted(set(tokens))
     name_to_id = {name: i for i, name in enumerate(class_names)}
     labels = np.array([name_to_id[t] for t in tokens], dtype=np.int64)
-    vectors = np.array(rows, dtype=np.float32)
+    vectors = np.array(rows)
 
     try:
         split_spec = json.loads(Path(splits_path).read_text())

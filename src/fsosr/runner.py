@@ -31,7 +31,7 @@ import numpy as np
 from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, SamplingError
-from .feature_store import FeatureSet, base_mean, load_feature_store
+from .feature_store import FeatureSet, atomic_write, base_mean, load_feature_store
 from .metrics import EpisodeReport, RunReport, aggregate, score_episode, score_sheet
 from .synthgen import SynthSpec
 from .transforms import CENTERING_KINDS, CenteringPolicy
@@ -382,14 +382,18 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
 def write_reports(
     run_reports: dict[str, RunReport], cfg: RunConfig, out_dir: Path, stream_crc: int
 ) -> None:
+    """Write ``run_report.json`` and ``run_report.csv`` into ``out_dir``.
+    Both go to temporary files first and replace the old reports only once
+    both are complete, so a write that fails leaves the earlier pair intact."""
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "episode_stream_crc32": f"{stream_crc:08x}",
         "reports": {m: r.to_json_dict() for m, r in run_reports.items()},
     }
-    (out_dir / "run_report.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
-
-    with open(out_dir / "run_report.csv", "w", newline="") as fh:
+    with atomic_write(out_dir / "run_report.json", "w") as js, atomic_write(
+        out_dir / "run_report.csv", "w", newline=""
+    ) as fh:
+        js.write(json.dumps(doc, indent=2, sort_keys=True))
         writer = csv.writer(fh)
         writer.writerow(
             ["method", "shot"]

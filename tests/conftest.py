@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
+import errno
+
 import numpy as np
 import pytest
 
+import fsosr.feature_store
 from fsosr import Episode, FeatureSet, OUTLIER
 
 
@@ -72,3 +76,33 @@ def make_episode(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240913)
+
+
+class _FullDisk:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def fill_disk(monkeypatch):
+    """Calling it makes every file the store module opens for writing fail
+    midway through its first write, as on a full disk. Reports and stores
+    are written through that module's ``atomic_write``."""
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if "w" in mode else fh
+
+    return lambda: monkeypatch.setattr(fsosr.feature_store, "open", open_, raising=False)

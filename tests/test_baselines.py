@@ -9,6 +9,7 @@ import pytest
 
 from fsosr import CenteringPolicy, baselines
 from fsosr.baselines import knn_outlier_score, simpleshot_classify
+from fsosr.transforms import center_normalize
 
 from conftest import make_episode
 
@@ -135,6 +136,18 @@ class TestKnn:
             scores = knn_outlier_score(episode, CenteringPolicy("base", mu), k=3)
             expected = oracle_knn(episode, mu, 3)
             assert np.array_equal(scores, expected)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equals_the_squared_difference_formula_bit_for_bit(self, rng, k):
+        episode = make_episode(rng, n_way=5, n_shot=5, n_query_per_class=15,
+                               n_open_classes=5, dim=64)
+        mu = rng.normal(size=64) * 0.2
+        policy = CenteringPolicy("base", mu)
+        support = center_normalize(episode.support_vectors, mu)
+        queries = center_normalize(episode.query_vectors, mu)
+        distances = np.sqrt(((queries[:, None, :] - support[None, :, :]) ** 2).sum(axis=-1))
+        expected = np.sort(distances, axis=1)[:, :k].mean(axis=1)
+        assert np.array_equal(knn_outlier_score(episode, policy, k=k), expected)
 
     def test_k_out_of_range(self, rng):
         episode = make_episode(rng, n_way=2, n_shot=1)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fsosr import OUTLIER, EpisodeSpec, SamplingError, sample_episode
+from fsosr import OUTLIER, EpisodeSpec, FeatureSet, SamplingError, sample_episode
+from fsosr.runner import episode_checksum
 
 from conftest import make_feature_set
 
@@ -87,12 +88,21 @@ class TestDeterminism:
         b = sample_episode(store, EpisodeSpec(seed=78), 0)
         assert not np.array_equal(a.query_vectors, b.query_vectors)
 
-    def test_known_stream_frozen(self, store):
-        # frozen fingerprint guards against silent RNG/protocol changes
-        episode = sample_episode(store, EpisodeSpec(seed=123), 4)
-        from fsosr.runner import episode_checksum
-
-        assert episode_checksum(episode) == episode_checksum(episode)
+    def test_known_stream_frozen(self):
+        # Pinned CRCs guard against silent RNG, protocol or pool-order
+        # changes. The labels are shuffled, so each class's rows are spread
+        # over the store and a change in the order of a class's pool
+        # changes the rows drawn.
+        rng = np.random.default_rng(20240913)
+        labels = rng.permutation(np.repeat(np.arange(14), 25))
+        vectors = rng.normal(size=(labels.size, 4)).astype(np.float32)
+        store = FeatureSet(
+            vectors, labels, tuple(f"c{i}" for i in range(14)), {c: "test" for c in range(14)}
+        )
+        pinned = {(123, 4): 0x2929FD1E, (7, 0): 0x03D33E5E, (2024, 31): 0x2547819A}
+        for (seed, index), crc in pinned.items():
+            episode = sample_episode(store, EpisodeSpec(seed=seed), index)
+            assert episode_checksum(episode) == crc, (seed, index)
 
 
 class TestErrors:

@@ -11,7 +11,15 @@ import zlib
 import numpy as np
 import pytest
 
-from fsosr import DataError, FeatureSet, StoreError, base_mean, ingest_csv
+from fsosr import (
+    DataError,
+    EpisodeSpec,
+    FeatureSet,
+    StoreError,
+    base_mean,
+    ingest_csv,
+    sample_episode,
+)
 from fsosr.feature_store import load_feature_store, save_feature_store, sidecar_path
 
 from conftest import make_feature_set
@@ -109,6 +117,63 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             save_feature_store(fs, tmp_path / "bad.fsos")
         assert not (tmp_path / "bad.fsos").exists()
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_the_earlier_store_intact(self, tmp_path, rng, fill_disk):
+        path = tmp_path / "store.fsos"
+        save_feature_store(small_fs(), path)
+        store, sidecar = path.read_bytes(), sidecar_path(path).read_text()
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            save_feature_store(make_feature_set(rng), path)
+        assert path.read_bytes() == store
+        assert sidecar_path(path).read_text() == sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.fsos", "store.fsos.meta.json"]
+        assert load_feature_store(path).n == 10
+
+
+class TestClassIndex:
+    @staticmethod
+    def shuffled_fs(rng) -> FeatureSet:
+        labels = rng.permutation(np.repeat(np.arange(7), [3, 9, 1, 30, 12, 5, 40]))
+        return FeatureSet(
+            vectors=rng.normal(size=(labels.size, 3)).astype(np.float32),
+            labels=labels,
+            class_names=tuple("abcdefg"),
+            split_of_class={c: "test" for c in range(7)},
+        )
+
+    @staticmethod
+    def assert_rows_match_label_scan(fs: FeatureSet) -> None:
+        for c in range(fs.n_classes):
+            rows = fs.class_rows(c)
+            assert rows.dtype == np.intp
+            assert np.array_equal(rows, np.flatnonzero(fs.labels == c))
+        assert np.array_equal(fs.class_counts(), np.bincount(fs.labels, minlength=fs.n_classes))
+
+    def test_rows_and_counts_match_the_labels(self, rng):
+        self.assert_rows_match_label_scan(self.shuffled_fs(rng))
+
+    def test_rows_and_counts_match_the_labels_of_a_loaded_store(self, tmp_path, rng):
+        path = tmp_path / "store.fsos"
+        save_feature_store(self.shuffled_fs(rng), path)
+        loaded = load_feature_store(path)
+        self.assert_rows_match_label_scan(loaded)
+
+    def test_built_on_first_use_and_shared(self, tmp_path, rng):
+        fs = self.shuffled_fs(rng)
+        path = tmp_path / "store.fsos"
+        save_feature_store(fs, path)
+        loaded = load_feature_store(path)
+        assert "_row_index" not in fs.__dict__ and "_row_index" not in loaded.__dict__
+        spec = EpisodeSpec(n_way=2, n_shot=1, n_query_per_class=2, n_open_classes=2, seed=3)
+        sample_episode(loaded, spec, 0)
+        index = loaded.__dict__["_row_index"]
+        sample_episode(loaded, spec, 1)
+        assert loaded.__dict__["_row_index"] is index
+        assert not any(part.flags.writeable for part in index)
+        assert "_row_index" not in fs.__dict__
 
 
 class TestCorruption:
@@ -247,6 +312,21 @@ def test_save_peak_memory_is_bounded(tmp_path, rng):
     fs = peak_feature_set(rng)
     path = tmp_path / "big.fsos"
     assert traced_peak(lambda: save_feature_store(fs, path)) <= 1.5 * PEAK_PAYLOAD
+
+
+def test_ingest_peak_memory_is_bounded(tmp_path, rng):
+    """Ingest holds each parsed row as a float32 array, then the stacked
+    vectors and the record array it saves: under 5x the payload."""
+    csv_file = tmp_path / "big.csv"
+    vectors = rng.normal(size=(PEAK_N, PEAK_DIM)).astype(np.float32)
+    with open(csv_file, "w") as fh:
+        for i, row in enumerate(vectors):
+            fh.write(f"c{i % 4}," + ",".join(map(repr, row.tolist())) + "\n")
+    splits_file = tmp_path / "splits.json"
+    splits_file.write_text(json.dumps({"base": ["c0", "c1"], "test": ["c2", "c3"]}))
+    out = tmp_path / "big.fsos"
+    assert traced_peak(lambda: ingest_csv(csv_file, splits_file, out)) < 5 * PEAK_PAYLOAD
+    assert np.array_equal(load_feature_store(out).vectors, vectors)
 
 
 class TestBaseMean:

@@ -165,6 +165,16 @@ class TestRun:
         assert (out_a / "run_report.json").read_bytes() == (out_b / "run_report.json").read_bytes()
         assert (out_a / "run_report.csv").read_bytes() == (out_b / "run_report.csv").read_bytes()
 
+    def test_failed_write_leaves_the_earlier_reports_intact(self, store_path, tmp_path, fill_disk):
+        cfg = tiny_config(store_path, methods=("simpleshot", "knn"), output_dir=str(tmp_path))
+        run(cfg)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["run_report.csv", "run_report.json"]
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            run(replace(cfg, episode=replace(cfg.episode, seed=100)))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_worker_count_invariance(self, store_path, tmp_path, monkeypatch):
         # 7 episodes: a partial last chunk at every chunk size but 1.
         out_a = tmp_path / "w1"
