@@ -17,7 +17,8 @@ from . import runner, synthgen
 from .diagnostics import split_diagnostics
 from .episodes import sample_episode
 from .errors import ConfigError, FsosrError
-from .feature_store import ingest_csv, load_feature_store, save_feature_store
+from .feature_store import atomic_write, ingest_csv, load_feature_store, save_feature_store
+from .metrics import METRIC_NAMES
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -53,8 +54,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "query_truth": episode.query_truth.tolist(),
             "query_vectors": episode.query_vectors.tolist(),
         }
-        path = out_dir / f"episode_{index:05d}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        with atomic_write(out_dir / f"episode_{index:05d}.json", "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True))
     print(f"wrote {args.n} episodes -> {out_dir}")
     return 0
 
@@ -73,7 +74,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_write(Path(args.out), "w") as fh:
+            fh.write(text)
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -86,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for method in cfg.methods:
         metrics = reports[method].metrics
         parts = []
-        for name in ("acc", "auroc", "aupr", "prec_at_90"):
+        for name in METRIC_NAMES:
             summary = metrics[name]
             parts.append(
                 f"{name}=-" if summary is None else f"{name}={summary.mean:.4f}"
@@ -113,10 +115,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.output_dir:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(
-            json.dumps({"param": args.param, "best": best, "table": table},
-                       indent=2, sort_keys=True)
-        )
+        with atomic_write(out / "sweep.json", "w") as fh:
+            fh.write(json.dumps({"param": args.param, "best": best, "table": table},
+                                indent=2, sort_keys=True))
     return 0
 
 

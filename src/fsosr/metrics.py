@@ -3,14 +3,16 @@ recall, and aggregation across episodes.
 
 Outliers are the positive class everywhere, so a random detector scores
 0.5 AUROC and an AUPR equal to the outlier proportion. Ties are handled
-explicitly: AUROC uses midranks, the precision-recall sweeps process equal
-scores as one block.
+by one ranking of the scores: equal scores form one block, which no
+threshold splits, and AUROC counts an outlier tied with an inlier as half a
+pair. All three detection metrics read the cumulative counts at the block
+ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -46,81 +48,47 @@ class RunReport:
     metrics: dict[str, MetricSummary | None]
     config: dict
 
-    def to_json_dict(self) -> dict:
-        summaries = {
-            name: None
-            if summary is None
-            else {
-                "mean": summary.mean,
-                "std": summary.std,
-                "ci95_half_width": summary.ci95_half_width,
-            }
-            for name, summary in self.metrics.items()
-        }
-        return {
-            "method": self.method,
-            "n_episodes": self.n_episodes,
-            "metrics": summaries,
-            "config": self.config,
-        }
+
+METRIC_NAMES = tuple(f.name for f in fields(EpisodeReport))
 
 
-METRIC_NAMES = ("acc", "auroc", "aupr", "prec_at_90")
-
-
-def _check_scores(scores, is_outlier) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(scores, is_outlier) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the scores, rank them once, descending, and return the
+    cumulative outlier and inlier counts at the end of each block of equal
+    scores. A threshold never splits a block, so every metric reads these."""
     scores = np.asarray(scores, dtype=np.float64)
     is_outlier = np.asarray(is_outlier, dtype=bool)
     if scores.ndim != 1 or scores.shape != is_outlier.shape:
         raise ValueError("scores and is_outlier must be 1-D arrays of equal length")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    return scores, is_outlier
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, scores.size)
+    outliers = np.concatenate(([0], np.cumsum(is_outlier[order])))[ends]
+    return outliers, ends - outliers
 
 
-def auroc(scores, is_outlier) -> float:
-    """Probability that a random outlier outscores a random inlier, ties
-    counted half (midrank form of the Mann-Whitney statistic)."""
-    scores, is_outlier = _check_scores(scores, is_outlier)
-    n_out = int(is_outlier.sum())
-    n_in = scores.size - n_out
+def _auroc(outliers: np.ndarray, inliers: np.ndarray) -> float:
+    n_out, n_in = int(outliers[-1]), int(inliers[-1])
     if n_out == 0 or n_in == 0:
         raise ValueError("auroc needs at least one inlier and one outlier")
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    group_end = np.cumsum(counts)
-    midranks = group_end - (counts - 1) / 2.0
-    ranks = midranks[inverse]
-    u = ranks[is_outlier].sum() - n_out * (n_out + 1) / 2.0
-    return float(u / (n_out * n_in))
+    # Twice the outlier-above-inlier pair count, ties counted half: an
+    # integer, so the result is exact.
+    block_out, block_in = np.diff(outliers, prepend=0), np.diff(inliers, prepend=0)
+    twice_u = int((block_out * (2 * (n_in - inliers) + block_in)).sum())
+    return twice_u / (2 * n_out * n_in)
 
 
-def _pr_sweep(scores: np.ndarray, is_outlier: np.ndarray):
-    """Precision and recall after each distinct-score prefix, descending.
-
-    Equal scores enter as one block, so a threshold can never split a tie
-    group. Yields (precision, recall) pairs in sweep order.
-    """
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = is_outlier[order]
-    n = scores.size
-    block_ends = np.flatnonzero(sorted_scores[:-1] != sorted_scores[1:])
-    block_ends = np.concatenate([block_ends, [n - 1]])
-    tp = np.cumsum(sorted_pos)[block_ends].astype(np.float64)
-    predicted = (block_ends + 1).astype(np.float64)
-    total_pos = float(is_outlier.sum())
-    precision = tp / predicted
-    recall = tp / total_pos
-    return precision, recall
+def _pr_curve(outliers: np.ndarray, inliers: np.ndarray, metric: str):
+    """Precision and recall at each block end, in sweep order."""
+    if outliers[-1] == 0:
+        raise ValueError(f"{metric} needs at least one outlier")
+    return outliers / (outliers + inliers), outliers / outliers[-1]
 
 
-def aupr(scores, is_outlier) -> float:
-    """Area under the precision-recall curve by step interpolation
-    (average precision). Outliers are the positive class."""
-    scores, is_outlier = _check_scores(scores, is_outlier)
-    if not is_outlier.any():
-        raise ValueError("aupr needs at least one outlier")
-    precision, recall = _pr_sweep(scores, is_outlier)
+def _aupr(outliers: np.ndarray, inliers: np.ndarray) -> float:
+    precision, recall = _pr_curve(outliers, inliers, "aupr")
     # Sequential accumulation keeps results reproducible term for term.
     area = 0.0
     prev_recall = 0.0
@@ -130,22 +98,35 @@ def aupr(scores, is_outlier) -> float:
     return area
 
 
-def precision_at_recall(scores, is_outlier, target_recall: float = 0.9) -> float:
-    """Best precision among operating points reaching the target recall."""
-    scores, is_outlier = _check_scores(scores, is_outlier)
-    if not is_outlier.any():
-        raise ValueError("precision_at_recall needs at least one outlier")
+def _precision_at(outliers: np.ndarray, inliers: np.ndarray, target_recall: float) -> float:
+    precision, recall = _pr_curve(outliers, inliers, "precision_at_recall")
     if not 0.0 < target_recall <= 1.0:
         raise ValueError(f"target_recall must be in (0, 1], got {target_recall}")
-    precision, recall = _pr_sweep(scores, is_outlier)
-    qualifying = precision[recall >= target_recall]
-    return float(qualifying.max())
+    return float(precision[recall >= target_recall].max())
+
+
+def auroc(scores, is_outlier) -> float:
+    """Probability that a random outlier outscores a random inlier, ties
+    counted half (the Mann-Whitney statistic)."""
+    return _auroc(*_ranked(scores, is_outlier))
+
+
+def aupr(scores, is_outlier) -> float:
+    """Area under the precision-recall curve by step interpolation
+    (average precision). Outliers are the positive class."""
+    return _aupr(*_ranked(scores, is_outlier))
+
+
+def precision_at_recall(scores, is_outlier, target_recall: float = 0.9) -> float:
+    """Best precision among operating points reaching the target recall."""
+    return _precision_at(*_ranked(scores, is_outlier), target_recall)
 
 
 def score_episode(
     truth: np.ndarray, outlier_scores: np.ndarray, closed_pred: np.ndarray | None = None
 ) -> EpisodeReport:
-    """Bundle the four metrics for one episode's predictions."""
+    """Bundle the four metrics for one episode's predictions, ranking the
+    outlier scores once."""
     truth = np.asarray(truth, dtype=np.int64)
     is_out = truth == OUTLIER
     acc = None
@@ -155,11 +136,12 @@ def score_episode(
             raise ValueError("accuracy needs at least one inlier query")
         closed_pred = np.asarray(closed_pred, dtype=np.int64)
         acc = float((closed_pred[inlier] == truth[inlier]).mean())
+    counts = _ranked(outlier_scores, is_out)
     return EpisodeReport(
         acc=acc,
-        auroc=auroc(outlier_scores, is_out),
-        aupr=aupr(outlier_scores, is_out),
-        prec_at_90=precision_at_recall(outlier_scores, is_out, 0.9),
+        auroc=_auroc(*counts),
+        aupr=_aupr(*counts),
+        prec_at_90=_precision_at(*counts, 0.9),
     )
 
 

@@ -22,7 +22,7 @@ import json
 import math
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, SamplingError
 from .feature_store import FeatureSet, atomic_write, base_mean, load_feature_store
-from .metrics import EpisodeReport, RunReport, aggregate, score_episode, score_sheet
+from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_episode, score_sheet
 from .synthgen import SynthSpec
 from .transforms import CENTERING_KINDS, CenteringPolicy
 
@@ -301,7 +301,7 @@ def episode_checksum(episode: Episode) -> int:
         episode.support_vectors, episode.support_labels,
         episode.query_vectors, episode.query_truth,
     ):
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(arr), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -388,7 +388,7 @@ def write_reports(
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "episode_stream_crc32": f"{stream_crc:08x}",
-        "reports": {m: r.to_json_dict() for m, r in run_reports.items()},
+        "reports": {m: asdict(r) for m, r in run_reports.items()},
     }
     with atomic_write(out_dir / "run_report.json", "w") as js, atomic_write(
         out_dir / "run_report.csv", "w", newline=""
@@ -397,12 +397,12 @@ def write_reports(
         writer = csv.writer(fh)
         writer.writerow(
             ["method", "shot"]
-            + [c for m in ("acc", "auroc", "aupr", "prec_at_90") for c in (m, f"{m}_ci95")]
+            + [c for m in METRIC_NAMES for c in (m, f"{m}_ci95")]
         )
         for method in cfg.methods:
             report = run_reports[method]
             row: list[str] = [method, str(cfg.episode.n_shot)]
-            for name in ("acc", "auroc", "aupr", "prec_at_90"):
+            for name in METRIC_NAMES:
                 summary = report.metrics[name]
                 if summary is None:
                     row += ["", ""]
@@ -432,13 +432,8 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
         sweep_cfg = replace(cfg, methods=("ostim",), ostim_cfg=ostim_cfg)
         report = run(sweep_cfg, fs=fs, split="val")["ostim"]
         table.append(
-            {
-                "alpha": ostim_cfg.alpha,
-                "auroc": report.metrics["auroc"].mean,
-                "acc": report.metrics["acc"].mean,
-                "aupr": report.metrics["aupr"].mean,
-                "prec_at_90": report.metrics["prec_at_90"].mean,
-            }
+            {"alpha": ostim_cfg.alpha,
+             **{name: report.metrics[name].mean for name in METRIC_NAMES}}
         )
     best = min(table, key=lambda row: (-row["auroc"], row["alpha"]))
     return best["alpha"], table

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import errno
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,11 +99,15 @@ class _FullDisk:
 @pytest.fixture
 def fill_disk(monkeypatch):
     """Calling it makes every file the store module opens for writing fail
-    midway through its first write, as on a full disk. Reports and stores
-    are written through that module's ``atomic_write``."""
+    midway through its first write, as on a full disk; ``fill_disk(name)``
+    fails only the files whose name contains ``name``. Reports, stores and
+    the CLI's output files are written through that module's ``atomic_write``."""
 
-    def open_(file, mode="r", *args, **kwargs):
-        fh = builtins.open(file, mode, *args, **kwargs)
-        return _FullDisk(fh) if "w" in mode else fh
+    def fill(name: str = "") -> None:
+        def open_(file, mode="r", *args, **kwargs):
+            fh = builtins.open(file, mode, *args, **kwargs)
+            return _FullDisk(fh) if "w" in mode and name in Path(file).name else fh
 
-    return lambda: monkeypatch.setattr(fsosr.feature_store, "open", open_, raising=False)
+        monkeypatch.setattr(fsosr.feature_store, "open", open_, raising=False)
+
+    return fill

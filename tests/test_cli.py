@@ -104,6 +104,37 @@ def test_run_and_sweep(synth_store, tmp_path, capsys):
     assert len(sweep_doc["table"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        ("sample --store {store} --spec {spec} --n 2 --dump {out}", "episode_00000.json"),
+        ("diagnose --store {store} --out {out}/diag.json", "diag.json"),
+        ("sweep --config {config} --param ostim.alpha --grid 0.5,1.0", "sweep.json"),
+    ],
+    ids=("sample", "diagnose", "sweep"),
+)
+def test_failed_write_leaves_the_earlier_file_intact(
+    synth_store, tmp_path, fill_disk, argv, target
+):
+    out = tmp_path / "out"
+    episodes = {"n_way": 2, "n_shot": 1, "n_query_per_class": 2, "n_open_classes": 1, "seed": 4}
+    spec = tmp_path / "episode.json"
+    spec.write_text(json.dumps(episodes))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"store": str(synth_store), "episodes": episodes,
+                                  "n_episodes": 2, "output_dir": str(out),
+                                  "ostim": {"n_steps": 5}}))
+    argv = argv.format(store=synth_store, spec=spec, out=out, config=config).split()
+    out.mkdir()
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert target in before
+    fill_disk(target)
+    with pytest.raises(OSError, match="No space left"):
+        main(argv)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"

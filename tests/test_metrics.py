@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsosr import (
     OUTLIER,
@@ -318,3 +320,48 @@ class TestScoreEpisode:
         report = score_episode(truth, np.array([0.0, 1.0]))
         assert report.acc is None
         assert report.auroc == 1.0
+
+
+# Scores drawn from a pool of at most four values, so ties are common; the
+# pool mixes signed zeros, subnormals and magnitudes near 1e+-300 with any
+# finite float.
+EXTREMES = (0.0, -0.0, 5e-324, -1e-300, 1e-300, -1e300, 1e300, 1.7976931348623157e308)
+
+
+@st.composite
+def tie_heavy_queries(draw) -> tuple[list[float], list[bool]]:
+    """Scores and outlier flags with at least one inlier and one outlier."""
+    pool = draw(st.lists(
+        st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=4,
+    ))
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    is_outlier = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    first = draw(st.integers(0, n - 1))
+    second = draw(st.integers(0, n - 2))
+    is_outlier[first] = True
+    is_outlier[second + (second >= first)] = False
+    return scores, is_outlier
+
+
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestOracleProperties:
+    @properties
+    @given(tie_heavy_queries(), st.sampled_from([0.9, 1.0]) | st.floats(1e-9, 1.0))
+    def test_every_metric_equals_its_oracle(self, queries, target):
+        assert auroc(*queries) == oracle_auroc(*queries)
+        assert aupr(*queries) == oracle_aupr(*queries)
+        assert precision_at_recall(*queries, target) == oracle_prec_at_recall(*queries, target)
+
+    @properties
+    @given(tie_heavy_queries())
+    def test_score_episode_equals_the_standalone_metrics(self, queries):
+        scores, is_outlier = queries
+        truth = np.where(is_outlier, OUTLIER, 0)
+        report = score_episode(truth, np.array(scores), np.zeros(len(scores), dtype=np.int64))
+        assert report.auroc == auroc(scores, is_outlier)
+        assert report.aupr == aupr(scores, is_outlier)
+        assert report.prec_at_90 == precision_at_recall(scores, is_outlier, 0.9)

@@ -1,5 +1,6 @@
 """The README's example documents parse with the config parsers that
-``fsosr synth`` and ``fsosr run`` use, and set what they say they set."""
+``fsosr synth``, ``fsosr run`` and ``fsosr sweep`` use, and set what they
+say they set."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import re
 from pathlib import Path
 
-from fsosr import runner
+from fsosr import generate, runner, sample_episode
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,6 +36,14 @@ def test_run_config_parses_and_sets_every_documented_value():
         elif key in snapshot:
             assert snapshot[key] == value, key
     assert cfg.workers == doc["workers"] and cfg.output_dir == doc["output_dir"]
+
+
+def test_sweep_config_fits_the_val_split_of_the_synth_store():
+    fs = generate(runner.synth_spec_from_dict(heredocs()["synth.json"]))
+    cfg = runner.config_from_dict(heredocs()["sweep.json"])
+    episode = sample_episode(fs, cfg.episode, 0, split="val")
+    assert len(episode.closed_classes) == cfg.episode.n_way
+    assert len(episode.open_classes) == cfg.episode.n_open_classes
 
 
 def test_method_table_lists_exactly_the_registry():
