@@ -35,8 +35,8 @@ def simpleshot_classify(
 
     Class centroids are the per-class means of the transformed support
     vectors, re-normalized to unit length; probabilities are a softmax over
-    temperature-scaled cosine similarities. Outlierness is the negative of
-    the maximum class probability.
+    temperature-scaled cosine similarities. The sheet has no outlier column,
+    so its outlierness score is the negative maximum class probability.
     """
     mu = policy.resolve(episode)
     support = center_normalize(episode.support_vectors, mu)
@@ -47,13 +47,7 @@ def simpleshot_classify(
     )
     centroids = center_normalize(centroids, np.zeros(episode.dim))
     logits = temperature * (queries @ centroids.T)
-    probs = softmax(logits)
-    return PredictionSheet(
-        probs=probs,
-        outlier_score=-probs.max(axis=1),
-        closed_pred=probs.argmax(axis=1),
-        n_closed=k_way,
-    )
+    return PredictionSheet(softmax(logits), k_way)
 
 
 def knn_outlier_score(

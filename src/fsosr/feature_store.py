@@ -227,7 +227,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
     if dim == 0 or n == 0 or c == 0:
         raise StoreError(f"{path}: header declares empty store (D={dim}, N={n}, C={c})")
 
-    record_size = _record_dtype(dim).itemsize
+    record_size = 4 + 4 * dim
     payload_start = _HEADER.size
     payload_size = n * record_size
     available = len(raw) - payload_start - 4
@@ -242,6 +242,10 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         raise StoreError(
             f"{path}: {available - payload_size} unexpected trailing bytes after checksum"
         )
+    try:
+        record_dtype = _record_dtype(dim)
+    except ValueError as exc:
+        raise StoreError(f"{path}: cannot describe records of dimension {dim} ({exc})") from exc
 
     payload = memoryview(raw)[payload_start : payload_start + payload_size]
     (stored_crc,) = struct.unpack_from("<I", raw, payload_start + payload_size)
@@ -257,7 +261,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         raise StoreError(f"missing sidecar metadata {meta_path}")
     try:
         meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise StoreError(f"{meta_path}: unreadable sidecar ({exc})") from exc
     if not isinstance(meta, dict):
         meta = {}
@@ -274,7 +278,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
     except DataError as exc:
         raise StoreError(str(exc)) from exc
 
-    records = np.frombuffer(payload, dtype=_record_dtype(dim))
+    records = np.frombuffer(payload, dtype=record_dtype)
     try:
         return FeatureSet(
             vectors=records["vec"],

@@ -424,23 +424,10 @@ def refine(
 
 
 def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionSheet:
-    """Softmax predictions for the episode's queries.
-
-    The outlierness score is the outlier-column probability when one exists,
-    otherwise the negative maximum closed-set probability.
-    """
-    probs = softmax(logits(ps, episode.query_vectors, cfg.temperature))
-    k_way = ps.n_way
-    if ps.variant is Variant.CLOSED:
-        outlier_score = -probs.max(axis=1)
-    else:
-        outlier_score = probs[:, k_way]
-    return PredictionSheet(
-        probs=probs,
-        outlier_score=outlier_score,
-        closed_pred=probs[:, :k_way].argmax(axis=1),
-        n_closed=k_way,
-    )
+    """Softmax predictions for the episode's queries. The sheet reads the
+    outlierness score from the outlier column when the variant has one,
+    otherwise it is the negative maximum closed-set probability."""
+    return PredictionSheet(softmax(logits(ps, episode.query_vectors, cfg.temperature)), ps.n_way)
 
 
 def closed_set_entropy(sheet: PredictionSheet) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,44 +11,41 @@ _ROW_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PredictionSheet:
-    """Row-stochastic probabilities plus a scalar outlierness score per query.
+    """Row-stochastic probabilities, and each query's derived prediction and score.
 
     ``probs`` has ``n_closed`` columns for closed-set-only classifiers or
-    ``n_closed + 1`` when an explicit outlier column exists. ``closed_pred``
-    is always the argmax over the first ``n_closed`` columns.
+    ``n_closed + 1`` when an explicit outlier column exists. The other two
+    fields are derived from it: ``closed_pred`` is the argmax over the first
+    ``n_closed`` columns, and ``outlier_score`` is the outlier column's
+    probability when there is one, otherwise the negative row maximum.
     """
 
     probs: np.ndarray
-    outlier_score: np.ndarray
-    closed_pred: np.ndarray
     n_closed: int
+    outlier_score: np.ndarray = field(init=False)
+    closed_pred: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(
-            self, "outlier_score", np.asarray(self.outlier_score, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "closed_pred", np.asarray(self.closed_pred, dtype=np.int64)
-        )
-        q = probs.shape[0]
         if probs.ndim != 2 or probs.shape[1] not in (self.n_closed, self.n_closed + 1):
             raise ValueError(
                 f"probs shape {probs.shape} incompatible with n_closed={self.n_closed}"
             )
-        if self.outlier_score.shape != (q,) or self.closed_pred.shape != (q,):
-            raise ValueError("outlier_score and closed_pred must have one entry per query")
-        if not np.all(np.isfinite(probs)) or not np.all(np.isfinite(self.outlier_score)):
-            raise ValueError("probabilities and scores must be finite")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         row_sums = probs.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
             worst = int(np.argmax(np.abs(row_sums - 1.0)))
             raise ValueError(
                 f"probability row {worst} sums to {row_sums[worst]!r}, not 1"
             )
-        if np.any(self.closed_pred != probs[:, : self.n_closed].argmax(axis=1)):
-            raise ValueError("closed_pred must equal the argmax of the closed columns")
+        if probs.shape[1] > self.n_closed:
+            outlier_score = probs[:, self.n_closed]
+        else:
+            outlier_score = -probs.max(axis=1)
+        object.__setattr__(self, "outlier_score", outlier_score)
+        object.__setattr__(self, "closed_pred", probs[:, : self.n_closed].argmax(axis=1))
 
     @property
     def n_queries(self) -> int:

@@ -351,9 +351,11 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     """Evaluate every configured method on the shared episode stream.
 
     Returns one RunReport per method and, when ``output_dir`` is set, writes
-    ``run_report.json`` and ``run_report.csv``. Output is byte-identical
-    across repeated runs, worker counts and chunk sizes.
+    ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
+    or lies under a file is refused before the store loads. Output is
+    byte-identical across repeated runs, worker counts and chunk sizes.
     """
+    _check_output_dir(cfg)
     if fs is None:
         fs = load_feature_store(cfg.store)
     needs_base_mu = any(_centering(m, cfg) == "base" for m in cfg.methods)
@@ -377,6 +379,19 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     if cfg.output_dir is not None:
         write_reports(run_reports, cfg, Path(cfg.output_dir), stream_crc & 0xFFFFFFFF)
     return run_reports
+
+
+def _check_output_dir(cfg: RunConfig) -> None:
+    """ConfigError if ``output_dir`` or its nearest existing ancestor is
+    not a directory, so a run fails before any work rather than at its end."""
+    if cfg.output_dir is None:
+        return
+    out_dir = Path(cfg.output_dir)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output_dir {cfg.output_dir!r}: {path} is not a directory")
+            return
 
 
 def write_reports(
@@ -415,8 +430,9 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
     """Evaluate the transductive objective's alpha over validation episodes.
 
     Returns the AUROC-maximizing value (ties broken toward the smaller
-    alpha) and the full table. Every grid value is checked before the store
-    is loaded.
+    alpha) and the full table. Every grid value and ``output_dir`` are
+    checked before the store is loaded. The grid points write no run
+    reports; ``output_dir`` is where the caller puts the table.
     """
     if not grid:
         raise ConfigError("sweep grid must be nonempty")
@@ -424,12 +440,13 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
         points = [replace(cfg.ostim_cfg, alpha=float(alpha)) for alpha in grid]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
+    _check_output_dir(cfg)
     fs = load_feature_store(cfg.store)
     if not fs.classes_in_split("val"):
         raise DataError("store has no validation split to sweep over")
     table = []
     for ostim_cfg in points:
-        sweep_cfg = replace(cfg, methods=("ostim",), ostim_cfg=ostim_cfg)
+        sweep_cfg = replace(cfg, methods=("ostim",), ostim_cfg=ostim_cfg, output_dir=None)
         report = run(sweep_cfg, fs=fs, split="val")["ostim"]
         table.append(
             {"alpha": ostim_cfg.alpha,

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import builtins
 import errno
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import fsosr.feature_store
 from fsosr import Episode, FeatureSet, OUTLIER
+
+
+# The one settings object of every property test: the same examples on
+# every run, no example database, no per-example deadline.
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 def make_feature_set(
@@ -99,14 +104,13 @@ class _FullDisk:
 @pytest.fixture
 def fill_disk(monkeypatch):
     """Calling it makes every file the store module opens for writing fail
-    midway through its first write, as on a full disk; ``fill_disk(name)``
-    fails only the files whose name contains ``name``. Reports, stores and
+    midway through its first write, as on a full disk. Reports, stores and
     the CLI's output files are written through that module's ``atomic_write``."""
 
-    def fill(name: str = "") -> None:
+    def fill() -> None:
         def open_(file, mode="r", *args, **kwargs):
             fh = builtins.open(file, mode, *args, **kwargs)
-            return _FullDisk(fh) if "w" in mode and name in Path(file).name else fh
+            return _FullDisk(fh) if "w" in mode else fh
 
         monkeypatch.setattr(fsosr.feature_store, "open", open_, raising=False)
 

@@ -104,6 +104,46 @@ def test_run_and_sweep(synth_store, tmp_path, capsys):
     assert len(sweep_doc["table"]) == 2
 
 
+def test_sweep_leaves_the_run_reports_in_its_output_dir_as_they_were(synth_store, tmp_path):
+    out_dir = tmp_path / "reports"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "store": str(synth_store),
+        "episodes": {"n_way": 2, "n_shot": 1, "n_query_per_class": 2,
+                     "n_open_classes": 1, "seed": 9},
+        "methods": ["simpleshot", "knn"], "n_episodes": 3,
+        "output_dir": str(out_dir), "ostim": {"n_steps": 5},
+    }))
+    assert main(["run", "--config", str(config)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(before) == ["run_report.csv", "run_report.json"]
+    assert main(["sweep", "--config", str(config), "--param", "ostim.alpha",
+                 "--grid", "0.5,1.0"]) == 0
+    after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert after.pop("sweep.json")
+    assert after == before
+
+
+@pytest.mark.parametrize("command", ["run", "sweep --param ostim.alpha --grid 0.5,1.0"])
+@pytest.mark.parametrize("output_dir", ["notadir", "notadir/sub"])
+def test_output_dir_under_a_file_is_2_before_the_store_loads(
+    synth_store, tmp_path, capsys, monkeypatch, command, output_dir
+):
+    (tmp_path / "notadir").write_text("")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"store": str(synth_store), "n_episodes": 2,
+                                  "output_dir": str(tmp_path / output_dir)}))
+
+    def refuse(path):
+        raise AssertionError("the store was loaded")
+
+    monkeypatch.setattr("fsosr.runner.load_feature_store", refuse)
+    assert main([*command.split(), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "output_dir" in err and "notadir is not a directory" in err
+    assert (tmp_path / "notadir").read_text() == ""
+
+
 @pytest.mark.parametrize(
     "argv, target",
     [
@@ -129,7 +169,7 @@ def test_failed_write_leaves_the_earlier_file_intact(
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert target in before
-    fill_disk(target)
+    fill_disk()
     with pytest.raises(OSError, match="No space left"):
         main(argv)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsosr import (
     DataError,
@@ -20,9 +22,10 @@ from fsosr import (
     ingest_csv,
     sample_episode,
 )
+from fsosr.cli import main
 from fsosr.feature_store import load_feature_store, save_feature_store, sidecar_path
 
-from conftest import make_feature_set
+from conftest import make_feature_set, properties
 
 
 def small_fs(**kwargs) -> FeatureSet:
@@ -273,6 +276,95 @@ class TestCorruption:
         self.rewrite_payload(stored, 24 + 7 * record_size, struct.pack("<I", 2))  # C = 2
         with pytest.raises(StoreError, match=r"store\.fsos: label 2 at vector 7 out of range"):
             load_feature_store(stored)
+
+    @pytest.mark.parametrize("dim", [2**31, 600_000_000])
+    def test_header_dim_numpy_cannot_describe(self, stored, dim):
+        raw = bytearray(stored.read_bytes())
+        raw[8:12] = struct.pack("<I", dim)
+        stored.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match="truncated payload") as info:
+            load_feature_store(stored)
+        assert str(info.value).startswith(str(stored))
+        assert main(["diagnose", "--store", str(stored)]) == 3
+
+
+# (offset, struct format) of each header field after the magic.
+HEADER_FIELDS = {"version": (4, "<I"), "dim": (8, "<I"), "count": (12, "<Q"), "classes": (20, "<I")}
+
+
+@st.composite
+def store_mutations(draw, size: int):
+    """A function from the store's bytes to different bytes: an overwrite
+    (an XOR with a nonzero mask, so at least one byte changes), a
+    truncation, appended bytes, or a new value in one header field."""
+    kind = draw(st.sampled_from(["overwrite", "truncate", "append", "header"]))
+    if kind == "overwrite":
+        offset = draw(st.integers(0, size - 1))
+        mask = draw(st.binary(min_size=1, max_size=min(8, size - offset)).filter(any))
+
+        def flip(raw: bytes) -> bytes:
+            flipped = bytes(a ^ b for a, b in zip(raw[offset:], mask))
+            return raw[:offset] + flipped + raw[offset + len(mask):]
+
+        return flip
+    if kind == "truncate":
+        length = draw(st.integers(0, size - 1))
+        return lambda raw: raw[:length]
+    if kind == "append":
+        extra = draw(st.binary(min_size=1, max_size=64))
+        return lambda raw: raw + extra
+    offset, fmt = HEADER_FIELDS[draw(st.sampled_from(sorted(HEADER_FIELDS)))]
+    bits = 8 * struct.calcsize(fmt)
+    value = draw(st.sampled_from([0, 1, 2**31, 600_000_000, 2**bits - 1]) | st.integers(0, 2**bits - 1))
+
+    def set_field(raw: bytes) -> bytes:
+        (old,) = struct.unpack_from(fmt, raw, offset)
+        new = struct.pack(fmt, value if value != old else (old + 1) % 2**bits)
+        return raw[:offset] + new + raw[offset + len(new):]
+
+    return set_field
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A small saved store: its path, its bytes and its sidecar's bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "store.fsos"
+    save_feature_store(small_fs(), path)
+    return path, path.read_bytes(), sidecar_path(path).read_bytes()
+
+
+def load_or_store_error(path):
+    """Load ``path``; a failure must be a StoreError whose message starts
+    with the store's or the sidecar's path. Any other exception propagates."""
+    try:
+        return load_feature_store(path)
+    except StoreError as exc:
+        assert str(exc).startswith((str(path), str(sidecar_path(path)))), str(exc)
+        return None
+
+
+class TestCorruptionProperties:
+    @properties
+    @given(st.data())
+    def test_every_corrupted_store_is_a_store_error_naming_its_path(self, pristine, data):
+        path, raw, side = pristine
+        mutated = data.draw(store_mutations(len(raw)))(raw)
+        assert mutated != raw
+        path.write_bytes(mutated)
+        sidecar_path(path).write_bytes(side)
+        assert load_or_store_error(path) is None, "a corrupted store loaded"
+
+    @properties
+    @given(st.data())
+    def test_a_corrupted_sidecar_loads_or_is_a_store_error_naming_a_path(self, pristine, data):
+        """The sidecar has no checksum, so some edits keep it valid; the rest
+        must fail as StoreError, never with a traceback."""
+        path, raw, side = pristine
+        offset = data.draw(st.integers(0, len(side) - 1))
+        patch = data.draw(st.binary(min_size=1, max_size=8))
+        path.write_bytes(raw)
+        sidecar_path(path).write_bytes(side[:offset] + patch + side[offset + len(patch):])
+        load_or_store_error(path)
 
 
 PEAK_N, PEAK_DIM = 20_000, 32

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fsosr import (
@@ -18,6 +18,8 @@ from fsosr import (
     score_episode,
     score_sheet,
 )
+
+from conftest import properties
 
 
 def oracle_auroc(scores, is_outlier):
@@ -69,12 +71,7 @@ def oracle_prec_at_recall(scores, is_outlier, target):
 
 def sheet_from_probs(probs):
     probs = np.asarray(probs, dtype=np.float64)
-    return PredictionSheet(
-        probs=probs,
-        outlier_score=-probs.max(axis=1),
-        closed_pred=probs.argmax(axis=1),
-        n_closed=probs.shape[1],
-    )
+    return PredictionSheet(probs, n_closed=probs.shape[1])
 
 
 class TestAccuracy:
@@ -343,9 +340,6 @@ def tie_heavy_queries(draw) -> tuple[list[float], list[bool]]:
     is_outlier[first] = True
     is_outlier[second + (second >= first)] = False
     return scores, is_outlier
-
-
-properties = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 class TestOracleProperties:

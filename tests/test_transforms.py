@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsosr import (
     CenteringPolicy,
@@ -13,7 +15,7 @@ from fsosr import (
     task_mean,
 )
 
-from conftest import make_episode
+from conftest import make_episode, properties
 
 
 class TestCenterNormalize:
@@ -111,3 +113,70 @@ class TestCenteringPolicy:
     def test_non_finite_mu_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             CenteringPolicy("base", np.array([1.0, np.inf]))
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def points(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A centering vector and either a single D-vector or an (N, D) batch."""
+    dim = draw(st.integers(1, 8))
+    mu = np.array(draw(st.lists(FINITE, min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(FINITE, min_size=dim, max_size=dim))), mu
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(FINITE, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    return np.array(rows), mu
+
+
+@st.composite
+def rows_near_mu(draw) -> tuple[np.ndarray, np.ndarray, int]:
+    """A batch in which some rows lie within 1e-12 of ``mu`` and the others
+    at least 1e-3 from it in every component, and the first near row."""
+    dim = draw(st.integers(1, 8))
+    mu = np.array(draw(st.lists(st.floats(-100, 100), min_size=dim, max_size=dim)))
+    near = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    near[draw(st.integers(0, len(near) - 1))] = True
+    tiny = st.floats(-1e-14, 1e-14)
+    apart = st.floats(1e-3, 10) | st.floats(-10, -1e-3)
+    z = np.array([
+        mu + np.array(draw(st.lists(tiny if row else apart, min_size=dim, max_size=dim)))
+        for row in near
+    ])
+    return z, mu, near.index(True)
+
+
+class TestProperties:
+    @properties
+    @given(points())
+    def test_rows_have_unit_norm_and_equal_the_shift_over_its_norm(self, drawn):
+        z, mu = drawn
+        shifted = z - mu
+        norm = np.linalg.norm(shifted, axis=-1, keepdims=True)
+        if np.any(norm < 1e-12):
+            with pytest.raises(DegenerateFeatureError):
+                center_normalize(z, mu)
+            return
+        out = center_normalize(z, mu)
+        assert np.array_equal(out, shifted / norm)
+        assert np.all(np.abs(np.linalg.norm(out, axis=-1) - 1.0) <= 1e-12)
+
+    @properties
+    @given(rows_near_mu())
+    def test_a_row_at_the_centering_point_is_named(self, drawn):
+        z, mu, first = drawn
+        with pytest.raises(DegenerateFeatureError, match=rf"^vector {first} coincides"):
+            center_normalize(z, mu)
+        with pytest.raises(DegenerateFeatureError, match="^vector coincides"):
+            center_normalize(z[first], mu)
+
+    @properties
+    @given(st.integers(0, 2**32 - 1), st.lists(FINITE, min_size=5, max_size=5))
+    def test_resolve_returns_zeros_the_given_mean_or_the_task_mean(self, seed, base):
+        episode = make_episode(np.random.default_rng(seed), dim=5)
+        none = CenteringPolicy("none").resolve(episode)
+        assert none.dtype == np.float64 and np.array_equal(none, np.zeros(5))
+        given_mean = CenteringPolicy("base", np.array(base)).resolve(episode)
+        assert given_mean.dtype == np.float64 and np.array_equal(given_mean, base)
+        assert np.array_equal(CenteringPolicy("task").resolve(episode), task_mean(episode))
