@@ -13,15 +13,20 @@ import numpy as np
 from .episodes import Episode
 from .ostim import softmax
 from .predictions import PredictionSheet
-from .transforms import CenteringPolicy, center_normalize
+from .transforms import CenteringPolicy, center_normalize, check_centering
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
+    """The run config's ``baseline`` section, which ``simpleshot``, ``knn``
+    and ``strong_baseline`` share, ``centering`` included."""
+
     knn_k: int = 1
     temperature: float = 10.0
+    centering: str = "base"
 
     def __post_init__(self) -> None:
+        check_centering(self.centering)
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         if not 0 < self.temperature < math.inf:  # also refuses NaN

@@ -214,7 +214,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise StoreError(f"cannot read {path}: {exc}") from exc
+        raise StoreError(f"{path}: cannot read store ({exc})") from exc
     if len(raw) < _HEADER.size:
         raise StoreError(
             f"{path}: file too short for header ({len(raw)} < {_HEADER.size} bytes)"
@@ -258,7 +258,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
 
     meta_path = sidecar_path(path)
     if not meta_path.exists():
-        raise StoreError(f"missing sidecar metadata {meta_path}")
+        raise StoreError(f"{meta_path}: missing sidecar metadata")
     try:
         meta = json.loads(meta_path.read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8

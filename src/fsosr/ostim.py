@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DegenerateFeatureError, DivergenceError
 from .episodes import Episode
 from .predictions import PredictionSheet
-from .transforms import CenteringPolicy, center_normalize
+from .transforms import CenteringPolicy, center_normalize, check_centering
 
 _EPS = 1e-12
 _PLOGP_FLOOR = 1e-30
@@ -59,12 +59,21 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class OstimConfig:
+    """The run config's ``ostim`` section, which the three refinement
+    methods share: the objective and its optimizer, the ``variant`` that the
+    ``ostim`` method refines (``tim_closed`` and ``explicit_dummy`` fix their
+    own) and the ``centering`` all three use."""
+
     alpha: float = 1.0
     n_steps: int = 200
     learning_rate: float = 1e-3
     temperature: float = 10.0
+    variant: Variant = Variant.IMPLICIT
+    centering: str = "task"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", Variant(self.variant))
+        check_centering(self.centering)
         # Comparisons with NaN are false, so these refuse NaN as well as inf.
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
@@ -185,9 +194,13 @@ def _inputs(states: Sequence[PrototypeSet], episodes: Sequence[Episode]) -> _Inp
 
 
 def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit prototype directions (E, K, D) and radii (E, K) about ``mu``."""
+    """Unit prototype directions (E, K, D) and radii (E, K) about ``mu``.
+    A radius too large for float64 would turn every direction into zeros,
+    so it raises DivergenceError."""
     shifted = w - mu[:, None, :]
     radii = np.linalg.norm(shifted, axis=-1)
+    if not np.isfinite(radii).all():
+        raise DivergenceError("a prototype's distance from the centering point overflows")
     if radii.min() < _EPS:
         k = int(np.argmax((radii < _EPS).any(axis=0)))
         raise DegenerateFeatureError(f"prototype {k} coincides with the centering point")

@@ -2,12 +2,15 @@
 dispatch, the validation sweep, and report emission.
 
 Every method in a run consumes the identical episode stream (same
-``(seed, index)`` pairs), so cross-method comparisons are paired. ``METHODS``
-maps each method name to the config section whose centering it uses and to
-its chunk evaluator. The loop walks the stream in chunks of ``CHUNK_SIZE``
-consecutive episodes and scores the methods on the whole chunk in
-``METHODS`` order: the transductive ones refine it in one batched kernel
-call, ``simpleshot`` and ``knn`` go episode by episode, and
+``(seed, index)`` pairs), so cross-method comparisons are paired. Each
+method section (``OstimConfig``, ``BaselineConfig``) holds all of its
+settings, centering and ``variant`` included, and ``_KEYS`` declares their
+JSON keys once, for parsing and the report snapshot. ``METHODS`` maps each
+method name to the ``RunConfig`` field of its section and to its chunk
+evaluator, which receives that section. The loop walks the stream in
+chunks of ``CHUNK_SIZE`` consecutive episodes and scores the methods on the
+whole chunk in ``METHODS`` order: the transductive ones refine it in one
+batched kernel call, ``simpleshot`` and ``knn`` go episode by episode, and
 ``strong_baseline`` reuses their reports, running either one itself when it
 is not configured. Results are reduced in index order and do not depend on
 the chunk. A failing chunk is replayed one episode at a time, methods in
@@ -34,14 +37,19 @@ from .errors import ConfigError, DataError, FsosrError, SamplingError
 from .feature_store import FeatureSet, atomic_write, base_mean, load_feature_store
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_episode, score_sheet
 from .synthgen import SynthSpec
-from .transforms import CENTERING_KINDS, CenteringPolicy
+from .transforms import CenteringPolicy
 
 # Consecutive episodes evaluated together; reports do not depend on it.
 CHUNK_SIZE = 16
 
+# A method section of the run config.
+Section = ostim.OstimConfig | baselines.BaselineConfig
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run config; ``ostim_cfg`` and ``baseline_cfg`` are its method sections."""
+
     store: str
     episode: EpisodeSpec = field(default_factory=EpisodeSpec)
     methods: tuple[str, ...] = ("ostim",)
@@ -49,10 +57,7 @@ class RunConfig:
     workers: int = 1
     output_dir: str | None = None
     ostim_cfg: ostim.OstimConfig = field(default_factory=ostim.OstimConfig)
-    ostim_variant: ostim.Variant = ostim.Variant.IMPLICIT
-    ostim_centering: str = "task"
     baseline_cfg: baselines.BaselineConfig = field(default_factory=baselines.BaselineConfig)
-    baseline_centering: str = "base"
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -66,28 +71,27 @@ class RunConfig:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        for centering in (self.ostim_centering, self.baseline_centering):
-            if centering not in CENTERING_KINDS:
-                raise ConfigError(
-                    f"unknown centering {centering!r}; expected one of {CENTERING_KINDS}"
-                )
+        support = self.episode.n_way * self.episode.n_shot
+        if {"knn", "strong_baseline"} & set(self.methods) and self.baseline_cfg.knn_k > support:
+            raise ConfigError(f"baseline.knn_k must be at most the support size {support} "
+                              f"(n_way * n_shot), got {self.baseline_cfg.knn_k}")
 
 
 class Method(NamedTuple):
-    section: str  # config section ("ostim" or "baseline") whose centering it uses
-    evaluate: Callable[[list[Episode], RunConfig, CenteringPolicy, dict], list[EpisodeReport]]
+    section: str  # the RunConfig field holding its section ("ostim_cfg" or "baseline_cfg")
+    evaluate: Callable[[list[Episode], Section, CenteringPolicy, dict], list[EpisodeReport]]
 
 
 def _refined(variant: ostim.Variant | None):
     """Refine the chunk in one kernel call with ``variant``, or with the
-    configured ``ostim.variant`` when it is None."""
+    section's configured variant when it is None."""
 
-    def evaluate(episodes, cfg, policy, done):
-        chosen = cfg.ostim_variant if variant is None else variant
+    def evaluate(episodes, ocfg, policy, done):
+        chosen = ocfg.variant if variant is None else variant
         states = [ostim.init_prototypes(ep, policy, chosen) for ep in episodes]
-        states = ostim.refine_batch(states, episodes, cfg.ostim_cfg)
+        states = ostim.refine_batch(states, episodes, ocfg)
         return [
-            score_sheet(ostim.predict(state, ep, cfg.ostim_cfg), ep.query_truth)
+            score_sheet(ostim.predict(state, ep, ocfg), ep.query_truth)
             for state, ep in zip(states, episodes)
         ]
 
@@ -95,8 +99,8 @@ def _refined(variant: ostim.Variant | None):
 
 
 def _each_episode(score):
-    """Score the chunk episode by episode with ``score(episode, baseline_cfg, policy)``."""
-    return lambda episodes, cfg, policy, _: [score(ep, cfg.baseline_cfg, policy) for ep in episodes]
+    """Score the chunk episode by episode with ``score(episode, bcfg, policy)``."""
+    return lambda episodes, bcfg, policy, _: [score(ep, bcfg, policy) for ep in episodes]
 
 
 def _simpleshot(ep, bcfg, policy):
@@ -107,27 +111,23 @@ def _knn(ep, bcfg, policy):
     return score_episode(ep.query_truth, baselines.knn_outlier_score(ep, policy, bcfg.knn_k))
 
 
-def _strong_baseline(episodes, cfg, policy, done):
+def _strong_baseline(episodes, bcfg, policy, done):
     """``knn``'s reports with ``simpleshot``'s accuracy, at the same centering."""
     simpleshot, knn = (
-        done[m] if m in done else METHODS[m].evaluate(episodes, cfg, policy, done)
+        done[m] if m in done else METHODS[m].evaluate(episodes, bcfg, policy, done)
         for m in ("simpleshot", "knn")
     )
     return [replace(k, acc=s.acc) for s, k in zip(simpleshot, knn)]
 
 
 METHODS: dict[str, Method] = {
-    "ostim": Method("ostim", _refined(None)),
-    "tim_closed": Method("ostim", _refined(ostim.Variant.CLOSED)),
-    "explicit_dummy": Method("ostim", _refined(ostim.Variant.EXPLICIT_DUMMY)),
-    "simpleshot": Method("baseline", _each_episode(_simpleshot)),
-    "knn": Method("baseline", _each_episode(_knn)),
-    "strong_baseline": Method("baseline", _strong_baseline),
+    "ostim": Method("ostim_cfg", _refined(None)),
+    "tim_closed": Method("ostim_cfg", _refined(ostim.Variant.CLOSED)),
+    "explicit_dummy": Method("ostim_cfg", _refined(ostim.Variant.EXPLICIT_DUMMY)),
+    "simpleshot": Method("baseline_cfg", _each_episode(_simpleshot)),
+    "knn": Method("baseline_cfg", _each_episode(_knn)),
+    "strong_baseline": Method("baseline_cfg", _strong_baseline),
 }
-
-
-def _centering(method: str, cfg: RunConfig) -> str:
-    return getattr(cfg, f"{METHODS[method].section}_centering")
 
 
 def _integer(value, key: str) -> int:
@@ -153,6 +153,14 @@ def _numbers(value, key: str) -> tuple:
     return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
+def _variant(value, key: str) -> ostim.Variant:
+    """A refinement variant by name, else ConfigError."""
+    try:
+        return ostim.Variant(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
 # How ``_build`` reads a field's JSON value, by the field's annotation.
 _PARSERS = {
     "int": _integer,
@@ -160,6 +168,7 @@ _PARSERS = {
     "tuple[float, float, float]": _numbers,
     "float | tuple[float, ...]":
         lambda v, key: _numbers(v, key) if isinstance(v, list) else _number(v, key),
+    "Variant": _variant,
 }
 
 
@@ -168,18 +177,17 @@ _KEYS = {
     "episodes": {f.name: f.name for f in fields(EpisodeSpec)},
     "synth": {f.name: f.name for f in fields(SynthSpec)},
     "ostim": {"alpha": "alpha", "n_steps": "n_steps", "lr": "learning_rate",
-              "temperature": "temperature"},
-    "baseline": {"knn_k": "knn_k", "temperature": "temperature"},
+              "temperature": "temperature", "variant": "variant", "centering": "centering"},
+    "baseline": {"knn_k": "knn_k", "temperature": "temperature", "centering": "centering"},
 }
 
 
-def _build(cls, section, context: str, also: tuple[str, ...] = ()):
-    """``cls`` from the JSON object of section ``context``, its ``_KEYS`` read
-    by ``_PARSERS``. Keys in ``also`` may appear too; the caller reads them."""
+def _build(cls, section, context: str):
+    """``cls`` from the JSON object of section ``context``, its ``_KEYS`` read by ``_PARSERS``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{context} config must be a JSON object, got {section!r}")
     fields_map = _KEYS[context]
-    unknown = set(section) - set(fields_map) - set(also)
+    unknown = set(section) - set(fields_map)
     if unknown:
         raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
     kinds = {f.name: f.type for f in fields(cls)}
@@ -219,16 +227,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("config is missing the 'store' path")
 
     episode = episode_spec_from_dict(doc.get("episodes", {}))
-    ostim_section = doc.get("ostim", {})
-    ostim_cfg = _build(ostim.OstimConfig, ostim_section, "ostim", also=("centering", "variant"))
-    try:
-        ostim_variant = ostim.Variant(ostim_section.get("variant", "implicit"))
-    except ValueError as exc:
-        raise ConfigError(f"bad ostim.variant: {exc}") from exc
-    baseline_section = doc.get("baseline", {})
-    baseline_cfg = _build(
-        baselines.BaselineConfig, baseline_section, "baseline", also=("centering",)
-    )
+    ostim_cfg = _build(ostim.OstimConfig, doc.get("ostim", {}), "ostim")
+    baseline_cfg = _build(baselines.BaselineConfig, doc.get("baseline", {}), "baseline")
 
     methods = doc.get("methods", ["ostim"])
     if not isinstance(methods, list):
@@ -246,10 +246,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         workers=_integer(doc.get("workers", 1), "workers"),
         output_dir=output_dir,
         ostim_cfg=ostim_cfg,
-        ostim_variant=ostim_variant,
-        ostim_centering=ostim_section.get("centering", "task"),
         baseline_cfg=baseline_cfg,
-        baseline_centering=baseline_section.get("centering", "base"),
     )
 
 
@@ -272,17 +269,16 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
-    def section(obj, context: str, **extra) -> dict:
-        return {**{key: getattr(obj, attr) for key, attr in _KEYS[context].items()}, **extra}
+    def section(obj, context: str) -> dict:
+        return {key: getattr(obj, attr) for key, attr in _KEYS[context].items()}
 
     return {
         "store": cfg.store,
         "episodes": section(cfg.episode, "episodes"),
         "methods": list(cfg.methods),
         "n_episodes": cfg.n_episodes,
-        "ostim": section(cfg.ostim_cfg, "ostim", variant=cfg.ostim_variant.value,
-                         centering=cfg.ostim_centering),
-        "baseline": section(cfg.baseline_cfg, "baseline", centering=cfg.baseline_centering),
+        "ostim": section(cfg.ostim_cfg, "ostim"),
+        "baseline": section(cfg.baseline_cfg, "baseline"),
     }
 
 
@@ -314,8 +310,9 @@ def evaluate_method(
     ``done`` holds the chunk's reports so far. A failure raises the plain
     error of some failing episode; ``_evaluate_chunk`` finds out which one.
     """
-    policy = _policy(_centering(method, cfg), base_mu)
-    return METHODS[method].evaluate(episodes, cfg, policy, done or {})
+    section = getattr(cfg, METHODS[method].section)
+    policy = _policy(section.centering, base_mu)
+    return METHODS[method].evaluate(episodes, section, policy, done or {})
 
 
 def _evaluate_chunk(
@@ -358,7 +355,7 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     _check_output_dir(cfg)
     if fs is None:
         fs = load_feature_store(cfg.store)
-    needs_base_mu = any(_centering(m, cfg) == "base" for m in cfg.methods)
+    needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
     base_mu = base_mean(fs) if needs_base_mu else None
 
     per_method: dict[str, list[EpisodeReport]] = {method: [] for method in cfg.methods}

@@ -14,6 +14,12 @@ CENTERING_KINDS = ("none", "base", "task")
 _EPS = 1e-12
 
 
+def check_centering(kind: str) -> None:
+    """ConfigError unless ``kind`` names a centering policy."""
+    if kind not in CENTERING_KINDS:
+        raise ConfigError(f"unknown centering {kind!r}; expected one of {CENTERING_KINDS}")
+
+
 def center_normalize(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Subtract ``mu`` and project onto the unit sphere.
 
@@ -54,10 +60,7 @@ class CenteringPolicy:
     mu: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in CENTERING_KINDS:
-            raise ConfigError(
-                f"unknown centering {self.kind!r}; expected one of {CENTERING_KINDS}"
-            )
+        check_centering(self.kind)
         if self.mu is not None:
             mu = np.asarray(self.mu, dtype=np.float64)
             if not np.all(np.isfinite(mu)):

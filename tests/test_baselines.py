@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fsosr import CenteringPolicy, baselines
+from fsosr import CenteringPolicy, ConfigError, baselines
 from fsosr.baselines import knn_outlier_score, simpleshot_classify
 from fsosr.transforms import center_normalize
 
@@ -187,7 +187,11 @@ class TestKnn:
 class TestConfig:
     def test_defaults(self):
         cfg = baselines.BaselineConfig()
-        assert cfg.knn_k == 1 and cfg.temperature == 10.0
+        assert cfg.knn_k == 1 and cfg.temperature == 10.0 and cfg.centering == "base"
+
+    def test_rejects_unknown_centering(self):
+        with pytest.raises(ConfigError, match="unknown centering 'x'"):
+            baselines.BaselineConfig(centering="x")
 
     @pytest.mark.parametrize("kwargs", [
         dict(knn_k=0), dict(temperature=0.0), dict(temperature=float("inf")),

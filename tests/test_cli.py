@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fsosr.cli import main
-from fsosr.feature_store import load_feature_store
+from fsosr.feature_store import load_feature_store, sidecar_path
 
 
 @pytest.fixture
@@ -282,6 +282,43 @@ class TestExitCodes:
         config.write_text(json.dumps({"store": str(synth_store)}))
         assert main(["sweep", "--config", str(config), "--param", "ostim.lr",
                      "--grid", "0.1"]) == 2
+
+    @pytest.mark.parametrize("method", ["knn", "strong_baseline"])
+    def test_knn_k_above_the_support_size_is_2_before_the_store_loads(
+        self, tmp_path, capsys, method
+    ):
+        # An absent store would exit 3: the check runs before the load.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"store": str(tmp_path / "absent.fsos"),
+                                      "episodes": {"n_way": 5, "n_shot": 1},
+                                      "methods": [method], "baseline": {"knn_k": 10}}))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "baseline.knn_k" in err and "support size 5" in err and "got 10" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_step_size_that_overflows_a_prototype_is_4(self, synth_store, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"store": str(synth_store), "n_episodes": 3,
+                                      "episodes": {"n_way": 3, "n_query_per_class": 5,
+                                                   "n_open_classes": 2},
+                                      "methods": ["ostim", "tim_closed"],
+                                      "ostim": {"lr": 1e160, "n_steps": 5}}))
+        assert main(["run", "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: episode 0, method ostim: ")
+        assert "overflows" in captured.err and captured.out == ""
+
+    def test_missing_store_is_3_starting_with_its_path(self, tmp_path, capsys):
+        store = tmp_path / "missing.fsos"
+        assert main(["diagnose", "--store", str(store)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {store}: cannot read store")
+
+    def test_missing_sidecar_is_3_starting_with_its_path(self, synth_store, capsys):
+        sidecar_path(synth_store).unlink()
+        assert main(["diagnose", "--store", str(synth_store)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar_path(synth_store)}: missing sidecar")
 
     def test_divergence_exit_code_is_4(self):
         from fsosr import DivergenceError

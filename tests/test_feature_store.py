@@ -233,8 +233,15 @@ class TestCorruption:
 
     def test_missing_sidecar(self, stored):
         sidecar_path(stored).unlink()
-        with pytest.raises(StoreError, match="sidecar"):
+        with pytest.raises(StoreError, match="sidecar") as info:
             load_feature_store(stored)
+        assert str(info.value).startswith(f"{sidecar_path(stored)}: missing sidecar")
+
+    def test_missing_store_message_starts_with_its_path(self, tmp_path):
+        missing = tmp_path / "missing.fsos"
+        with pytest.raises(StoreError) as info:
+            load_feature_store(missing)
+        assert str(info.value).startswith(f"{missing}: cannot read store")
 
     def test_sidecar_split_overlap(self, stored):
         meta = json.loads(sidecar_path(stored).read_text())

@@ -12,6 +12,7 @@ import pytest
 import fsosr.ostim as ostim_mod
 from fsosr import (
     CenteringPolicy,
+    ConfigError,
     DegenerateFeatureError,
     DivergenceError,
     OstimConfig,
@@ -131,6 +132,15 @@ class TestConfig:
     def test_accepts_zero_alpha_and_steps(self):
         assert OstimConfig(alpha=0.0, n_steps=0).alpha == 0.0
 
+    def test_variant_and_centering_defaults_and_checks(self):
+        cfg = OstimConfig()
+        assert cfg.variant is Variant.IMPLICIT and cfg.centering == "task"
+        assert OstimConfig(variant="closed").variant is Variant.CLOSED
+        with pytest.raises(ConfigError, match="unknown centering 'global'"):
+            OstimConfig(centering="global")
+        with pytest.raises(ValueError, match="softmax"):
+            OstimConfig(variant="softmax")
+
 
 class TestInit:
     def test_one_shot_prototype_is_support_vector(self, rng):
@@ -209,6 +219,15 @@ class TestLogits:
             implicit_prototype = -v.mean(axis=0)
             expected = 3.0 * float(center_normalize(z, ps.mu) @ implicit_prototype)
             assert abs(out[-1] - expected) <= 1e-6
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_prototype_radius_that_overflows_is_a_divergence(self):
+        # Each entry is finite, but the squared radius is not: the directions
+        # would all be zero and every logit 0, which looks finite downstream.
+        ps = PrototypeSet(w=np.array([[1e200, 0.0], [0.0, 1e200]]), mu=np.zeros(2),
+                          variant=Variant.IMPLICIT)
+        with pytest.raises(DivergenceError, match="overflows"):
+            logits(ps, np.array([1.0, 0.5]))
 
 
 class TestComputeLoss:

@@ -38,6 +38,12 @@ def test_run_config_parses_and_sets_every_documented_value():
     assert cfg.workers == doc["workers"] and cfg.output_dir == doc["output_dir"]
 
 
+def test_run_config_round_trips_through_the_report_snapshot():
+    cfg = runner.config_from_dict(heredocs()["run.json"])
+    doc = {**runner._config_snapshot(cfg), "workers": cfg.workers, "output_dir": cfg.output_dir}
+    assert runner.config_from_dict(doc) == cfg
+
+
 def test_sweep_config_fits_the_val_split_of_the_synth_store():
     fs = generate(runner.synth_spec_from_dict(heredocs()["synth.json"]))
     cfg = runner.config_from_dict(heredocs()["sweep.json"])

@@ -20,6 +20,7 @@ from fsosr import (
     OstimConfig,
     RunConfig,
     SynthSpec,
+    Variant,
     config_from_dict,
     generate,
     load_feature_store,
@@ -27,7 +28,7 @@ from fsosr import (
     save_feature_store,
     sweep_alpha,
 )
-from fsosr.baselines import knn_outlier_score, simpleshot_classify
+from fsosr.baselines import BaselineConfig, knn_outlier_score, simpleshot_classify
 from fsosr.episodes import sample_episode
 from fsosr.feature_store import base_mean
 from fsosr.metrics import aggregate, score_episode
@@ -63,26 +64,59 @@ def tiny_config(store_path, **overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def full_document(store_path) -> dict:
+    """A run config document that sets every key."""
+    return {
+        "store": store_path,
+        "episodes": {"n_way": 3, "n_shot": 5, "n_query_per_class": 4,
+                     "n_open_classes": 2, "seed": 7},
+        "methods": ["ostim", "knn"],
+        "n_episodes": 10,
+        "workers": 2,
+        "ostim": {"alpha": 0.5, "n_steps": 50, "lr": 0.01,
+                  "temperature": 5.0, "variant": "implicit",
+                  "centering": "task"},
+        "baseline": {"knn_k": 3, "temperature": 2.0, "centering": "base"},
+    }
+
+
+def round_trip(cfg: RunConfig) -> RunConfig:
+    """``cfg`` parsed back from its report snapshot and the two keys the
+    snapshot leaves out."""
+    snapshot = runner_mod._config_snapshot(cfg)
+    return config_from_dict({**snapshot, "workers": cfg.workers, "output_dir": cfg.output_dir})
+
+
 class TestConfigParsing:
     def test_full_document(self, store_path):
-        cfg = config_from_dict(
-            {
-                "store": store_path,
-                "episodes": {"n_way": 3, "n_shot": 5, "n_query_per_class": 4,
-                             "n_open_classes": 2, "seed": 7},
-                "methods": ["ostim", "knn"],
-                "n_episodes": 10,
-                "workers": 2,
-                "ostim": {"alpha": 0.5, "n_steps": 50, "lr": 0.01,
-                          "temperature": 5.0, "variant": "implicit",
-                          "centering": "task"},
-                "baseline": {"knn_k": 3, "temperature": 2.0, "centering": "base"},
-            }
-        )
+        cfg = config_from_dict(full_document(store_path))
         assert cfg.episode.n_shot == 5
         assert cfg.ostim_cfg.learning_rate == 0.01
         assert cfg.baseline_cfg.knn_k == 3
         assert cfg.methods == ("ostim", "knn")
+
+    def test_method_sections_hold_every_key_of_their_json_section(self, store_path):
+        cfg = config_from_dict(full_document(store_path))
+        assert cfg.ostim_cfg.variant is Variant.IMPLICIT and cfg.ostim_cfg.centering == "task"
+        assert cfg.baseline_cfg.centering == "base"
+        assert round_trip(cfg) == cfg
+        other = {"variant": "explicit_dummy", "centering": "none"}
+        doc = {**full_document(store_path), "ostim": other, "baseline": {"centering": "task"}}
+        cfg = config_from_dict(doc)
+        assert cfg.ostim_cfg == OstimConfig(variant=Variant.EXPLICIT_DUMMY, centering="none")
+        assert cfg.baseline_cfg == BaselineConfig(centering="task")
+        assert round_trip(cfg) == cfg
+
+    @pytest.mark.parametrize("methods", [["knn"], ["strong_baseline"], ["simpleshot"]])
+    def test_knn_k_is_checked_against_the_support_size_when_used(self, store_path, methods):
+        # 3-way 2-shot: 6 support vectors.
+        doc = {"store": store_path, "episodes": {"n_way": 3, "n_shot": 2}, "methods": methods}
+        assert config_from_dict({**doc, "baseline": {"knn_k": 6}}).baseline_cfg.knn_k == 6
+        if methods == ["simpleshot"]:
+            assert config_from_dict({**doc, "baseline": {"knn_k": 7}}).baseline_cfg.knn_k == 7
+        else:
+            with pytest.raises(ConfigError, match=r"baseline\.knn_k .* support size 6 .* got 7"):
+                config_from_dict({**doc, "baseline": {"knn_k": 7}})
 
     def test_missing_store(self):
         with pytest.raises(ConfigError, match="store"):
@@ -216,6 +250,34 @@ class TestRun:
         csv_lines = (out / "run_report.csv").read_text().splitlines()
         assert csv_lines[1].split(",")[2] == ""  # empty acc cell
 
+    def test_each_evaluator_receives_its_own_section(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=tuple(runner_mod.METHODS), n_episodes=1)
+        seen = {}
+
+        def spy(name, method):
+            def evaluate(episodes, section, policy, done):
+                seen[name] = section
+                return method.evaluate(episodes, section, policy, done)
+
+            return method._replace(evaluate=evaluate)
+
+        monkeypatch.setattr(runner_mod, "METHODS",
+                            {name: spy(name, m) for name, m in runner_mod.METHODS.items()})
+        run(cfg)
+        transductive = ("ostim", "tim_closed", "explicit_dummy")
+        assert seen.keys() == set(cfg.methods)
+        for name, section in seen.items():
+            assert section is (cfg.ostim_cfg if name in transductive else cfg.baseline_cfg)
+
+    def test_closed_variant_matches_tim_closed(self, store_path):
+        cfg = config_from_dict({
+            "store": store_path, "n_episodes": 3, "methods": ["ostim", "tim_closed"],
+            "episodes": {"n_way": 3, "n_query_per_class": 3, "n_open_classes": 2},
+            "ostim": {"variant": "closed", "n_steps": 8},
+        })
+        reports = run(cfg)
+        assert reports["ostim"].metrics == reports["tim_closed"].metrics
+
     def test_all_methods_smoke(self, store_path):
         cfg = tiny_config(
             store_path,
@@ -235,11 +297,9 @@ class TestRun:
         with pytest.raises(DataError):
             run(cfg)
 
-    def test_method_failure_names_episode_and_method(self, store_path):
-        from fsosr.baselines import BaselineConfig
-
-        cfg = tiny_config(store_path, methods=("knn",),
-                          baseline_cfg=BaselineConfig(knn_k=10))
+    def test_method_failure_names_episode_and_method(self, store_path, monkeypatch):
+        cfg = tiny_config(store_path, methods=("knn",))
+        knn_fails_at(monkeypatch, cfg, 0)
         with pytest.raises(DataError, match=r"episode 0, method knn"):
             run(cfg)
 
