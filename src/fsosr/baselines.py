@@ -1,7 +1,7 @@
 """Inductive reference methods: nearest-centroid softmax classifier and a
 k-nearest-neighbor outlier detector. Their combination is the strong
-baseline the transductive methods are measured against.
-"""
+baseline the transductive methods are measured against. Both score a
+chunk of episodes from its ``NormalizedChunk``."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import numpy as np
 from .episodes import Episode
 from .ostim import softmax
 from .predictions import PredictionSheet
-from .transforms import CenteringPolicy, center_normalize, check_centering
+from .transforms import (CenteringPolicy, NormalizedChunk, center_normalize, check_centering,
+                         class_means, normalize_chunk)
 
 
 @dataclass(frozen=True)
@@ -33,41 +34,46 @@ class BaselineConfig:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
+def simpleshot_chunk(
+    view: NormalizedChunk, episodes: list[Episode], temperature: float = 10.0
+) -> list[PredictionSheet]:
+    """Nearest-centroid classification on center-normalized features.
+
+    Class centroids are the per-class means of the normalized support
+    vectors, re-normalized to unit length; probabilities are a softmax over
+    temperature-scaled cosine similarities. A sheet has no outlier column,
+    so its outlierness score is the negative maximum class probability.
+    """
+    means = class_means(view.support, np.stack([episode.support_labels for episode in episodes]))
+    centroids = center_normalize(means, np.zeros(means.shape[-1]))
+    probs = softmax(temperature * (view.query @ centroids.swapaxes(-1, -2)))
+    return [PredictionSheet(p, means.shape[1]) for p in probs]
+
+
+def knn_chunk(view: NormalizedChunk, k: int = 1) -> np.ndarray:
+    """(E, n_query): mean distance from each query to its k nearest support
+    vectors, all normalized. Higher means more outlying. Taken episode by
+    episode, so no difference tensor is chunk-wide; ``k`` is checked by callers."""
+    scores = np.empty(view.query.shape[:2])
+    for out, queries, support in zip(scores, view.query, view.support):
+        diffs = queries[:, None, :] - support[None, :, :]
+        distances = np.sqrt(np.square(diffs, out=diffs).sum(axis=-1))
+        distances.sort(axis=1)
+        out[:] = distances[:, :k].mean(axis=1)
+    return scores
+
+
 def simpleshot_classify(
     episode: Episode, policy: CenteringPolicy, temperature: float = 10.0
 ) -> PredictionSheet:
-    """Nearest-centroid classification on center-normalized features.
-
-    Class centroids are the per-class means of the transformed support
-    vectors, re-normalized to unit length; probabilities are a softmax over
-    temperature-scaled cosine similarities. The sheet has no outlier column,
-    so its outlierness score is the negative maximum class probability.
-    """
-    mu = policy.resolve(episode)
-    support = center_normalize(episode.support_vectors, mu)
-    queries = center_normalize(episode.query_vectors, mu)
-    k_way = episode.n_way
-    centroids = np.stack(
-        [support[episode.support_labels == k].mean(axis=0) for k in range(k_way)]
-    )
-    centroids = center_normalize(centroids, np.zeros(episode.dim))
-    logits = temperature * (queries @ centroids.T)
-    return PredictionSheet(softmax(logits), k_way)
+    """``simpleshot_chunk`` of one episode, normalized at ``policy``'s centering."""
+    view = normalize_chunk([episode], [policy.resolve(episode)])
+    return simpleshot_chunk(view, [episode], temperature)[0]
 
 
-def knn_outlier_score(
-    episode: Episode, policy: CenteringPolicy, k: int = 1
-) -> np.ndarray:
-    """Mean Euclidean distance from each query to its k nearest support
-    vectors, all in the center-normalized space. Higher means more outlying.
-    """
+def knn_outlier_score(episode: Episode, policy: CenteringPolicy, k: int = 1) -> np.ndarray:
+    """``knn_chunk`` of one episode, normalized at ``policy``'s centering."""
     n_support = episode.support_vectors.shape[0]
     if not 1 <= k <= n_support:
         raise ValueError(f"k must be in [1, {n_support}], got {k}")
-    mu = policy.resolve(episode)
-    support = center_normalize(episode.support_vectors, mu)
-    queries = center_normalize(episode.query_vectors, mu)
-    diffs = queries[:, None, :] - support[None, :, :]
-    distances = np.sqrt(np.square(diffs, out=diffs).sum(axis=-1))
-    distances.sort(axis=1)
-    return distances[:, :k].mean(axis=1)
+    return knn_chunk(normalize_chunk([episode], [policy.resolve(episode)]), k)[0]

@@ -95,15 +95,16 @@ def sample_episode(
     that hold at least ``n_shot + n_query_per_class`` vectors; the first
     ``n_way`` drawn become closed-set, the next ``n_open_classes`` open-set.
     Instances are then drawn per class without replacement, support before
-    queries, so support and query sets are disjoint. Class sizes and each
-    class's rows come from the set's per-class row index, built on the first
-    call for ``fs`` and shared by every later one, so no call scans the labels.
+    queries, so support and query sets are disjoint. The split's class ids,
+    class sizes and each class's rows come from indexes built on the first
+    call for ``fs`` and shared by every later one, so no call scans the
+    labels or sorts the split.
     """
     if episode_index < 0:
         raise SamplingError(f"episode_index must be >= 0, got {episode_index}")
     needed_per_class = spec.n_shot + spec.n_query_per_class
-    counts = fs.class_counts()
-    eligible = [c for c in fs.classes_in_split(split) if counts[c] >= needed_per_class]
+    in_split = fs.split_class_ids(split)
+    eligible = in_split[fs.class_counts()[in_split] >= needed_per_class]
     n_classes_needed = spec.n_way + spec.n_open_classes
     if len(eligible) < n_classes_needed:
         raise SamplingError(
@@ -112,8 +113,7 @@ def sample_episode(
         )
 
     rng = _episode_rng(spec.seed, episode_index)
-    eligible_arr = np.array(eligible, dtype=np.int64)
-    drawn = eligible_arr[rng.choice(len(eligible_arr), size=n_classes_needed, replace=False)]
+    drawn = eligible[rng.choice(len(eligible), size=n_classes_needed, replace=False)]
     closed_classes = drawn[: spec.n_way]
     open_classes = drawn[spec.n_way :]
 

@@ -50,7 +50,8 @@ class FeatureSet:
     sharing the caller's memory (a loaded store's vectors view its file).
 
     ``class_rows`` and ``class_counts`` read a per-class row index (CSR: the
-    rows in stable label order plus per-class offsets). It is built once, on
+    rows in stable label order plus per-class offsets), and
+    ``split_class_ids`` each split's sorted class ids. Each is built once, on
     the first call, not at construction or load, and is then kept on the set
     and shared by every later episode and run drawn from it.
     """
@@ -83,9 +84,24 @@ class FeatureSet:
         return len(self.class_names)
 
     def classes_in_split(self, split: str) -> list[int]:
+        return self.split_class_ids(split).tolist()
+
+    def split_class_ids(self, split: str) -> np.ndarray:
+        """The split's class ids, ascending, as a read-only int64 array
+        that is sorted once per set and shared by every later call."""
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r}; expected one of {SPLITS}")
-        return sorted(c for c, s in self.split_of_class.items() if s == split)
+        return self._split_class_ids[split]
+
+    @cached_property
+    def _split_class_ids(self) -> dict[str, np.ndarray]:
+        ids = {}
+        for split in SPLITS:
+            ids[split] = np.array(
+                sorted(c for c, s in self.split_of_class.items() if s == split), dtype=np.int64
+            )
+            ids[split].flags.writeable = False
+        return ids
 
     @cached_property
     def _row_index(self) -> tuple[np.ndarray, np.ndarray]:

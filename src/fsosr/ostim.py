@@ -26,10 +26,9 @@ chain rule through the prototype normalization; the centering vector stays
 frozen throughout.
 
 One kernel serves all three variants: it refines E same-shape episodes as
-(E, n, D) arrays, with the inputs normalized once before the first step.
-Every product is a per-episode matrix product, so an episode's result does
-not depend on the other episodes of its batch. ``logits`` (so
-``predict``), ``loss_and_grad``, ``compute_loss`` and ``refine`` are its E=1 views.
+(E, n, D) arrays from their ``NormalizedChunk``, which ``predict_chunk``
+also predicts from. Every product is per episode, so an episode's result
+does not depend on its chunk; the one-episode functions call the same code.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ import numpy as np
 from .errors import DegenerateFeatureError, DivergenceError
 from .episodes import Episode
 from .predictions import PredictionSheet
-from .transforms import CenteringPolicy, center_normalize, check_centering
+from .transforms import (CenteringPolicy, NormalizedChunk, center_normalize, check_centering,
+                         class_means, normalize_chunk)
 
 _EPS = 1e-12
 _PLOGP_FLOOR = 1e-30
@@ -160,9 +160,24 @@ def _batch(states: Sequence[PrototypeSet]) -> _Batch:
     )
 
 
+def _unbatch(batch: _Batch) -> list[PrototypeSet]:
+    dummies = [None] * len(batch.w) if batch.dummy is None else batch.dummy
+    return [PrototypeSet(w, mu, batch.variant, d) for w, mu, d in zip(batch.w, batch.mu, dummies)]
+
+
+def _init_batch(mu: np.ndarray, episodes: Sequence[Episode], variant: Variant) -> _Batch:
+    """``init_prototypes`` of E episodes about their centering vectors ``mu``."""
+    labels = np.stack([episode.support_labels for episode in episodes])
+    w = class_means(np.stack([episode.support_vectors for episode in episodes]), labels)
+    dummy = None
+    if variant is Variant.EXPLICIT_DUMMY:
+        dummy = -center_normalize(w, mu[:, None]).mean(axis=1)
+    return _Batch(w, mu, dummy, variant)
+
+
 class _Inputs(NamedTuple):
-    """Frozen inputs of E same-shape episodes, center-normalized once at
-    each episode's centering vector. ``support`` and ``query`` are views of
+    """Frozen inputs of E same-shape episodes, center-normalized at each
+    episode's centering vector. ``support`` and ``query`` are views of
     ``rows``; ``label_index`` holds the flat index of each support row's
     label column in an (E, n_support, C) array."""
 
@@ -172,21 +187,15 @@ class _Inputs(NamedTuple):
     label_index: np.ndarray  # (E, n_support)
 
 
-def _inputs(states: Sequence[PrototypeSet], episodes: Sequence[Episode]) -> _Inputs:
-    rows = np.stack(
-        [
-            np.concatenate(
-                [
-                    center_normalize(episode.support_vectors, ps.mu),
-                    center_normalize(episode.query_vectors, ps.mu),
-                ]
-            )
-            for ps, episode in zip(states, episodes, strict=True)
-        ]
-    )
+def _inputs(
+    episodes: Sequence[Episode], batch: _Batch, view: NormalizedChunk | None = None
+) -> _Inputs:
+    """``view``, or the episodes normalized at the batch's centering vectors."""
+    view = normalize_chunk(episodes, batch.mu) if view is None else view
+    rows = np.concatenate([view.support, view.query], axis=1)
     labels = np.stack([episode.support_labels for episode in episodes])
     n_episodes, n_support = labels.shape
-    n_cols = states[0].n_way + (states[0].variant is not Variant.CLOSED)
+    n_cols = batch.w.shape[1] + (batch.variant is not Variant.CLOSED)
     label_index = (
         np.arange(n_episodes * n_support).reshape(n_episodes, n_support) * n_cols + labels
     )
@@ -198,7 +207,8 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A radius too large for float64 would turn every direction into zeros,
     so it raises DivergenceError."""
     shifted = w - mu[:, None, :]
-    radii = np.linalg.norm(shifted, axis=-1)
+    with np.errstate(over="ignore"):  # an overflow raises below, with the run's own message
+        radii = np.linalg.norm(shifted, axis=-1)
     if not np.isfinite(radii).all():
         raise DivergenceError("a prototype's distance from the centering point overflows")
     if radii.min() < _EPS:
@@ -319,18 +329,16 @@ def _check_finite(
 
 
 def _refine(
-    states: Sequence[PrototypeSet],
-    episodes: Sequence[Episode],
-    cfg: OstimConfig,
-    keep_trace: bool,
+    states: Sequence[PrototypeSet], episodes: Sequence[Episode], cfg: OstimConfig,
+    keep_trace: bool, view: NormalizedChunk | None = None,
 ) -> tuple[list[PrototypeSet], list[list[LossBreakdown]]]:
     """The refinement kernel: ``cfg.n_steps`` full-batch gradient-descent
-    steps on every episode at once."""
+    steps on every episode at once, from ``view`` when given."""
     traces: list[list[LossBreakdown]] = [[] for _ in states]
     if cfg.n_steps == 0 or not states:
         return list(states), traces
-    inputs = _inputs(states, episodes)
     batch = _batch(states)
+    inputs = _inputs(episodes, batch, view)
     for step in range(cfg.n_steps):
         fwd, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
         _check_finite(step, _label_probs(fwd, inputs), w_grad, dummy_grad)
@@ -341,14 +349,7 @@ def _refine(
         if dummy_grad is not None:
             dummy = dummy - cfg.learning_rate * dummy_grad
         batch = batch._replace(w=batch.w - cfg.learning_rate * w_grad, dummy=dummy)
-    refined = [
-        PrototypeSet(
-            w=batch.w[i], mu=ps.mu, variant=ps.variant,
-            dummy=None if batch.dummy is None else batch.dummy[i],
-        )
-        for i, ps in enumerate(states)
-    ]
-    return refined, traces
+    return _unbatch(batch), traces
 
 
 def refine_batch(
@@ -374,31 +375,28 @@ def init_prototypes(
     value, the negated average of the normalized prototypes, so its logits
     coincide with the implicit variant's before any refinement.
     """
-    variant = Variant(variant)
-    mu = policy.resolve(episode)
-    k_way = episode.n_way
-    w = np.stack(
-        [
-            episode.support_vectors[episode.support_labels == k].mean(axis=0)
-            for k in range(k_way)
-        ]
-    )
-    dummy = None
-    if variant is Variant.EXPLICIT_DUMMY:
-        v = center_normalize(w, mu)
-        dummy = -v.mean(axis=0)
-    return PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
+    return _unbatch(_init_batch(policy.resolve(episode)[None], [episode], Variant(variant)))[0]
+
+
+def predict_chunk(
+    view: NormalizedChunk, episodes: Sequence[Episode], variant: Variant | str, cfg: OstimConfig
+) -> list[PredictionSheet]:
+    """``predict`` of each episode's refined ``init_prototypes``, in one kernel
+    call from the chunk normalized once in ``view``; fails as ``refine_batch``."""
+    states = _unbatch(_init_batch(view.mu, episodes, Variant(variant)))
+    states, _ = _refine(states, episodes, cfg, keep_trace=False, view=view)
+    batch = _batch(states)
+    probs = softmax(_logits(view.query, _directions(batch.w, batch.mu)[0], batch, cfg.temperature))
+    return [PredictionSheet(p, batch.w.shape[1]) for p in probs]
 
 
 def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.ndarray:
     """Logit vector(s) for raw feature input ``z`` (single vector or batch)."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    u = center_normalize(z[None, :] if single else z, ps.mu)
+    u = center_normalize(np.atleast_2d(z), ps.mu)
     batch = _batch([ps])
-    v, _ = _directions(batch.w, batch.mu)
-    out = _logits(u[None], v, batch, temperature)[0]
-    return out[0] if single else out
+    out = _logits(u[None], _directions(batch.w, batch.mu)[0], batch, temperature)[0]
+    return out[0] if z.ndim == 1 else out
 
 
 def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBreakdown:
@@ -408,8 +406,9 @@ def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBr
     labels are one-hot over the closed classes (the outlier column, when
     present, carries zero target mass).
     """
-    inputs = _inputs([ps], [episode])
-    fwd = _forward(inputs, _batch([ps]), cfg.temperature)
+    batch = _batch([ps])
+    inputs = _inputs([episode], batch)
+    fwd = _forward(inputs, batch, cfg.temperature)
     return _loss_terms(fwd, inputs, cfg.alpha)[0]
 
 
@@ -417,8 +416,9 @@ def loss_and_grad(
     ps: PrototypeSet, episode: Episode, cfg: OstimConfig
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray | None]:
     """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector)."""
-    inputs = _inputs([ps], [episode])
-    fwd, w_grad, dummy_grad = _forward_and_grad(inputs, _batch([ps]), cfg)
+    batch = _batch([ps])
+    inputs = _inputs([episode], batch)
+    fwd, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
     breakdown = _loss_terms(fwd, inputs, cfg.alpha)[0]
     return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
 

@@ -8,13 +8,13 @@ settings, centering and ``variant`` included, and ``_KEYS`` declares their
 JSON keys once, for parsing and the report snapshot. ``METHODS`` maps each
 method name to the ``RunConfig`` field of its section and to its chunk
 evaluator, which receives that section. The loop walks the stream in
-chunks of ``CHUNK_SIZE`` consecutive episodes and scores the methods on the
-whole chunk in ``METHODS`` order: the transductive ones refine it in one
-batched kernel call, ``simpleshot`` and ``knn`` go episode by episode, and
-``strong_baseline`` reuses their reports, running either one itself when it
-is not configured. Results are reduced in index order and do not depend on
-the chunk. A failing chunk is replayed one episode at a time, methods in
-config order, to name the first failing (episode, method) in stream order.
+chunks of ``CHUNK_SIZE`` episodes, normalizes each chunk once per centering
+in use, and scores the methods on that ``NormalizedChunk`` in ``METHODS``
+order as (E, ...) arrays; ``strong_baseline`` reuses the ``simpleshot`` and
+``knn`` reports, running either itself when it is not configured. Results
+are reduced in index order and do not depend on the chunk. A failing chunk
+is replayed one episode at a time, methods in config order, to name the
+first failing (episode, method) in stream order.
 ``workers`` is accepted and validated but selects no code path.
 """
 
@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError, FsosrError, SamplingError
 from .feature_store import FeatureSet, atomic_write, base_mean, load_feature_store
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_episode, score_sheet
 from .synthgen import SynthSpec
-from .transforms import CenteringPolicy
+from .transforms import CenteringPolicy, NormalizedChunk, normalize_chunk
 
 # Consecutive episodes evaluated together; reports do not depend on it.
 CHUNK_SIZE = 16
@@ -79,42 +79,33 @@ class RunConfig:
 
 class Method(NamedTuple):
     section: str  # the RunConfig field holding its section ("ostim_cfg" or "baseline_cfg")
-    evaluate: Callable[[list[Episode], Section, CenteringPolicy, dict], list[EpisodeReport]]
+    evaluate: Callable[[list[Episode], Section, NormalizedChunk, dict], list[EpisodeReport]]
+
+
+def _scored(sheets, episodes: list[Episode]) -> list[EpisodeReport]:
+    return [score_sheet(sheet, ep.query_truth) for sheet, ep in zip(sheets, episodes)]
 
 
 def _refined(variant: ostim.Variant | None):
-    """Refine the chunk in one kernel call with ``variant``, or with the
-    section's configured variant when it is None."""
-
-    def evaluate(episodes, ocfg, policy, done):
-        chosen = ocfg.variant if variant is None else variant
-        states = [ostim.init_prototypes(ep, policy, chosen) for ep in episodes]
-        states = ostim.refine_batch(states, episodes, ocfg)
-        return [
-            score_sheet(ostim.predict(state, ep, ocfg), ep.query_truth)
-            for state, ep in zip(states, episodes)
-        ]
-
-    return evaluate
+    """Refine the chunk with ``variant``, or with the section's own when it is None."""
+    return lambda episodes, ocfg, view, done: _scored(
+        ostim.predict_chunk(view, episodes, variant or ocfg.variant, ocfg), episodes
+    )
 
 
-def _each_episode(score):
-    """Score the chunk episode by episode with ``score(episode, bcfg, policy)``."""
-    return lambda episodes, bcfg, policy, _: [score(ep, bcfg, policy) for ep in episodes]
+def _simpleshot(episodes, bcfg, view, done):
+    return _scored(baselines.simpleshot_chunk(view, episodes, bcfg.temperature), episodes)
 
 
-def _simpleshot(ep, bcfg, policy):
-    return score_sheet(baselines.simpleshot_classify(ep, policy, bcfg.temperature), ep.query_truth)
+def _knn(episodes, bcfg, view, done):
+    scores = baselines.knn_chunk(view, bcfg.knn_k)
+    return [score_episode(ep.query_truth, s) for ep, s in zip(episodes, scores)]
 
 
-def _knn(ep, bcfg, policy):
-    return score_episode(ep.query_truth, baselines.knn_outlier_score(ep, policy, bcfg.knn_k))
-
-
-def _strong_baseline(episodes, bcfg, policy, done):
+def _strong_baseline(episodes, bcfg, view, done):
     """``knn``'s reports with ``simpleshot``'s accuracy, at the same centering."""
     simpleshot, knn = (
-        done[m] if m in done else METHODS[m].evaluate(episodes, bcfg, policy, done)
+        done[m] if m in done else METHODS[m].evaluate(episodes, bcfg, view, done)
         for m in ("simpleshot", "knn")
     )
     return [replace(k, acc=s.acc) for s, k in zip(simpleshot, knn)]
@@ -124,8 +115,8 @@ METHODS: dict[str, Method] = {
     "ostim": Method("ostim_cfg", _refined(None)),
     "tim_closed": Method("ostim_cfg", _refined(ostim.Variant.CLOSED)),
     "explicit_dummy": Method("ostim_cfg", _refined(ostim.Variant.EXPLICIT_DUMMY)),
-    "simpleshot": Method("baseline_cfg", _each_episode(_simpleshot)),
-    "knn": Method("baseline_cfg", _each_episode(_knn)),
+    "simpleshot": Method("baseline_cfg", _simpleshot),
+    "knn": Method("baseline_cfg", _knn),
     "strong_baseline": Method("baseline_cfg", _strong_baseline),
 }
 
@@ -282,12 +273,9 @@ def _config_snapshot(cfg: RunConfig) -> dict:
     }
 
 
-def _policy(kind: str, base_mu: np.ndarray | None) -> CenteringPolicy:
-    if kind == "base":
-        if base_mu is None:
-            raise DataError("base centering requested but the store has no base split")
-        return CenteringPolicy("base", base_mu)
-    return CenteringPolicy(kind)
+def _normalized(episodes: list[Episode], kind: str, base_mu: np.ndarray | None) -> NormalizedChunk:
+    policy = CenteringPolicy(kind, base_mu if kind == "base" else None)
+    return normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
 
 
 def episode_checksum(episode: Episode) -> int:
@@ -303,16 +291,18 @@ def episode_checksum(episode: Episode) -> int:
 
 def evaluate_method(
     method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None,
-    done: dict[str, list[EpisodeReport]] | None = None,
+    done: dict[str, list[EpisodeReport]], views: dict[str, NormalizedChunk],
 ) -> list[EpisodeReport]:
     """Score one method on a chunk of same-shape episodes, in order.
 
-    ``done`` holds the chunk's reports so far. A failure raises the plain
-    error of some failing episode; ``_evaluate_chunk`` finds out which one.
+    ``done`` holds the chunk's reports so far and ``views`` the chunk at each
+    centering so far, to which a missing one is added. A failure raises the
+    plain error of some failing episode; ``_evaluate_chunk`` finds out which.
     """
     section = getattr(cfg, METHODS[method].section)
-    policy = _policy(section.centering, base_mu)
-    return METHODS[method].evaluate(episodes, section, policy, done or {})
+    if section.centering not in views:
+        views[section.centering] = _normalized(episodes, section.centering, base_mu)
+    return METHODS[method].evaluate(episodes, section, views[section.centering], done)
 
 
 def _evaluate_chunk(
@@ -322,20 +312,22 @@ def _evaluate_chunk(
     stream order raised as ``episode i, method m: ...``.
 
     A failure is located by replaying the chunk one episode at a time,
-    methods in config order. Batched results equal one-episode results, so
-    the replay fails where the chunk did; if it does not, the chunk's own
-    error is raised.
+    methods in config order, each normalizing the episode itself, so a
+    vector at a centering point names the first method centered there.
+    Batched results equal one-episode results, so the replay fails where
+    the chunk did; if it does not, the chunk's own error is raised.
     """
     done: dict[str, list[EpisodeReport]] = {}
+    views: dict[str, NormalizedChunk] = {}
     try:
         for method in (m for m in METHODS if m in cfg.methods):
-            done[method] = evaluate_method(method, episodes, cfg, base_mu, done)
+            done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views)
         return done
     except (FsosrError, ValueError):
         for offset, episode in enumerate(episodes):
             for method in cfg.methods:
                 try:
-                    evaluate_method(method, [episode], cfg, base_mu)
+                    evaluate_method(method, [episode], cfg, base_mu, {}, {})
                 except (FsosrError, ValueError) as exc:
                     message = f"episode {start + offset}, method {method}: {exc}"
                     if isinstance(exc, FsosrError):

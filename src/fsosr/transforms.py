@@ -1,8 +1,11 @@
-"""Center-normalize transform and the three centering policies."""
+"""Center-normalize transform, the three centering policies, and the
+normalized view of a chunk of episodes that every method reads."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,3 +79,37 @@ class CenteringPolicy:
         if self.kind == "base":
             return np.asarray(self.mu, dtype=np.float64)
         return np.zeros(episode.dim, dtype=np.float64)
+
+
+class NormalizedChunk(NamedTuple):
+    """E same-shape episodes center-normalized at their centering vectors
+    ``mu`` (E, D): ``support`` (E, n_support, D) and ``query`` (E, n_query, D)."""
+
+    mu: np.ndarray
+    support: np.ndarray
+    query: np.ndarray
+
+
+def normalize_chunk(episodes: Sequence[Episode], mu: Sequence[np.ndarray]) -> NormalizedChunk:
+    """Normalize each episode at its own centering vector. A vector at its
+    centering point raises DegenerateFeatureError, supports checked first."""
+    mu = np.stack(mu)
+    return NormalizedChunk(
+        mu,
+        center_normalize(np.stack([ep.support_vectors for ep in episodes]), mu[:, None]),
+        center_normalize(np.stack([ep.query_vectors for ep in episodes]), mu[:, None]),
+    )
+
+
+def class_means(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-class means (E, K, D) of ``rows`` (E, n, D) under ``labels`` (E, n)
+    in 0..K-1, in any order. Each class has the same number of rows in every
+    episode; each mean sums its rows in order, as ``rows[mask].mean(axis=0)``."""
+    n_episodes, dim = rows.shape[0], rows.shape[-1]
+    means = []
+    for k in range(int(labels.max()) + 1):
+        mask = labels == k
+        if np.ptp(mask.sum(axis=-1)):
+            raise ValueError(f"class {k} has a different number of rows in some episode")
+        means.append(rows[mask].reshape(n_episodes, -1, dim).mean(axis=1))
+    return np.stack(means, axis=1)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsosr
 from fsosr.cli import main
 from fsosr.feature_store import load_feature_store, sidecar_path
 
@@ -296,18 +301,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "baseline.knn_k" in err and "support size 5" in err and "got 10" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_step_size_that_overflows_a_prototype_is_4(self, synth_store, tmp_path, capsys):
+    @staticmethod
+    def overflow_config(synth_store, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"store": str(synth_store), "n_episodes": 3,
                                       "episodes": {"n_way": 3, "n_query_per_class": 5,
                                                    "n_open_classes": 2},
                                       "methods": ["ostim", "tim_closed"],
                                       "ostim": {"lr": 1e160, "n_steps": 5}}))
+        return config
+
+    def test_step_size_that_overflows_a_prototype_is_4(self, synth_store, tmp_path, capsys):
+        config = self.overflow_config(synth_store, tmp_path)
         assert main(["run", "--config", str(config)]) == 4
         captured = capsys.readouterr()
         assert captured.err.startswith("error: episode 0, method ostim: ")
         assert "overflows" in captured.err and captured.out == ""
+
+    def test_overflow_error_is_the_first_line_of_stderr(self, synth_store, tmp_path):
+        # In a fresh interpreter, where a numpy RuntimeWarning would print
+        # to stderr ahead of the run's own message.
+        config = self.overflow_config(synth_store, tmp_path)
+        src = str(Path(fsosr.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fsosr.cli", "run", "--config", str(config)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert done.returncode == 4
+        assert done.stderr.startswith("error: episode 0, method ostim: "), done.stderr
+        assert done.stderr.count("\n") == 1
 
     def test_missing_store_is_3_starting_with_its_path(self, tmp_path, capsys):
         store = tmp_path / "missing.fsos"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,28 @@ class TestDeterminism:
         for (seed, index), crc in pinned.items():
             episode = sample_episode(store, EpisodeSpec(seed=seed), index)
             assert episode_checksum(episode) == crc, (seed, index)
+
+    def test_split_class_ids_are_sorted_once_and_the_stream_is_unchanged(self):
+        # Three splits of unequal classes, some too small for the episode.
+        # The stream CRCs were pinned while every call still re-sorted the
+        # split's classes and filtered them one by one.
+        rng = np.random.default_rng(20261018)
+        sizes = rng.integers(12, 30, size=40)
+        labels = rng.permutation(np.repeat(np.arange(40), sizes))
+        vectors = rng.normal(size=(labels.size, 3)).astype(np.float32)
+        splits = {c: ("test", "val", "base")[int(rng.integers(3))] for c in range(40)}
+        store = FeatureSet(vectors, labels, tuple(f"c{i}" for i in range(40)), splits)
+        spec = EpisodeSpec(n_way=4, n_shot=3, n_query_per_class=15, n_open_classes=3, seed=5)
+        for split, pinned in (("test", 0x50DA6B37), ("val", 0xFFED9175)):
+            ids = store.split_class_ids(split)
+            assert ids is store.split_class_ids(split) and not ids.flags.writeable
+            assert ids.tolist() == store.classes_in_split(split)
+            assert ids.tolist() == sorted(c for c, s in splits.items() if s == split)
+            crc = 0
+            for index in range(20):
+                checksum = episode_checksum(sample_episode(store, spec, index, split=split))
+                crc = zlib.crc32(checksum.to_bytes(4, "little"), crc)
+            assert crc == pinned, split
 
 
 class TestErrors:

@@ -220,10 +220,11 @@ class TestLogits:
             expected = 3.0 * float(center_normalize(z, ps.mu) @ implicit_prototype)
             assert abs(out[-1] - expected) <= 1e-6
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_prototype_radius_that_overflows_is_a_divergence(self):
         # Each entry is finite, but the squared radius is not: the directions
         # would all be zero and every logit 0, which looks finite downstream.
+        # numpy's own overflow warning is silenced, so the error comes first.
         ps = PrototypeSet(w=np.array([[1e200, 0.0], [0.0, 1e200]]), mu=np.zeros(2),
                           variant=Variant.IMPLICIT)
         with pytest.raises(DivergenceError, match="overflows"):

@@ -16,7 +16,9 @@ from fsosr import (
     DataError,
     DegenerateFeatureError,
     DivergenceError,
+    Episode,
     EpisodeSpec,
+    FeatureSet,
     OstimConfig,
     RunConfig,
     SynthSpec,
@@ -31,9 +33,15 @@ from fsosr import (
 from fsosr.baselines import BaselineConfig, knn_outlier_score, simpleshot_classify
 from fsosr.episodes import sample_episode
 from fsosr.feature_store import base_mean
-from fsosr.metrics import aggregate, score_episode
+from fsosr.metrics import aggregate, score_episode, score_sheet
 from fsosr.runner import episode_checksum, load_config
-from fsosr.transforms import CenteringPolicy, task_mean
+from fsosr.transforms import (
+    CENTERING_KINDS,
+    CenteringPolicy,
+    center_normalize,
+    normalize_chunk,
+    task_mean,
+)
 
 CHUNK_SIZES = (1, 3, runner_mod.CHUNK_SIZE)
 
@@ -316,14 +324,14 @@ class TestRun:
 
     def test_failure_only_in_a_batch_is_raised_as_it_is(self, store_path, monkeypatch):
         # The one-episode replay finds nothing, so the chunk's own error stands.
-        real = ostim_mod.refine_batch
+        real = ostim_mod.predict_chunk
 
-        def batch_only(states, episodes, cfg):
-            if len(states) > 1:
+        def batch_only(view, episodes, variant, cfg):
+            if len(episodes) > 1:
                 raise ValueError("batch-only failure")
-            return real(states, episodes, cfg)
+            return real(view, episodes, variant, cfg)
 
-        monkeypatch.setattr(ostim_mod, "refine_batch", batch_only)
+        monkeypatch.setattr(ostim_mod, "predict_chunk", batch_only)
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
         with pytest.raises(ValueError, match="^batch-only failure$"):
             run(tiny_config(store_path, methods=("ostim",), n_episodes=3))
@@ -359,25 +367,140 @@ class TestStrongBaseline:
         assert run(cfg, fs=fs)["strong_baseline"] == aggregate(expected, "strong_baseline", snapshot)
 
     def test_reuses_the_simpleshot_and_knn_results(self, store_path, monkeypatch):
-        calls = {"simpleshot_classify": [], "knn_outlier_score": []}
-        for name, log in calls.items():
-            real = getattr(baselines_mod, name)
-
-            def counted(episode, *args, real=real, log=log):
-                log.append(episode_checksum(episode))
-                return real(episode, *args)
-
-            monkeypatch.setattr(baselines_mod, name, counted)
         cfg = tiny_config(store_path, methods=("strong_baseline", "knn", "simpleshot"),
                           n_episodes=7)
         fs = load_feature_store(store_path)
-        stream = [episode_checksum(sample_episode(fs, cfg.episode, i)) for i in range(7)]
+        episodes = [sample_episode(fs, cfg.episode, i) for i in range(7)]
+        stream = [episode_checksum(episode) for episode in episodes]
+        # knn_chunk sees only the view: its episodes are told apart by their
+        # queries normalized at the base mean.
+        checksum_of = {
+            center_normalize(episode.query_vectors, base_mean(fs)).tobytes(): checksum
+            for episode, checksum in zip(episodes, stream)
+        }
+        calls = {"simpleshot_chunk": [], "knn_chunk": []}
+        real_simpleshot, real_knn = baselines_mod.simpleshot_chunk, baselines_mod.knn_chunk
+
+        def simpleshot_chunk(view, episodes, *args):
+            calls["simpleshot_chunk"] += [episode_checksum(episode) for episode in episodes]
+            return real_simpleshot(view, episodes, *args)
+
+        def knn_chunk(view, *args):
+            calls["knn_chunk"] += [checksum_of[queries.tobytes()] for queries in view.query]
+            return real_knn(view, *args)
+
+        monkeypatch.setattr(baselines_mod, "simpleshot_chunk", simpleshot_chunk)
+        monkeypatch.setattr(baselines_mod, "knn_chunk", knn_chunk)
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
             for log in calls.values():
                 log.clear()
             run(cfg, fs=fs)
-            assert calls == {"simpleshot_classify": stream, "knn_outlier_score": stream}
+            assert calls == {"simpleshot_chunk": stream, "knn_chunk": stream}
+
+
+def shuffled_support(episode: Episode, rng: np.random.Generator) -> Episode:
+    """``episode`` with its support rows, and their labels, in a random order."""
+    order = rng.permutation(len(episode.support_labels))
+    return replace(episode, support_vectors=episode.support_vectors[order],
+                   support_labels=episode.support_labels[order])
+
+
+class TestChunkPath:
+    """Each method's chunk-level function, fed the chunk normalized once,
+    equals the one-episode public functions composed episode by episode."""
+
+    @pytest.mark.parametrize("centering", CENTERING_KINDS)
+    @pytest.mark.parametrize("chunk", (1, 3, 16))
+    def test_equals_one_episode_at_a_time(self, store_path, centering, chunk):
+        fs = load_feature_store(store_path)
+        spec = EpisodeSpec(n_way=3, n_shot=3, n_query_per_class=3, n_open_classes=2, seed=11)
+        episodes = [sample_episode(fs, spec, i) for i in range(chunk)]
+        middle = len(episodes) // 2
+        episodes[middle] = shuffled_support(episodes[middle], np.random.default_rng(chunk))
+        assert chunk < 3 or not np.all(np.diff(episodes[middle].support_labels) >= 0)
+        policy = CenteringPolicy(centering, base_mean(fs) if centering == "base" else None)
+        view = normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
+        ocfg = OstimConfig(n_steps=6, learning_rate=0.05)
+        for variant in Variant:
+            sheets = ostim_mod.predict_chunk(view, episodes, variant, ocfg)
+            for episode, sheet in zip(episodes, sheets, strict=True):
+                state, _ = ostim_mod.refine(
+                    ostim_mod.init_prototypes(episode, policy, variant), episode, ocfg
+                )
+                assert np.array_equal(sheet.probs, ostim_mod.predict(state, episode, ocfg).probs)
+        sheets = baselines_mod.simpleshot_chunk(view, episodes, 7.5)
+        scores = baselines_mod.knn_chunk(view, 2)
+        for episode, sheet, score in zip(episodes, sheets, scores, strict=True):
+            assert np.array_equal(sheet.probs, simpleshot_classify(episode, policy, 7.5).probs)
+            assert np.array_equal(score, knn_outlier_score(episode, policy, 2))
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_every_method_of_a_chunk_equals_its_episodes_scored_alone(
+        self, store_path, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+        cfg = tiny_config(store_path, methods=tuple(runner_mod.METHODS), n_episodes=5,
+                          episode=EpisodeSpec(n_way=3, n_shot=2, n_query_per_class=3,
+                                              n_open_classes=2, seed=4),
+                          baseline_cfg=BaselineConfig(knn_k=2, centering="none"))
+        fs = load_feature_store(store_path)
+        task, plain = CenteringPolicy("task"), CenteringPolicy("none")
+        ocfg, bcfg = cfg.ostim_cfg, cfg.baseline_cfg
+        alone: dict[str, list] = {m: [] for m in cfg.methods}
+        for i in range(cfg.n_episodes):
+            episode = sample_episode(fs, cfg.episode, i)
+            for method, variant in (("ostim", ocfg.variant), ("tim_closed", Variant.CLOSED),
+                                    ("explicit_dummy", Variant.EXPLICIT_DUMMY)):
+                state, _ = ostim_mod.refine(
+                    ostim_mod.init_prototypes(episode, task, variant), episode, ocfg
+                )
+                sheet = ostim_mod.predict(state, episode, ocfg)
+                alone[method].append(score_sheet(sheet, episode.query_truth))
+            sheet = simpleshot_classify(episode, plain, bcfg.temperature)
+            scores = knn_outlier_score(episode, plain, bcfg.knn_k)
+            alone["simpleshot"].append(score_sheet(sheet, episode.query_truth))
+            alone["knn"].append(score_episode(episode.query_truth, scores))
+            alone["strong_baseline"].append(
+                score_episode(episode.query_truth, scores, sheet.closed_pred)
+            )
+        snapshot = runner_mod._config_snapshot(cfg)
+        reports = run(cfg, fs=fs)
+        for method in cfg.methods:
+            assert reports[method] == aggregate(alone[method], method, snapshot), method
+
+    def test_a_query_at_the_base_mean_names_the_first_method_centered_there(
+        self, monkeypatch
+    ):
+        # Quarter-integer vectors and 32 base vectors: the base mean is
+        # exact in float32, so a stored vector can sit on it.
+        rng = np.random.default_rng(3)
+        labels = np.repeat(np.arange(10), 16)
+        offsets = np.repeat(rng.normal(size=(10, 4)) * 8, 16, axis=0)
+        vectors = np.round(offsets + rng.normal(size=(160, 4)) * 4) / 4
+        splits = {c: "base" if c < 2 else "test" for c in range(10)}
+        names = tuple(f"c{i}" for i in range(10))
+        mu = base_mean(FeatureSet(vectors.astype(np.float32), labels, names, splits))
+        spec = EpisodeSpec(n_way=3, n_shot=2, n_query_per_class=3, n_open_classes=2, seed=8)
+        fs = FeatureSet(vectors.astype(np.float32), labels, names, splits)
+        query = sample_episode(fs, spec, 4).query_vectors[5].astype(np.float32)
+        (row,) = np.flatnonzero((fs.vectors == query).all(axis=1))
+        vectors[row] = mu
+        fs = FeatureSet(vectors.astype(np.float32), labels, names, splits)
+        assert np.array_equal(base_mean(fs), mu)
+        for i in range(6):
+            episode = sample_episode(fs, spec, i)
+            hits = [(rows == mu).all(axis=1).sum()
+                    for rows in (episode.support_vectors, episode.query_vectors)]
+            assert hits == ([0, 1] if i == 4 else [0, 0])
+        cfg = RunConfig(store="unused.fsos", episode=spec, methods=("ostim", "simpleshot"),
+                        n_episodes=6, ostim_cfg=OstimConfig(n_steps=4))
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+            with pytest.raises(DegenerateFeatureError, match=(
+                r"^episode 4, method simpleshot: vector 5 coincides with the centering point$"
+            )):
+                run(cfg, fs=fs)
 
 
 def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
@@ -408,16 +531,20 @@ def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
 
 
 def knn_fails_at(monkeypatch, cfg: RunConfig, index: int) -> None:
+    """Make ``knn`` fail on any chunk holding stream episode ``index``, told
+    apart by its queries normalized at the base mean (the default
+    ``baseline`` centering)."""
+    assert cfg.baseline_cfg.centering == "base"
     fs = load_feature_store(cfg.store)
-    target = episode_checksum(sample_episode(fs, cfg.episode, index))
-    real = baselines_mod.knn_outlier_score
+    target = center_normalize(sample_episode(fs, cfg.episode, index).query_vectors, base_mean(fs))
+    real = baselines_mod.knn_chunk
 
-    def poisoned(episode, policy, k=1):
-        if episode_checksum(episode) == target:
+    def poisoned(view, k=1):
+        if any(np.array_equal(queries, target) for queries in view.query):
             raise ValueError("poisoned knn")
-        return real(episode, policy, k)
+        return real(view, k)
 
-    monkeypatch.setattr(baselines_mod, "knn_outlier_score", poisoned)
+    monkeypatch.setattr(baselines_mod, "knn_chunk", poisoned)
 
 
 class TestChunkFailures:
@@ -446,17 +573,19 @@ class TestChunkFailures:
         cfg = tiny_config(store_path, methods=("ostim", "tim_closed"), n_episodes=6)
         fs = load_feature_store(store_path)
         target = task_mean(sample_episode(fs, cfg.episode, 2)).tobytes()
-        real = ostim_mod.init_prototypes
+        real = ostim_mod._init_batch
 
-        def poisoned(episode, policy, variant):
-            state = real(episode, policy, variant)
-            if variant is ostim_mod.Variant.CLOSED and state.mu.tobytes() == target:
-                w = state.w.copy()
-                w[1] = state.mu
-                state = replace(state, w=w)
-            return state
+        def poisoned(mu, episodes, variant):
+            batch = real(mu, episodes, variant)
+            if variant is ostim_mod.Variant.CLOSED:
+                w = batch.w.copy()
+                for e, episode_mu in enumerate(batch.mu):
+                    if episode_mu.tobytes() == target:
+                        w[e, 1] = episode_mu
+                batch = batch._replace(w=w)
+            return batch
 
-        monkeypatch.setattr(ostim_mod, "init_prototypes", poisoned)
+        monkeypatch.setattr(ostim_mod, "_init_batch", poisoned)
         self.expect(monkeypatch, cfg, DegenerateFeatureError,
                     r"^episode 2, method tim_closed: prototype 1 coincides")
 
