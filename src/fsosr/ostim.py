@@ -29,6 +29,25 @@ One kernel serves all three variants: it refines E same-shape episodes as
 (E, n, D) arrays from their ``NormalizedChunk``, which ``predict_chunk``
 also predicts from. Every product is per episode, so an episode's result
 does not depend on its chunk; the one-episode functions call the same code.
+
+The kernel keeps a step's logits, probabilities and logit gradients
+class-major: contiguous (C, E, N) arrays with the C = K or K + 1 logit
+columns outermost and the N = support + query rows of each episode
+innermost. A sum or maximum over the classes is then a few elementwise
+passes over (E, N) blocks instead of one short reduction per row, which is
+what bounded a step on small episodes. The results are those of the
+row-major (E, N, C) computation bit for bit, because every floating-point
+operation keeps its order:
+
+* each matmul reads and writes the row-major (E, n, .) layout, through
+  transposed copies in and out, and the support and query rows keep a
+  logit matmul each, since a matmul's bits depend on its row count;
+* the mean over query rows adds them in sequence, from a query-major copy;
+* ``_class_sum`` adds the classes in numpy's pairwise order for a
+  contiguous last axis.
+
+Elementwise operations have no order to keep. The public ``softmax`` runs
+the same class-major code on a copy of its input.
 """
 
 from __future__ import annotations
@@ -131,11 +150,45 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return np.where(p > _PLOGP_FLOOR, p * np.log(np.maximum(p, _PLOGP_FLOOR)), 0.0)
 
 
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy uses for a contiguous last axis:
+    in sequence below 8 terms, with 8 interleaved accumulators combined
+    pairwise up to 128 terms, and split in halves (on a multiple of 8) above
+    that. So ``_class_sum`` of a class-major copy equals ``x.sum(axis=-1)``
+    of the row-major array bit for bit."""
+    n = x.shape[0]
+    if n < 8:
+        return np.add.reduce(x, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(x[:half]) + _class_sum(x[half:])
+    tail = n - n % 8
+    acc = np.add.reduce(x[:tail].reshape(tail // 8, 8, *x.shape[1:]), axis=0)
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in x[tail:]:
+        total += row
+    return total
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 of class-major ``logits``, computed in place."""
+    np.subtract(logits, np.maximum.reduce(logits, axis=0), out=logits)
+    np.exp(logits, out=logits)
+    return np.divide(logits, _class_sum(logits), out=logits)
+
+
+def _rows(class_major: np.ndarray) -> np.ndarray:
+    """The row-major (..., C) copy of a class-major (C, ...) array."""
+    return np.ascontiguousarray(np.moveaxis(class_major, 0, -1))
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, ``exp(x - max) / sum``, computed on a
+    class-major copy."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return _rows(_softmax(np.array(np.moveaxis(logits, -1, 0), order="C")))
 
 
 class _Batch(NamedTuple):
@@ -179,12 +232,14 @@ class _Inputs(NamedTuple):
     """Frozen inputs of E same-shape episodes, center-normalized at each
     episode's centering vector. ``support`` and ``query`` are views of
     ``rows``; ``label_index`` holds the flat index of each support row's
-    label column in an (E, n_support, C) array."""
+    label in a class-major (C, E, n_support + n_query) array. ``work`` holds
+    the arrays of a step (see ``_work``)."""
 
     rows: np.ndarray  # (E, n_support + n_query, D)
     support: np.ndarray
     query: np.ndarray
     label_index: np.ndarray  # (E, n_support)
+    work: dict[str, np.ndarray]
 
 
 def _inputs(
@@ -194,12 +249,23 @@ def _inputs(
     view = normalize_chunk(episodes, batch.mu) if view is None else view
     rows = np.concatenate([view.support, view.query], axis=1)
     labels = np.stack([episode.support_labels for episode in episodes])
-    n_episodes, n_support = labels.shape
-    n_cols = batch.w.shape[1] + (batch.variant is not Variant.CLOSED)
+    n_episodes, n_rows = rows.shape[:2]
+    n_support = labels.shape[1]
     label_index = (
-        np.arange(n_episodes * n_support).reshape(n_episodes, n_support) * n_cols + labels
+        labels * (n_episodes * n_rows)
+        + np.arange(n_episodes)[:, None] * n_rows
+        + np.arange(n_support)
     )
-    return _Inputs(rows, rows[:, :n_support], rows[:, n_support:], label_index)
+    return _Inputs(rows, rows[:, :n_support], rows[:, n_support:], label_index, {})
+
+
+def _work(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The array ``name`` of ``work``, made by a kernel call's first step and
+    overwritten by each later one, so that a step allocates no array of the
+    (C, E, N) size."""
+    if name not in work or work[name].shape != shape:
+        work[name] = np.empty(shape)
+    return work[name]
 
 
 def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,46 +283,53 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shifted / radii[..., None], radii
 
 
-def _logits(u: np.ndarray, v: np.ndarray, batch: _Batch, temperature: float) -> np.ndarray:
-    """Logits (E, n, C) of normalized inputs ``u`` against directions ``v``."""
-    inlier = temperature * (u @ v.swapaxes(-1, -2))
-    if batch.variant is Variant.CLOSED:
-        return inlier
+def _logits(
+    parts: Sequence[np.ndarray], v: np.ndarray, batch: _Batch, temperature: float,
+    work: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Class-major logits (C, E, n) of normalized row blocks ``parts``, each
+    (E, n_i, D), against directions ``v``, the blocks in order along n. Each
+    block keeps its own matmuls, whose bits depend on their row count, and
+    their row-major results are copied in transposed. Both live in ``work``."""
+    n_episodes, k_way = v.shape[:2]
+    n_rows = sum(part.shape[1] for part in parts)
+    n_cols = k_way + (batch.variant is not Variant.CLOSED)
+    inlier = _work(work, "by_row", (n_episodes, n_rows, k_way))
+    out = _work(work, "logits", (n_cols, n_episodes, n_rows))
+    v_t = v.swapaxes(-1, -2)
+    lo = 0
+    for part in parts:
+        hi = lo + part.shape[1]
+        np.matmul(part, v_t, out=inlier[:, lo:hi])
+        if batch.variant is Variant.EXPLICIT_DUMMY:
+            extra = (part @ batch.dummy[..., None])[..., 0]
+            np.multiply(temperature, extra, out=out[k_way, :, lo:hi])
+        lo = hi
+    np.multiply(temperature, inlier.transpose(2, 0, 1), out=out[:k_way])
     if batch.variant is Variant.IMPLICIT:
-        extra = -inlier.mean(axis=-1)
-    else:
-        extra = temperature * (u @ batch.dummy[..., None])[..., 0]
-    return np.concatenate([inlier, extra[..., None]], axis=-1)
+        mean = _class_sum(out[:k_way])
+        np.negative(np.divide(mean, k_way, out=mean), out=out[k_way])
+    return out
 
 
-class _Forward(NamedTuple):
-    v: np.ndarray
-    radii: np.ndarray
-    p_support: np.ndarray  # (E, n_support, C)
-    p_query: np.ndarray  # (E, n_query, C)
-
-
-def _forward(inputs: _Inputs, batch: _Batch, temperature: float) -> _Forward:
+def _forward(
+    inputs: _Inputs, batch: _Batch, temperature: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class-major probabilities (C, E, N) of every row, with the prototype
+    directions and radii they come from. The probabilities are a ``work``
+    array, which the next step overwrites."""
     v, radii = _directions(batch.w, batch.mu)
-    return _Forward(
-        v,
-        radii,
-        softmax(_logits(inputs.support, v, batch, temperature)),
-        softmax(_logits(inputs.query, v, batch, temperature)),
-    )
+    parts = (inputs.support, inputs.query)
+    return _softmax(_logits(parts, v, batch, temperature, inputs.work)), v, radii
 
 
-def _label_probs(fwd: _Forward, inputs: _Inputs) -> np.ndarray:
-    """(E, n_support): the probability each support row gives its label."""
-    return np.take(fwd.p_support, inputs.label_index)
-
-
-def _loss_terms(fwd: _Forward, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
-    """One breakdown per episode."""
-    n_episodes, n_query = fwd.p_query.shape[:2]
-    ce = -np.log(_label_probs(fwd, inputs)).mean(axis=-1)
-    marginal = -_xlogx(fwd.p_query.mean(axis=1)).sum(axis=-1)
-    conditional = -_xlogx(fwd.p_query).reshape(n_episodes, -1).sum(axis=-1) / n_query
+def _loss_terms(probs: np.ndarray, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
+    """One breakdown per episode, from a row-major copy of the query rows."""
+    p_query = _rows(probs[..., inputs.support.shape[1]:])
+    n_episodes, n_query = p_query.shape[:2]
+    ce = -np.log(probs.take(inputs.label_index)).mean(axis=-1)
+    marginal = -_xlogx(p_query.mean(axis=1)).sum(axis=-1)
+    conditional = -_xlogx(p_query).reshape(n_episodes, -1).sum(axis=-1) / n_query
     total = ce - marginal + alpha * conditional
     return [
         LossBreakdown(float(c), float(m), float(h), float(t))
@@ -265,53 +338,71 @@ def _loss_terms(fwd: _Forward, inputs: _Inputs, alpha: float) -> list[LossBreakd
 
 
 def _gradient(
-    inputs: _Inputs, fwd: _Forward, batch: _Batch, cfg: OstimConfig
+    inputs: _Inputs, probs: np.ndarray, v: np.ndarray, radii: np.ndarray, batch: _Batch,
+    cfg: OstimConfig,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Gradients w.r.t. the prototypes (E, K, D) and the dummy vector (E, D).
 
     The gradient flows through the softmax, both entropy terms, and the
     prototype normalization; inputs and the centering vector are constants.
+    The logit gradient ``g`` is class-major (C, E, N), as ``probs`` is.
     """
     tau = cfg.temperature
-    k_way = fwd.v.shape[1]
-    p_q = fwd.p_query
-    n_s, n_q = fwd.p_support.shape[1], p_q.shape[1]
+    k_way = v.shape[1]
+    n_cols, n_episodes = probs.shape[:2]
+    n_s, n_q = inputs.support.shape[1], inputs.query.shape[1]
+    work = inputs.work
 
     # d(loss)/d(logit), support rows: softmax cross-entropy.
-    g_s = fwd.p_support.copy()
-    g_s.reshape(-1)[inputs.label_index] -= 1.0
-    g_s /= n_s
+    g = _work(work, "g", probs.shape)
+    np.copyto(g[..., :n_s], probs[..., :n_s])
+    g.reshape(-1)[inputs.label_index] -= 1.0
+    g[..., :n_s] /= n_s
 
-    # Query rows: marginal-entropy and conditional-entropy terms.
-    log_p_hat = np.log(p_q.mean(axis=1))
-    g_m = p_q * (log_p_hat[:, None, :] - p_q @ log_p_hat[..., None]) / n_q
-    log_p_q = np.log(p_q)
-    row_dot = (p_q * log_p_q).sum(axis=-1, keepdims=True)
-    g_c = -(cfg.alpha / n_q) * p_q * (log_p_q - row_dot)
-    g_all = np.concatenate([g_s, g_m + g_c], axis=1)
+    # Query rows: marginal-entropy and conditional-entropy terms. The mean
+    # over queries adds them in order, and the dot of each row with log p_hat
+    # is a matmul of (E, n_q, C) rows; both read a query-major copy.
+    query_shape = (n_cols, n_episodes, n_q)
+    p_q = _work(work, "p_q", query_shape)
+    np.copyto(p_q, probs[..., n_s:])
+    by_query = _work(work, "by_query", query_shape[::-1])  # (n_q, E, C)
+    np.copyto(by_query, p_q.T)
+    log_p_hat = np.log(np.add.reduce(by_query, axis=0) / n_q)  # (E, C)
+    row_dot = (by_query.swapaxes(0, 1) @ log_p_hat[..., None])[..., 0]  # (E, n_q)
+    g_m = np.subtract(log_p_hat.T[..., None], row_dot, out=_work(work, "g_m", query_shape))
+    g_m *= p_q
+    g_m /= n_q
+    log_p_q = np.log(p_q, out=_work(work, "log_p_q", query_shape))
+    g_c = np.multiply(p_q, log_p_q, out=_work(work, "g_c", query_shape))
+    log_p_q -= _class_sum(g_c)
+    np.multiply(-(cfg.alpha / n_q), p_q, out=g_c)
+    g_c *= log_p_q
+    np.add(g_m, g_c, out=g[..., n_s:])
 
     dummy_grad = None
-    if batch.variant is Variant.CLOSED:
-        g_sim = tau * g_all
-    elif batch.variant is Variant.IMPLICIT:
-        g_sim = tau * (g_all[..., :k_way] - g_all[..., k_way:] / k_way)
+    if batch.variant is Variant.IMPLICIT:
+        g_sim = np.subtract(g[:k_way], g[k_way] / k_way, out=g[:k_way])
     else:
-        g_sim = tau * g_all[..., :k_way]
+        g_sim = g[:k_way]
+    if batch.variant is Variant.EXPLICIT_DUMMY:
         u_t = inputs.rows.swapaxes(-1, -2)
-        dummy_grad = (u_t @ (tau * g_all[..., k_way])[..., None])[..., 0]
+        dummy_grad = (u_t @ (tau * g[k_way])[..., None])[..., 0]
 
-    v = fwd.v
-    v_grad = g_sim.swapaxes(-1, -2) @ inputs.rows
-    w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / fwd.radii[..., None]
+    # The prototype gradient's matmul reads a row-major (E, N, K) copy.
+    g_sim *= tau
+    g_sim_rows = _work(work, "by_row", inputs.rows.shape[:2] + (k_way,))
+    np.copyto(g_sim_rows, g_sim.transpose(1, 2, 0))
+    v_grad = g_sim_rows.swapaxes(-1, -2) @ inputs.rows
+    w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / radii[..., None]
     return w_grad, dummy_grad
 
 
 def _forward_and_grad(
     inputs: _Inputs, batch: _Batch, cfg: OstimConfig
-) -> tuple[_Forward, np.ndarray, np.ndarray | None]:
-    """One refinement step's forward pass and gradients."""
-    fwd = _forward(inputs, batch, cfg.temperature)
-    return (fwd, *_gradient(inputs, fwd, batch, cfg))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One refinement step: the class-major probabilities and the gradients."""
+    probs, v, radii = _forward(inputs, batch, cfg.temperature)
+    return (probs, *_gradient(inputs, probs, v, radii, batch, cfg))
 
 
 def _check_finite(
@@ -329,27 +420,23 @@ def _check_finite(
 
 
 def _refine(
-    states: Sequence[PrototypeSet], episodes: Sequence[Episode], cfg: OstimConfig,
-    keep_trace: bool, view: NormalizedChunk | None = None,
-) -> tuple[list[PrototypeSet], list[list[LossBreakdown]]]:
+    batch: _Batch, inputs: _Inputs, cfg: OstimConfig,
+    traces: list[list[LossBreakdown]] | None = None,
+) -> _Batch:
     """The refinement kernel: ``cfg.n_steps`` full-batch gradient-descent
-    steps on every episode at once, from ``view`` when given."""
-    traces: list[list[LossBreakdown]] = [[] for _ in states]
-    if cfg.n_steps == 0 or not states:
-        return list(states), traces
-    batch = _batch(states)
-    inputs = _inputs(episodes, batch, view)
+    steps on every episode of ``batch`` at once. Appends each step's loss
+    breakdowns to ``traces`` when given."""
     for step in range(cfg.n_steps):
-        fwd, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
-        _check_finite(step, _label_probs(fwd, inputs), w_grad, dummy_grad)
-        if keep_trace:
-            for trace, breakdown in zip(traces, _loss_terms(fwd, inputs, cfg.alpha)):
+        probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
+        _check_finite(step, probs.take(inputs.label_index), w_grad, dummy_grad)
+        if traces is not None:
+            for trace, breakdown in zip(traces, _loss_terms(probs, inputs, cfg.alpha)):
                 trace.append(breakdown)
         dummy = batch.dummy
         if dummy_grad is not None:
             dummy = dummy - cfg.learning_rate * dummy_grad
-        batch = batch._replace(w=batch.w - cfg.learning_rate * w_grad, dummy=dummy)
-    return _unbatch(batch), traces
+        batch = _Batch(batch.w - cfg.learning_rate * w_grad, batch.mu, dummy, batch.variant)
+    return batch
 
 
 def refine_batch(
@@ -363,7 +450,10 @@ def refine_batch(
     without saying which; a caller that needs to know refines the episodes
     one at a time.
     """
-    return _refine(states, episodes, cfg, keep_trace=False)[0]
+    if cfg.n_steps == 0 or not states:
+        return list(states)
+    batch = _batch(states)
+    return _unbatch(_refine(batch, _inputs(episodes, batch), cfg))
 
 
 def init_prototypes(
@@ -383,10 +473,10 @@ def predict_chunk(
 ) -> list[PredictionSheet]:
     """``predict`` of each episode's refined ``init_prototypes``, in one kernel
     call from the chunk normalized once in ``view``; fails as ``refine_batch``."""
-    states = _unbatch(_init_batch(view.mu, episodes, Variant(variant)))
-    states, _ = _refine(states, episodes, cfg, keep_trace=False, view=view)
-    batch = _batch(states)
-    probs = softmax(_logits(view.query, _directions(batch.w, batch.mu)[0], batch, cfg.temperature))
+    batch = _init_batch(view.mu, episodes, Variant(variant))
+    batch = _refine(batch, _inputs(episodes, batch, view), cfg)
+    v = _directions(batch.w, batch.mu)[0]
+    probs = _rows(_softmax(_logits((view.query,), v, batch, cfg.temperature, {})))
     return [PredictionSheet(p, batch.w.shape[1]) for p in probs]
 
 
@@ -395,7 +485,8 @@ def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.nda
     z = np.asarray(z, dtype=np.float64)
     u = center_normalize(np.atleast_2d(z), ps.mu)
     batch = _batch([ps])
-    out = _logits(u[None], _directions(batch.w, batch.mu)[0], batch, temperature)[0]
+    v = _directions(batch.w, batch.mu)[0]
+    out = _rows(_logits((u[None],), v, batch, temperature, {}))[0]
     return out[0] if z.ndim == 1 else out
 
 
@@ -408,8 +499,7 @@ def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBr
     """
     batch = _batch([ps])
     inputs = _inputs([episode], batch)
-    fwd = _forward(inputs, batch, cfg.temperature)
-    return _loss_terms(fwd, inputs, cfg.alpha)[0]
+    return _loss_terms(_forward(inputs, batch, cfg.temperature)[0], inputs, cfg.alpha)[0]
 
 
 def loss_and_grad(
@@ -418,8 +508,8 @@ def loss_and_grad(
     """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector)."""
     batch = _batch([ps])
     inputs = _inputs([episode], batch)
-    fwd, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
-    breakdown = _loss_terms(fwd, inputs, cfg.alpha)[0]
+    probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
+    breakdown = _loss_terms(probs, inputs, cfg.alpha)[0]
     return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
 
 
@@ -432,8 +522,12 @@ def refine(
     before its update. Non-finite losses or gradients abort with the step
     index rather than silently propagating NaNs.
     """
-    states, traces = _refine([ps], [episode], cfg, keep_trace=True)
-    return states[0], traces[0]
+    trace: list[LossBreakdown] = []
+    if cfg.n_steps == 0:
+        return ps, trace
+    batch = _batch([ps])
+    batch = _refine(batch, _inputs([episode], batch), cfg, [trace])
+    return _unbatch(batch)[0], trace
 
 
 def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionSheet:

@@ -1,0 +1,116 @@
+"""Write ``refine_golden.npz``: refined prototypes and loss traces that the
+refinement kernel must reproduce bit for bit.
+
+The cases cross all three variants with K in {5, 9, 20}, so the logit count
+C falls below 8, crosses 8 and reaches 21. D takes 16, 64 and 640 (640 for
+the implicit and explicit_dummy variants), E takes 1 and 4, and centering,
+learning rate and shot count alternate. Each case is built from its own
+seed by ``build``, which the test imports too, so the file holds only
+outputs: for every case ``w`` (E, K, D), ``dummy`` (E, D)
+for the explicit_dummy variant, and the ``refine`` trace of the first
+episode as a (steps, 4) array of ce, marginal entropy, conditional entropy
+and total.
+
+Run from the repository root, on the commit whose bits are the reference:
+
+    PYTHONPATH=src python3 tests/data/make_refine_golden.py
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+
+from fsosr import (CenteringPolicy, Episode, OstimConfig, Variant, init_prototypes, refine,
+                   refine_batch)
+
+GOLDEN = Path(__file__).with_name("refine_golden.npz")
+N_STEPS = 50
+
+
+class Case(NamedTuple):
+    variant: Variant
+    k_way: int
+    dim: int
+    n_episodes: int
+    centering: str
+    lr: float
+    n_shot: int
+
+    @property
+    def name(self) -> str:
+        return (f"{self.variant.value}-k{self.k_way}-d{self.dim}-e{self.n_episodes}-"
+                f"{self.centering}-lr{self.lr:g}-s{self.n_shot}")
+
+
+def cases() -> list[Case]:
+    """Every variant at every K, once at D=16 and once at D=64, plus two
+    D=640 cases; E=4 at K=9, where C crosses 8. The file stays near 200 KB
+    because only outputs are stored, and D=640 prototypes are the bulk."""
+    out = []
+    for i, (variant, k_way) in enumerate(product(Variant, (5, 9, 20))):
+        centering, other = ("task", "none") if i % 2 else ("none", "task")
+        lr, other_lr = (1e-3, 0.05) if (i // 2) % 2 else (0.05, 1e-3)
+        n_episodes = 4 if k_way == 9 else 1
+        out.append(Case(variant, k_way, 16, n_episodes, centering, lr, 1 + i % 2))
+        out.append(Case(variant, k_way, 64, 1, other, other_lr, 2 - i % 2))
+    out += [
+        Case(Variant.IMPLICIT, 9, 640, 1, "none", 0.05, 1),
+        Case(Variant.EXPLICIT_DUMMY, 5, 640, 1, "task", 1e-3, 2),
+    ]
+    return out
+
+
+def _episode(rng: np.random.Generator, case: Case) -> Episode:
+    n_open, per_class = 3, 3
+    centroids = 2.0 * rng.normal(size=(case.k_way + n_open, case.dim)) + 0.5
+    support = np.repeat(np.arange(case.k_way), case.n_shot)
+    query_class = np.repeat(np.arange(case.k_way + n_open), per_class)
+    return Episode(
+        support_vectors=centroids[support] + 0.6 * rng.normal(size=(support.size, case.dim)),
+        support_labels=support,
+        query_vectors=centroids[query_class] + 0.6 * rng.normal(size=(query_class.size, case.dim)),
+        query_truth=np.where(query_class < case.k_way, query_class, -1),
+    )
+
+
+def build(case: Case, seed: int) -> tuple[list, list[Episode], OstimConfig]:
+    """The case's initial prototype sets, episodes and config."""
+    rng = np.random.default_rng(seed)
+    episodes = [_episode(rng, case) for _ in range(case.n_episodes)]
+    policy = CenteringPolicy(case.centering)
+    states = [init_prototypes(episode, policy, case.variant) for episode in episodes]
+    cfg = OstimConfig(n_steps=N_STEPS, learning_rate=case.lr, variant=case.variant,
+                      centering=case.centering)
+    return states, episodes, cfg
+
+
+def outputs(case: Case, seed: int) -> dict[str, np.ndarray]:
+    states, episodes, cfg = build(case, seed)
+    refined = refine_batch(states, episodes, cfg)
+    _, trace = refine(states[0], episodes[0], cfg)
+    out = {
+        "w": np.stack([ps.w for ps in refined]),
+        "trace": np.array([[b.ce, b.marginal_entropy, b.conditional_entropy, b.total]
+                           for b in trace]),
+    }
+    if case.variant is Variant.EXPLICIT_DUMMY:
+        out["dummy"] = np.stack([ps.dummy for ps in refined])
+    return out
+
+
+def main() -> None:
+    arrays = {}
+    for seed, case in enumerate(cases()):
+        for key, value in outputs(case, seed).items():
+            assert np.isfinite(value).all(), (case.name, key)
+            arrays[f"{case.name}/{key}"] = value
+    np.savez_compressed(GOLDEN, **arrays)
+    print(f"{GOLDEN}: {len(cases())} cases, {GOLDEN.stat().st_size} bytes")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fsosr.ostim as ostim_mod
 from fsosr import (
@@ -29,7 +31,7 @@ from fsosr import (
     refine_batch,
 )
 
-from conftest import make_episode
+from conftest import make_episode, properties
 
 
 def _psi(vec, mu):
@@ -538,3 +540,42 @@ class TestInvariants:
             out, _ = refine(ps, episode, cfg)
             final = compute_loss(out, episode, cfg)
             assert final.marginal_entropy > 0.5 * math.log(k_way + 1)
+
+
+class TestClassMajorOrder:
+    """The kernel keeps its arrays class-major; its class-axis sums and the
+    public softmax must give the bits of the row-major expressions."""
+
+    # Sequential below 8 terms, 8 accumulators up to 128, halving above.
+    BRANCH_EDGES = (2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300)
+
+    @properties
+    @given(
+        n_classes=st.one_of(st.sampled_from(BRANCH_EDGES), st.integers(2, 300)),
+        n_rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_class_sum_equals_the_last_axis_sum(self, n_classes, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, 3, n_classes)
+        x = rng.normal(size=shape) * 2.0 ** rng.integers(-40, 41, size=shape)
+        class_major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        assert np.array_equal(ostim_mod._class_sum(class_major), x.sum(axis=-1))
+
+    @properties
+    @given(
+        shape=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+        n_classes=st.integers(2, 40),
+        scale=st.integers(-20, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_softmax_equals_the_shifted_exp_over_its_sum(self, shape, n_classes, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*shape, n_classes)) * 2.0**scale
+        before = x.copy()
+        shifted = x - np.max(x, axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        got = ostim_mod.softmax(x)
+        assert np.array_equal(got, e / e.sum(axis=-1, keepdims=True))
+        assert got.flags.c_contiguous
+        assert np.array_equal(x, before)
