@@ -1,7 +1,15 @@
 """Inductive reference methods: nearest-centroid softmax classifier and a
 k-nearest-neighbor outlier detector. Their combination is the strong
 baseline the transductive methods are measured against. Both score a
-chunk of episodes from its ``NormalizedChunk``."""
+chunk of episodes from its ``NormalizedChunk``.
+
+The detector's scores are those of the exact difference-form distances
+``sqrt(sum((q - s) ** 2))``, bit for bit. It finds each query's nearest
+supports in two passes: one batched Gram matmul per chunk gives approximate
+squared distances, which keep as candidates only the supports within a
+rounding margin of the k-th smallest, and the difference form is then
+evaluated for the candidates alone. ``knn_chunk`` bounds the margin and
+proves that no true k-nearest support is screened out."""
 
 from __future__ import annotations
 
@@ -15,6 +23,9 @@ from .ostim import softmax
 from .predictions import PredictionSheet
 from .transforms import (CenteringPolicy, NormalizedChunk, center_normalize, check_centering,
                          class_means, normalize_chunk)
+
+_EPS64 = np.finfo(np.float64).eps
+_TINY64 = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -52,15 +63,81 @@ def simpleshot_chunk(
 
 def knn_chunk(view: NormalizedChunk, k: int = 1) -> np.ndarray:
     """(E, n_query): mean distance from each query to its k nearest support
-    vectors, all normalized. Higher means more outlying. Taken episode by
-    episode, so no difference tensor is chunk-wide; ``k`` is checked by callers."""
-    scores = np.empty(view.query.shape[:2])
-    for out, queries, support in zip(scores, view.query, view.support):
-        diffs = queries[:, None, :] - support[None, :, :]
-        distances = np.sqrt(np.square(diffs, out=diffs).sum(axis=-1))
-        distances.sort(axis=1)
-        out[:] = distances[:, :k].mean(axis=1)
-    return scores
+    vectors, as given in ``view``. Higher means more outlying. ``k`` is
+    checked by callers.
+
+    Each score equals the difference-form oracle bit for bit: the k smallest
+    of ``np.square(q - s).sum(-1)`` over the supports ``s``, square-rooted,
+    sorted and averaged. The oracle's squared distance ``F(s)`` is computed
+    only for candidates, which a screen picks:
+
+    * ``B(s) = |s|^2 - 2 q.s``, one batched matmul per chunk, is the squared
+      distance less the per-query constant ``|q|^2``. Candidates are the
+      supports with ``B(s) <= t + 2 beta``, where ``t`` is the k-th smallest
+      ``B`` and ``beta = 4 (D + 4) (eps r^2 + tiny)``, with
+      ``r = |q| + max |s|``, eps the float64 epsilon and tiny its smallest
+      subnormal.
+    * Bound. With ``d`` the exact distance, ``u = eps / 2`` and
+      ``g(n) = n u / (1 - n u)``, the standard rounding bounds for a sum of
+      D products in any order give ``|F - d^2| <= g(D + 2) d^2`` and
+      ``|B - (d^2 - |q|^2)| <= g(D + 1) (|s|^2 + 2 |q| |s|)``, both at most
+      ``g(D + 2) r^2``. So ``|B + |q|^2 - F| <= 2 (D + 2) eps r^2``, and
+      ``beta`` is twice that: the slack covers the rounding of ``r``,
+      ``beta`` and ``t + 2 beta``, and ``tiny`` covers gradual underflow.
+    * Proof. Each of the k supports with the smallest ``B`` has
+      ``F <= B + |q|^2 + beta <= t + |q|^2 + beta``, so the k-th smallest
+      ``F``, ``f_k``, is at most ``t + |q|^2 + beta``. Any support with
+      ``F(s) <= f_k`` then has ``B(s) <= F(s) - |q|^2 + beta <= t + 2 beta``:
+      it is a candidate. Every support that is not has ``F > f_k``, so the k
+      smallest ``F`` among the candidates are the k smallest overall, ties
+      included.
+    * Bits. A candidate's ``F`` comes from the oracle's own operations: an
+      elementwise subtract and square, then a pairwise sum over a
+      contiguous last axis of D elements. ``sqrt`` is monotone, so sorting
+      ``F`` before the root gives the oracle's sorted distances, and the
+      mean runs over the same k values in the same order.
+
+    If ``r^2`` overflows, or a value is not finite, the limit is not finite
+    and ``~(B > limit)`` keeps every support. A query's candidates lead its
+    row of the ``B`` argsort. The exact pass runs over query rows in blocks
+    of at most one episode's (n_query, n_support) pairs, so its gathered
+    rows never take more memory than that episode's full difference tensor,
+    even when every support is a candidate.
+    """
+    query, support = view.query, view.support
+    n_episodes, n_query, dim = query.shape
+    n_support = support.shape[1]
+    n_rows = n_episodes * n_query
+    q_sq = np.einsum("eqd,eqd->eq", query, query)
+    s_sq = np.einsum("esd,esd->es", support, support)
+    screen = query @ (-2.0 * support).swapaxes(-1, -2)
+    screen += s_sq[:, None, :]
+    screen = screen.reshape(n_rows, n_support)
+    order = np.argsort(screen, axis=-1)
+    rows = np.arange(n_rows)
+    reach = (np.sqrt(q_sq) + np.sqrt(s_sq.max(axis=-1))[:, None]).ravel()
+    beta = 4 * (dim + 4) * (_EPS64 * reach * reach + _TINY64)
+    limit = screen[rows, order[:, k - 1]] + 2 * beta
+    counts = np.count_nonzero(~(screen > limit[:, None]), axis=-1)
+
+    query_rows = query.reshape(n_rows, dim)
+    support_rows = support.reshape(-1, dim)
+    widest = int(counts.max())
+    step = n_query * n_support // widest
+    gathered = np.empty((min(step, n_rows) * widest, dim))
+    nearest = np.empty((n_rows, k))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        width = int(counts[lo:hi].max())
+        cols = order[lo:hi, :width] + (rows[lo:hi] // n_query * n_support)[:, None]
+        diffs = gathered[: (hi - lo) * width].reshape(hi - lo, width, dim)
+        # Every index is in range; "clip" lets take write to diffs unbuffered.
+        np.take(support_rows, cols, axis=0, out=diffs, mode="clip")
+        np.subtract(query_rows[lo:hi, None, :], diffs, out=diffs)
+        squared = np.square(diffs, out=diffs).sum(axis=-1)
+        squared.sort(axis=-1)
+        np.sqrt(squared[:, :k], out=nearest[lo:hi])
+    return nearest.reshape(n_episodes, n_query, k).mean(axis=-1)
 
 
 def simpleshot_classify(

@@ -50,10 +50,11 @@ class FeatureSet:
     sharing the caller's memory (a loaded store's vectors view its file).
 
     ``class_rows`` and ``class_counts`` read a per-class row index (CSR: the
-    rows in stable label order plus per-class offsets), and
-    ``split_class_ids`` each split's sorted class ids. Each is built once, on
-    the first call, not at construction or load, and is then kept on the set
-    and shared by every later episode and run drawn from it.
+    rows in stable label order plus per-class offsets),
+    ``split_class_ids`` each split's sorted class ids, and ``base_mean`` the
+    mean of the base split. Each is built once, on the first call, not at
+    construction or load, and is then kept on the set and shared by every
+    later episode and run drawn from it.
     """
 
     vectors: np.ndarray
@@ -113,6 +114,15 @@ class FeatureSet:
         rows.flags.writeable = offsets.flags.writeable = False
         return rows, offsets
 
+    @cached_property
+    def _base_mean(self) -> np.ndarray:
+        mask = np.isin(self.labels, self.split_class_ids("base"))
+        if not mask.any():
+            raise DataError("no base-split vectors; cannot compute base mean")
+        mean = self.vectors[mask].mean(axis=0, dtype=np.float64)
+        mean.flags.writeable = False
+        return mean
+
     def class_counts(self) -> np.ndarray:
         return np.diff(self._row_index[1])
 
@@ -163,12 +173,10 @@ def validate_feature_set(fs: FeatureSet) -> None:
 
 
 def base_mean(fs: FeatureSet) -> np.ndarray:
-    """Arithmetic mean of all vectors belonging to base-split classes."""
-    base_classes = fs.classes_in_split("base")
-    mask = np.isin(fs.labels, base_classes)
-    if not mask.any():
-        raise DataError("no base-split vectors; cannot compute base mean")
-    return fs.vectors[mask].mean(axis=0, dtype=np.float64)
+    """Arithmetic mean of all vectors belonging to base-split classes, as a
+    read-only float64 array computed once per set and shared by every later
+    call. DataError if the base split has no vectors."""
+    return fs._base_mean
 
 
 def _record_dtype(dim: int) -> np.dtype:

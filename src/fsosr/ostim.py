@@ -274,8 +274,8 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so it raises DivergenceError."""
     shifted = w - mu[:, None, :]
     with np.errstate(over="ignore"):  # an overflow raises below, with the run's own message
-        radii = np.linalg.norm(shifted, axis=-1)
-    if not np.isfinite(radii).all():
+        radii = np.sqrt(np.add.reduce(shifted * shifted, axis=-1))  # np.linalg.norm's bits
+    if not radii.max() < np.inf:  # also catches NaN
         raise DivergenceError("a prototype's distance from the centering point overflows")
     if radii.min() < _EPS:
         k = int(np.argmax((radii < _EPS).any(axis=0)))

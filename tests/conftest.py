@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import errno
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from fsosr import Episode, FeatureSet, OUTLIER
 # The one settings object of every property test: the same examples on
 # every run, no example database, no per-example deadline.
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_feature_set(

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsosr import CenteringPolicy, ConfigError, baselines
-from fsosr.baselines import knn_outlier_score, simpleshot_classify
-from fsosr.transforms import center_normalize
+from fsosr.baselines import knn_chunk, knn_outlier_score, simpleshot_classify
+from fsosr.transforms import NormalizedChunk, center_normalize
 
-from conftest import make_episode
+from conftest import make_episode, properties, traced_peak
 
 
 def oracle_simpleshot(episode, mu, temperature):
@@ -58,6 +60,44 @@ def oracle_knn(episode, mu, k):
         )
         scores.append(sum(dists[:k]) / k)
     return np.array(scores)
+
+
+def difference_formula_knn(view, k):
+    """(E, n_query) k-NN scores from each episode's full (n_query, n_support, D)
+    difference tensor: the formula ``knn_chunk`` must reproduce bit for bit."""
+    scores = []
+    for queries, support in zip(view.query, view.support):
+        distances = np.sqrt(((queries[:, None, :] - support[None, :, :]) ** 2).sum(axis=-1))
+        scores.append(np.sort(distances, axis=1)[:, :k].mean(axis=1))
+    return np.array(scores)
+
+
+def unit_rows(rng, *shape):
+    x = rng.normal(size=shape)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+@st.composite
+def near_tie_views(draw):
+    """Chunks with duplicated supports, supports one ulp apart and queries on
+    a support: unit rows, or rows about a shared offset up to 1000 times
+    their spread (where the Gram form cancels most), at scales 2^-20 to 2^20."""
+    n_episodes = draw(st.sampled_from([1, 3]))
+    dim = draw(st.sampled_from([1, 2, 16, 640]))
+    n_support, n_query = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = unit_rows(rng, n_episodes, n_support, dim)
+    query = unit_rows(rng, n_episodes, n_query, dim)
+    offset = draw(st.sampled_from([0.0, 1.0, 1000.0])) * rng.normal(size=dim)
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    support, query = (support + offset) * scale, (query + offset) * scale
+    if n_support > 1 and draw(st.booleans()):
+        support[:, 1] = support[:, 0]
+    if n_support > 2 and draw(st.booleans()):
+        support[:, 2] = np.nextafter(support[:, 0], np.inf)
+    if draw(st.booleans()):
+        query[:, 0] = support[:, n_support - 1]
+    return NormalizedChunk(np.zeros((n_episodes, dim)), support, query)
 
 
 class TestSimpleshot:
@@ -137,7 +177,7 @@ class TestKnn:
             expected = oracle_knn(episode, mu, 3)
             assert np.array_equal(scores, expected)
 
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 25])
     def test_equals_the_squared_difference_formula_bit_for_bit(self, rng, k):
         episode = make_episode(rng, n_way=5, n_shot=5, n_query_per_class=15,
                                n_open_classes=5, dim=64)
@@ -148,6 +188,23 @@ class TestKnn:
         distances = np.sqrt(((queries[:, None, :] - support[None, :, :]) ** 2).sum(axis=-1))
         expected = np.sort(distances, axis=1)[:, :k].mean(axis=1)
         assert np.array_equal(knn_outlier_score(episode, policy, k=k), expected)
+
+    @properties
+    @given(near_tie_views())
+    def test_screen_keeps_every_nearest_support_bit_for_bit(self, view):
+        for k in range(1, view.support.shape[1] + 1):
+            assert np.array_equal(knn_chunk(view, k), difference_formula_knn(view, k))
+
+    @pytest.mark.parametrize("k", [1, 25])
+    def test_peak_memory_is_at_most_the_difference_tensor_loop(self, rng, k):
+        """One chunk at the ``large_store`` bench shape (E=16, 150 queries,
+        25 supports, D=64). The bound is the traced peak of the per-episode
+        difference-tensor loop this replaced, measured with numpy 2.4: two
+        (150, 25, 64) float64 tensors, since each episode's was allocated
+        before the previous one was freed."""
+        view = NormalizedChunk(np.zeros((16, 64)), unit_rows(rng, 16, 25, 64),
+                               unit_rows(rng, 16, 150, 64))
+        assert traced_peak(lambda: knn_chunk(view, k)) <= 4_019_480
 
     def test_k_out_of_range(self, rng):
         episode = make_episode(rng, n_way=2, n_shot=1)

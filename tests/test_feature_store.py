@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import re
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -25,7 +24,7 @@ from fsosr import (
 from fsosr.cli import main
 from fsosr.feature_store import load_feature_store, save_feature_store, sidecar_path
 
-from conftest import make_feature_set, properties
+from conftest import make_feature_set, properties, traced_peak
 
 
 def small_fs(**kwargs) -> FeatureSet:
@@ -387,15 +386,6 @@ def peak_feature_set(rng) -> FeatureSet:
     )
 
 
-def traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_load_peak_memory_is_bounded(tmp_path, rng):
     """A load holds the file bytes (which the vectors view), the int64
     labels and one finiteness mask at most: about 1.3x the payload at
@@ -484,10 +474,18 @@ class TestBaseMean:
         mask = fs.labels < 2
         assert np.array_equal(base_mean(fs), fs.vectors[mask].astype(np.float64).mean(axis=0))
 
+    def test_a_second_call_returns_the_first_result(self, rng):
+        fs = FeatureSet(rng.normal(size=(30, 4)).astype(np.float32), np.arange(30) % 3,
+                        ("a", "b", "c"), {0: "base", 1: "base", 2: "test"})
+        mean = base_mean(fs)
+        assert base_mean(fs) is mean
+        assert not mean.flags.writeable
+
     def test_no_base_vectors(self):
         fs = small_fs(split_of_class={0: "test", 1: "test"})
-        with pytest.raises(DataError, match="base"):
-            base_mean(fs)
+        for _ in range(2):  # the error is not cached away
+            with pytest.raises(DataError, match="base"):
+                base_mean(fs)
 
 
 class TestIngest:
