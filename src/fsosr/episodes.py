@@ -118,31 +118,26 @@ def sample_episode(
     open_classes = drawn[spec.n_way :]
 
     support_rows: list[np.ndarray] = []
-    support_labels: list[np.ndarray] = []
     query_rows: list[np.ndarray] = []
-    query_truth: list[np.ndarray] = []
-
-    for slot, cid in enumerate(closed_classes):
+    for cid in closed_classes:
         pool = fs.class_rows(cid)
         pick = pool[rng.choice(pool.size, size=needed_per_class, replace=False)]
         support_rows.append(pick[: spec.n_shot])
-        support_labels.append(np.full(spec.n_shot, slot, dtype=np.int64))
         query_rows.append(pick[spec.n_shot :])
-        query_truth.append(np.full(spec.n_query_per_class, slot, dtype=np.int64))
-
     for cid in open_classes:
         pool = fs.class_rows(cid)
-        pick = pool[rng.choice(pool.size, size=spec.n_query_per_class, replace=False)]
-        query_rows.append(pick)
-        query_truth.append(np.full(spec.n_query_per_class, OUTLIER, dtype=np.int64))
+        query_rows.append(pool[rng.choice(pool.size, size=spec.n_query_per_class, replace=False)])
 
+    slots = np.arange(spec.n_way, dtype=np.int64)
+    query_truth = np.full(spec.n_queries, OUTLIER, dtype=np.int64)
+    query_truth[: spec.n_way * spec.n_query_per_class] = np.repeat(slots, spec.n_query_per_class)
     support_idx = np.concatenate(support_rows)
     query_idx = np.concatenate(query_rows)
     return Episode(
         support_vectors=fs.vectors[support_idx].astype(np.float64),
-        support_labels=np.concatenate(support_labels),
+        support_labels=np.repeat(slots, spec.n_shot),
         query_vectors=fs.vectors[query_idx].astype(np.float64),
-        query_truth=np.concatenate(query_truth),
+        query_truth=query_truth,
         closed_classes=closed_classes.copy(),
         open_classes=open_classes.copy(),
     )

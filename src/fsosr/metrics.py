@@ -7,13 +7,20 @@ by one ranking of the scores: equal scores form one block, which no
 threshold splits, and AUROC counts an outlier tied with an inlier as half a
 pair. All three detection metrics read the cumulative counts at the block
 ends.
+
+``score_chunk`` scores E episodes from (E, n) arrays: it ranks every row
+with one argsort and reads all rows' block ends at once, and the one-episode
+functions are its E=1 case. The bits match a loop over the episodes because
+every count is an integer, AUROC divides one integer pair count per row,
+Prec@90 takes a maximum, and AUPR adds each row's terms one after another
+in sweep order, with exact zeros between them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,97 +59,159 @@ class RunReport:
 METRIC_NAMES = tuple(f.name for f in fields(EpisodeReport))
 
 
-def _ranked(scores, is_outlier) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the scores, rank them once, descending, and return the
-    cumulative outlier and inlier counts at the end of each block of equal
-    scores. A threshold never splits a block, so every metric reads these."""
+class _Ranked(NamedTuple):
+    """E rows of n scores, each ranked once, descending, and read at the end
+    of each block of equal scores. The block ends of all rows are listed in
+    row order: ``flat`` is each one's position in the (E, n) ranking,
+    ``rows`` its row, ``seen`` the row's rank count at it and ``out`` the
+    row's outlier count at it; ``prev_seen``/``prev_out`` are those at the
+    row's previous block end (0 before a first block), and ``starts`` indexes
+    each row's first block end."""
+
+    n: int
+    n_out: np.ndarray
+    flat: np.ndarray
+    rows: np.ndarray
+    seen: np.ndarray
+    out: np.ndarray
+    prev_seen: np.ndarray
+    prev_out: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def n_in(self) -> np.ndarray:
+        return self.n - self.n_out
+
+
+def _ranked(scores: np.ndarray, is_outlier: np.ndarray) -> _Ranked:
+    """Validate the (E, n) scores and rank every row with one argsort. A
+    threshold never splits a block, so every metric reads the block ends,
+    and the counts there do not depend on the order within a block."""
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    n_rows, n = scores.shape
+    order = np.argsort(-scores, axis=1)
+    order += np.arange(n_rows)[:, None] * n
+    order = order.ravel()
+    ranked = scores.ravel()[order].reshape(n_rows, n)
+    cum_out = np.cumsum(is_outlier.ravel()[order].reshape(n_rows, n), axis=1)
+    is_end = np.ones((n_rows, n), dtype=bool)
+    is_end[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
+    flat = np.flatnonzero(is_end)
+    rows = flat // n
+    seen = flat - rows * n + 1
+    out = cum_out.ravel()[flat]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    prev_seen = np.concatenate(([0], seen[:-1]))
+    prev_out = np.concatenate(([0], out[:-1]))
+    prev_seen[first] = prev_out[first] = 0
+    return _Ranked(n, is_outlier.sum(axis=1), flat, rows, seen, out, prev_seen, prev_out,
+                   np.flatnonzero(first))
+
+
+def _auroc(r: _Ranked) -> np.ndarray:
+    n_out, n_in = r.n_out, r.n_in
+    if not (n_out.all() and n_in.all()):
+        raise ValueError("auroc needs at least one inlier and one outlier")
+    # Twice each row's outlier-above-inlier pair count, ties counted half:
+    # an integer, so the result is exact.
+    inliers, prev_inliers = r.seen - r.out, r.prev_seen - r.prev_out
+    pairs = (r.out - r.prev_out) * (2 * (n_in[r.rows] - inliers) + inliers - prev_inliers)
+    return np.add.reduceat(pairs, r.starts) / (2 * n_out * n_in)
+
+
+def _pr_curve(r: _Ranked, metric: str):
+    """Precision, recall and the recall at the previous block end, at each block end."""
+    if not r.n_out.all():
+        raise ValueError(f"{metric} needs at least one outlier")
+    n_out = r.n_out[r.rows]
+    return r.out / r.seen, r.out / n_out, r.prev_out / n_out
+
+
+def _aupr(r: _Ranked) -> np.ndarray:
+    precision, recall, prev_recall = _pr_curve(r, "aupr")
+    # Each row's terms in sweep order, exact zeros between them, summed one
+    # after another: the same sequential sum, term for term, as a loop.
+    terms = np.zeros((r.n_out.size, r.n))
+    terms.ravel()[r.flat] = (recall - prev_recall) * precision
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _precision_at(r: _Ranked, target_recall: float) -> np.ndarray:
+    precision, recall, _ = _pr_curve(r, "precision_at_recall")
+    if not 0.0 < target_recall <= 1.0:
+        raise ValueError(f"target_recall must be in (0, 1], got {target_recall}")
+    return np.maximum.reduceat(np.where(recall >= target_recall, precision, -1.0), r.starts)
+
+
+def _ranked_row(scores, is_outlier) -> _Ranked:
+    """One row of scores as the E=1 case of ``_ranked``."""
     scores = np.asarray(scores, dtype=np.float64)
     is_outlier = np.asarray(is_outlier, dtype=bool)
     if scores.ndim != 1 or scores.shape != is_outlier.shape:
         raise ValueError("scores and is_outlier must be 1-D arrays of equal length")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    order = np.argsort(-scores, kind="stable")
-    ranked = scores[order]
-    ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, scores.size)
-    outliers = np.concatenate(([0], np.cumsum(is_outlier[order])))[ends]
-    return outliers, ends - outliers
-
-
-def _auroc(outliers: np.ndarray, inliers: np.ndarray) -> float:
-    n_out, n_in = int(outliers[-1]), int(inliers[-1])
-    if n_out == 0 or n_in == 0:
-        raise ValueError("auroc needs at least one inlier and one outlier")
-    # Twice the outlier-above-inlier pair count, ties counted half: an
-    # integer, so the result is exact.
-    block_out, block_in = np.diff(outliers, prepend=0), np.diff(inliers, prepend=0)
-    twice_u = int((block_out * (2 * (n_in - inliers) + block_in)).sum())
-    return twice_u / (2 * n_out * n_in)
-
-
-def _pr_curve(outliers: np.ndarray, inliers: np.ndarray, metric: str):
-    """Precision and recall at each block end, in sweep order."""
-    if outliers[-1] == 0:
-        raise ValueError(f"{metric} needs at least one outlier")
-    return outliers / (outliers + inliers), outliers / outliers[-1]
-
-
-def _aupr(outliers: np.ndarray, inliers: np.ndarray) -> float:
-    precision, recall = _pr_curve(outliers, inliers, "aupr")
-    # Sequential accumulation keeps results reproducible term for term.
-    area = 0.0
-    prev_recall = 0.0
-    for p, r in zip(precision.tolist(), recall.tolist()):
-        area += (r - prev_recall) * p
-        prev_recall = r
-    return area
-
-
-def _precision_at(outliers: np.ndarray, inliers: np.ndarray, target_recall: float) -> float:
-    precision, recall = _pr_curve(outliers, inliers, "precision_at_recall")
-    if not 0.0 < target_recall <= 1.0:
-        raise ValueError(f"target_recall must be in (0, 1], got {target_recall}")
-    return float(precision[recall >= target_recall].max())
+    return _ranked(scores[None], is_outlier[None])
 
 
 def auroc(scores, is_outlier) -> float:
     """Probability that a random outlier outscores a random inlier, ties
     counted half (the Mann-Whitney statistic)."""
-    return _auroc(*_ranked(scores, is_outlier))
+    return float(_auroc(_ranked_row(scores, is_outlier))[0])
 
 
 def aupr(scores, is_outlier) -> float:
     """Area under the precision-recall curve by step interpolation
     (average precision). Outliers are the positive class."""
-    return _aupr(*_ranked(scores, is_outlier))
+    return float(_aupr(_ranked_row(scores, is_outlier))[0])
 
 
 def precision_at_recall(scores, is_outlier, target_recall: float = 0.9) -> float:
     """Best precision among operating points reaching the target recall."""
-    return _precision_at(*_ranked(scores, is_outlier), target_recall)
+    return float(_precision_at(_ranked_row(scores, is_outlier), target_recall)[0])
+
+
+def score_chunk(
+    truth: np.ndarray, outlier_scores: np.ndarray, closed_pred: np.ndarray | None = None
+) -> list[EpisodeReport]:
+    """The four metrics of E episodes from (E, n) arrays, one report per row,
+    ranking every row once. A row that cannot be scored raises the error
+    ``score_episode`` raises for it."""
+    truth = np.asarray(truth, dtype=np.int64)
+    scores = np.asarray(outlier_scores, dtype=np.float64)
+    if truth.ndim != 2 or scores.shape != truth.shape or (
+        closed_pred is not None and np.shape(closed_pred) != truth.shape
+    ):
+        raise ValueError("truth, outlier_scores and closed_pred must be 2-D arrays of equal shape")
+    is_out = truth == OUTLIER
+    acc = [None] * truth.shape[0]
+    if closed_pred is not None:
+        inliers = truth.shape[1] - is_out.sum(axis=1)
+        if not inliers.all():
+            raise ValueError("accuracy needs at least one inlier query")
+        hits = ((np.asarray(closed_pred, dtype=np.int64) == truth) & ~is_out).sum(axis=1)
+        acc = (hits / inliers).tolist()
+    r = _ranked(scores, is_out)
+    return [
+        EpisodeReport(acc=a, auroc=u, aupr=p, prec_at_90=q)
+        for a, u, p, q in zip(
+            acc, _auroc(r).tolist(), _aupr(r).tolist(), _precision_at(r, 0.9).tolist()
+        )
+    ]
 
 
 def score_episode(
     truth: np.ndarray, outlier_scores: np.ndarray, closed_pred: np.ndarray | None = None
 ) -> EpisodeReport:
-    """Bundle the four metrics for one episode's predictions, ranking the
-    outlier scores once."""
+    """Bundle the four metrics for one episode's predictions: the E=1 case
+    of ``score_chunk``."""
     truth = np.asarray(truth, dtype=np.int64)
-    is_out = truth == OUTLIER
-    acc = None
-    if closed_pred is not None:
-        inlier = ~is_out
-        if not inlier.any():
-            raise ValueError("accuracy needs at least one inlier query")
-        closed_pred = np.asarray(closed_pred, dtype=np.int64)
-        acc = float((closed_pred[inlier] == truth[inlier]).mean())
-    counts = _ranked(outlier_scores, is_out)
-    return EpisodeReport(
-        acc=acc,
-        auroc=_auroc(*counts),
-        aupr=_aupr(*counts),
-        prec_at_90=_precision_at(*counts, 0.9),
-    )
+    scores = np.asarray(outlier_scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.shape != truth.shape:
+        raise ValueError("scores and is_outlier must be 1-D arrays of equal length")
+    return score_chunk(
+        truth[None], scores[None], None if closed_pred is None else np.asarray(closed_pred)[None]
+    )[0]
 
 
 def score_sheet(sheet: PredictionSheet, truth: np.ndarray) -> EpisodeReport:

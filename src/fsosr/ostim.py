@@ -64,7 +64,7 @@ from .errors import DegenerateFeatureError, DivergenceError
 from .episodes import Episode
 from .predictions import PredictionSheet
 from .transforms import (CenteringPolicy, NormalizedChunk, center_normalize, check_centering,
-                         class_means, normalize_chunk)
+                         class_means, normalize_chunk, row_norms)
 
 _EPS = 1e-12
 _PLOGP_FLOOR = 1e-30
@@ -274,7 +274,7 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so it raises DivergenceError."""
     shifted = w - mu[:, None, :]
     with np.errstate(over="ignore"):  # an overflow raises below, with the run's own message
-        radii = np.sqrt(np.add.reduce(shifted * shifted, axis=-1))  # np.linalg.norm's bits
+        radii = row_norms(shifted)
     if not radii.max() < np.inf:  # also catches NaN
         raise DivergenceError("a prototype's distance from the centering point overflows")
     if radii.min() < _EPS:

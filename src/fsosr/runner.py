@@ -10,7 +10,8 @@ method name to the ``RunConfig`` field of its section and to its chunk
 evaluator, which receives that section. The loop walks the stream in
 chunks of ``CHUNK_SIZE`` episodes, normalizes each chunk once per centering
 in use, and scores the methods on that ``NormalizedChunk`` in ``METHODS``
-order as (E, ...) arrays; ``strong_baseline`` reuses the ``simpleshot`` and
+order as (E, ...) arrays, each method's chunk scored by one
+``score_chunk`` call; ``strong_baseline`` reuses the ``simpleshot`` and
 ``knn`` reports, running either itself when it is not configured. Results
 are reduced in index order and do not depend on the chunk. A failing chunk
 is replayed one episode at a time, methods in config order, to name the
@@ -35,7 +36,7 @@ from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, SamplingError
 from .feature_store import FeatureSet, atomic_write, base_mean, load_feature_store
-from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_episode, score_sheet
+from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
 from .synthgen import SynthSpec
 from .transforms import CenteringPolicy, NormalizedChunk, normalize_chunk
 
@@ -82,8 +83,16 @@ class Method(NamedTuple):
     evaluate: Callable[[list[Episode], Section, NormalizedChunk, dict], list[EpisodeReport]]
 
 
+def _truth(episodes: list[Episode]) -> np.ndarray:
+    return np.array([ep.query_truth for ep in episodes])
+
+
 def _scored(sheets, episodes: list[Episode]) -> list[EpisodeReport]:
-    return [score_sheet(sheet, ep.query_truth) for sheet, ep in zip(sheets, episodes)]
+    return score_chunk(
+        _truth(episodes),
+        np.array([sheet.outlier_score for sheet in sheets]),
+        np.array([sheet.closed_pred for sheet in sheets]),
+    )
 
 
 def _refined(variant: ostim.Variant | None):
@@ -98,8 +107,7 @@ def _simpleshot(episodes, bcfg, view, done):
 
 
 def _knn(episodes, bcfg, view, done):
-    scores = baselines.knn_chunk(view, bcfg.knn_k)
-    return [score_episode(ep.query_truth, s) for ep, s in zip(episodes, scores)]
+    return score_chunk(_truth(episodes), baselines.knn_chunk(view, bcfg.knn_k))
 
 
 def _strong_baseline(episodes, bcfg, view, done):

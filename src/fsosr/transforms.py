@@ -23,6 +23,12 @@ def check_centering(kind: str) -> None:
         raise ConfigError(f"unknown centering {kind!r}; expected one of {CENTERING_KINDS}")
 
 
+def row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms along the last axis of real ``x``, with
+    ``np.linalg.norm``'s bits but without its copy and axis handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
 def center_normalize(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Subtract ``mu`` and project onto the unit sphere.
 
@@ -32,7 +38,7 @@ def center_normalize(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     shifted = z - mu
-    norms = np.linalg.norm(shifted, axis=-1, keepdims=True)
+    norms = row_norms(shifted, keepdims=True)
     if np.any(norms < _EPS):
         if shifted.ndim == 1:
             raise DegenerateFeatureError("vector coincides with the centering point")

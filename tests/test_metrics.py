@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from fsosr import (
     auroc,
     aupr,
     precision_at_recall,
+    score_chunk,
     score_episode,
     score_sheet,
 )
@@ -326,13 +329,14 @@ EXTREMES = (0.0, -0.0, 5e-324, -1e-300, 1e-300, -1e300, 1e300, 1.797693134862315
 
 
 @st.composite
-def tie_heavy_queries(draw) -> tuple[list[float], list[bool]]:
-    """Scores and outlier flags with at least one inlier and one outlier."""
+def tie_heavy_queries(draw, n: int | None = None) -> tuple[list[float], list[bool]]:
+    """Scores and outlier flags with at least one inlier and one outlier;
+    ``n`` of each, or a drawn number from 2 to 40."""
     pool = draw(st.lists(
         st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False),
         min_size=1, max_size=4,
     ))
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 40)) if n is None else n
     scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     is_outlier = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     first = draw(st.integers(0, n - 1))
@@ -359,3 +363,70 @@ class TestOracleProperties:
         assert report.auroc == auroc(scores, is_outlier)
         assert report.aupr == aupr(scores, is_outlier)
         assert report.prec_at_90 == precision_at_recall(scores, is_outlier, 0.9)
+
+
+@st.composite
+def chunks(draw) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(E, n) truth, scores and, or not, closed predictions for E in {1, 2, 5}:
+    tie-heavy rows and rows whose scores are all tied, 3 closed classes."""
+    n_episodes = draw(st.sampled_from([1, 2, 5]))
+    n = draw(st.integers(2, 30))
+    tied = st.tuples(
+        st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False),
+        tie_heavy_queries(n),
+    ).map(lambda t: ([t[0]] * n, t[1][1]))
+    rows = draw(st.lists(tie_heavy_queries(n) | tied, min_size=n_episodes, max_size=n_episodes))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n_episodes * n, max_size=n_episodes * n))
+    is_outlier = np.array([flags for _, flags in rows])
+    truth = np.where(is_outlier, OUTLIER, np.reshape(labels, is_outlier.shape))
+    scores = np.array([row for row, _ in rows], dtype=np.float64)
+    closed_pred = draw(st.none() | st.just(np.roll(truth.clip(0), 1, axis=1)))
+    return truth, scores, closed_pred
+
+
+class TestScoreChunk:
+    """``score_chunk`` ranks a whole chunk at once, and each of its rows is
+    the one-episode report, bit for bit."""
+
+    @properties
+    @given(chunks())
+    def test_each_row_equals_score_episode_and_the_oracles(self, chunk):
+        truth, scores, closed_pred = chunk
+        reports = score_chunk(truth, scores, closed_pred)
+        assert len(reports) == truth.shape[0]
+        for e, report in enumerate(reports):
+            pred = None if closed_pred is None else closed_pred[e]
+            assert report == score_episode(truth[e], scores[e], pred)
+            row, is_outlier = scores[e].tolist(), (truth[e] == OUTLIER).tolist()
+            assert report.auroc == oracle_auroc(row, is_outlier)
+            assert report.aupr == oracle_aupr(row, is_outlier)
+            assert report.prec_at_90 == oracle_prec_at_recall(row, is_outlier, 0.9)
+            if pred is None:
+                assert report.acc is None
+            else:
+                inlier = truth[e] != OUTLIER
+                assert report.acc == float((pred[inlier] == truth[e][inlier]).mean())
+
+    @pytest.mark.parametrize("bad_row", [0, 2, 4])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "no_inlier", "no_outlier"])
+    @pytest.mark.parametrize("with_pred", [False, True])
+    def test_a_failing_row_raises_the_one_episode_error(self, bad_row, fault, with_pred):
+        truth = np.tile([0, 1, OUTLIER, 1, OUTLIER], (5, 1))
+        scores = np.tile([0.5, 0.25, 0.75, 0.25, 1.0], (5, 1))
+        if fault in ("nan", "inf"):
+            scores[bad_row, 1] = float(fault)
+        else:
+            truth[bad_row] = OUTLIER if fault == "no_inlier" else 0
+        pred = np.zeros_like(truth) if with_pred else None
+        with pytest.raises(ValueError) as alone:
+            score_episode(truth[bad_row], scores[bad_row], None if pred is None else pred[bad_row])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            score_chunk(truth, scores, pred)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="2-D arrays of equal shape"):
+            score_chunk(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="2-D arrays of equal shape"):
+            score_chunk(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            score_episode(np.zeros(3), np.zeros(4))

@@ -336,6 +336,25 @@ class TestRun:
         with pytest.raises(ValueError, match="^batch-only failure$"):
             run(tiny_config(store_path, methods=("ostim",), n_episodes=3))
 
+    def test_scoring_failure_in_one_episode_of_a_chunk_names_it(self, store_path, monkeypatch):
+        # The whole chunk is scored at once; the replay names the episode.
+        cfg = tiny_config(store_path, methods=("simpleshot", "knn"), n_episodes=3)
+        fs = load_feature_store(store_path)
+        target = center_normalize(sample_episode(fs, cfg.episode, 2).query_vectors, base_mean(fs))
+        real = baselines_mod.knn_chunk
+
+        def nan_for_episode_2(view, k=1):
+            scores = real(view, k)
+            for e, queries in enumerate(view.query):
+                if np.array_equal(queries, target):
+                    scores[e, 0] = np.nan
+            return scores
+
+        monkeypatch.setattr(baselines_mod, "knn_chunk", nan_for_episode_2)
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
+        with pytest.raises(DataError, match=r"^episode 2, method knn: scores must be finite$"):
+            run(cfg)
+
 
 STRONG_BASELINE_METHOD_LISTS = [
     ("simpleshot", "knn", "strong_baseline"),
