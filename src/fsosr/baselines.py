@@ -1,7 +1,7 @@
 """Inductive reference methods: nearest-centroid softmax classifier and a
 k-nearest-neighbor outlier detector. Their combination is the strong
 baseline the transductive methods are measured against. Both score a
-chunk of episodes from its ``NormalizedChunk``.
+chunk of episodes from its ``NormalizedChunk`` alone, in one (E, ...) array.
 
 The detector's scores are those of the exact difference-form distances
 ``sqrt(sum((q - s) ** 2))``, bit for bit. It finds each query's nearest
@@ -45,20 +45,18 @@ class BaselineConfig:
             raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
-def simpleshot_chunk(
-    view: NormalizedChunk, episodes: list[Episode], temperature: float = 10.0
-) -> list[PredictionSheet]:
-    """Nearest-centroid classification on center-normalized features.
+def simpleshot_chunk(view: NormalizedChunk, temperature: float = 10.0) -> PredictionSheet:
+    """Nearest-centroid classification of a chunk, as one (E, n_query, K) sheet.
 
     Class centroids are the per-class means of the normalized support
     vectors, re-normalized to unit length; probabilities are a softmax over
     temperature-scaled cosine similarities. A sheet has no outlier column,
     so its outlierness score is the negative maximum class probability.
     """
-    means = class_means(view.support, np.stack([episode.support_labels for episode in episodes]))
+    means = class_means(view.support, view.support_labels)
     centroids = center_normalize(means, np.zeros(means.shape[-1]))
     probs = softmax(temperature * (view.query @ centroids.swapaxes(-1, -2)))
-    return [PredictionSheet(p, means.shape[1]) for p in probs]
+    return PredictionSheet(probs, means.shape[1])
 
 
 def knn_chunk(view: NormalizedChunk, k: int = 1) -> np.ndarray:
@@ -144,8 +142,8 @@ def simpleshot_classify(
     episode: Episode, policy: CenteringPolicy, temperature: float = 10.0
 ) -> PredictionSheet:
     """``simpleshot_chunk`` of one episode, normalized at ``policy``'s centering."""
-    view = normalize_chunk([episode], [policy.resolve(episode)])
-    return simpleshot_chunk(view, [episode], temperature)[0]
+    sheet = simpleshot_chunk(normalize_chunk([episode], [policy.resolve(episode)]), temperature)
+    return PredictionSheet(sheet.probs[0], sheet.n_closed)
 
 
 def knn_outlier_score(episode: Episode, policy: CenteringPolicy, k: int = 1) -> np.ndarray:

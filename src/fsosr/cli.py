@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-divergence.
+divergence. ``--out`` and ``--dump`` are checked before any command runs.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import runner, synthgen
 from .diagnostics import split_diagnostics
 from .episodes import sample_episode
 from .errors import ConfigError, FsosrError
-from .feature_store import atomic_write, ingest_csv, load_feature_store, save_feature_store
+from .feature_store import (atomic_write, check_output_path, ingest_csv, load_feature_store,
+                            save_feature_store)
 from .metrics import METRIC_NAMES
 
 
@@ -113,9 +112,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     print(f"best alpha: {best:g}")
     if cfg.output_dir:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with atomic_write(out / "sweep.json", "w") as fh:
+        with atomic_write(Path(cfg.output_dir) / "sweep.json", "w") as fh:
             fh.write(json.dumps({"param": args.param, "best": best, "table": table},
                                 indent=2, sort_keys=True))
     return 0
@@ -170,6 +167,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, directory in (("out", False), ("dump", True)):
+            if getattr(args, flag, None) is not None:
+                check_output_path(getattr(args, flag), f"--{flag}", directory)
         return args.func(args)
     except FsosrError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,8 +94,7 @@ def variance_ratio(vectors, labels) -> float:
 
 
 def _split_arrays(fs: FeatureSet, split: str) -> tuple[np.ndarray, np.ndarray]:
-    class_ids = fs.classes_in_split(split)
-    mask = np.isin(fs.labels, class_ids)
+    mask = np.isin(fs.labels, fs.split_class_ids(split))
     if not mask.any():
         raise DataError(f"split {split!r} holds no vectors")
     return fs.vectors[mask].astype(np.float64), fs.labels[mask]

@@ -30,7 +30,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import DataError, StoreError
+from .errors import ConfigError, DataError, StoreError
 
 MAGIC = b"FSOS"
 VERSION = 1
@@ -83,9 +83,6 @@ class FeatureSet:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-    def classes_in_split(self, split: str) -> list[int]:
-        return self.split_class_ids(split).tolist()
 
     def split_class_ids(self, split: str) -> np.ndarray:
         """The split's class ids, ascending, as a read-only int64 array
@@ -198,7 +195,7 @@ def save_feature_store(fs: FeatureSet, path: str | Path) -> None:
     records = np.empty(fs.n, dtype=_record_dtype(fs.dim))
     records["label"] = fs.labels
     records["vec"] = fs.vectors
-    splits = {s: fs.classes_in_split(s) for s in SPLITS}
+    splits = {s: fs.split_class_ids(s).tolist() for s in SPLITS}
     meta = {"class_names": list(fs.class_names), "splits": splits}
     with atomic_write(path, "wb") as fh, atomic_write(sidecar_path(path), "w") as side:
         fh.write(_HEADER.pack(MAGIC, VERSION, fs.dim, fs.n, fs.n_classes))
@@ -207,11 +204,24 @@ def save_feature_store(fs: FeatureSet, path: str | Path) -> None:
         side.write(json.dumps(meta, indent=2, sort_keys=True))
 
 
+def check_output_path(path: str | Path, what: str, directory: bool = False) -> None:
+    """ConfigError naming ``what`` and ``path`` unless ``path`` can be made a
+    file, or a ``directory``: its nearest existing ancestor, ``path`` itself
+    included for a directory, must be a directory, and a file must not be."""
+    target = Path(path)
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    must_be_dir = directory or existing != target
+    if existing.is_dir() != must_be_dir:
+        problem = "is not a directory" if must_be_dir else "is a directory"
+        raise ConfigError(f"{what} {str(path)!r}: {existing} {problem}")
+
+
 @contextmanager
 def atomic_write(path: Path, mode: str, **open_kwargs) -> Iterator[IO]:
-    """Open a temporary file beside ``path`` for writing. ``path`` is
-    replaced by it only if the block completes; otherwise the temporary file
-    is removed and any earlier ``path`` is left as it was."""
+    """Open a temporary file beside ``path``, making missing directories, for
+    writing. ``path`` is replaced by it only if the block completes; otherwise
+    the temporary file is removed and any earlier ``path`` is left as it was."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:
@@ -338,12 +348,21 @@ def _split_assignment(splits: dict, source: Path, name_to_id: dict[str, int]) ->
     return split_of_class
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Path) -> FeatureSet:
     """Convert a ``label,f0,...,f{D-1}`` CSV plus a split file into a binary store.
 
     Labels may be arbitrary strings; dense class ids are assigned in sorted
-    label order and the original strings become class names. The split file
-    is JSON with base/val/test lists naming classes by name or by id.
+    label order and the original strings become class names; a first line
+    with no numeric feature field is a header. The split file is JSON with
+    base/val/test lists naming classes by name or by id.
     """
     csv_path = Path(csv_path)
     tokens: list[str] = []
@@ -353,11 +372,8 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
         for lineno, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if lineno == 1 and len(row) >= 2:
-                try:
-                    float(row[1])
-                except ValueError:
-                    continue  # header row
+            if lineno == 1 and len(row) >= 2 and not any(map(_is_number, row[1:])):
+                continue  # header row: no feature field is a number
             if len(row) < 2:
                 raise DataError(f"{csv_path}:{lineno}: need label plus >=1 feature")
             try:

@@ -25,9 +25,9 @@ class usage spread out. Gradients are computed analytically, including the
 chain rule through the prototype normalization; the centering vector stays
 frozen throughout.
 
-One kernel serves all three variants: it refines E same-shape episodes as
-(E, n, D) arrays from their ``NormalizedChunk``, which ``predict_chunk``
-also predicts from. Every product is per episode, so an episode's result
+One kernel serves all three variants: it refines E same-shape episodes read
+from their ``NormalizedChunk`` alone, and ``predict_chunk`` returns one
+(E, n_query, C) sheet. Every product is per episode, so an episode's result
 does not depend on its chunk; the one-episode functions call the same code.
 
 The kernel keeps a step's logits, probabilities and logit gradients
@@ -218,10 +218,11 @@ def _unbatch(batch: _Batch) -> list[PrototypeSet]:
     return [PrototypeSet(w, mu, batch.variant, d) for w, mu, d in zip(batch.w, batch.mu, dummies)]
 
 
-def _init_batch(mu: np.ndarray, episodes: Sequence[Episode], variant: Variant) -> _Batch:
-    """``init_prototypes`` of E episodes about their centering vectors ``mu``."""
-    labels = np.stack([episode.support_labels for episode in episodes])
-    w = class_means(np.stack([episode.support_vectors for episode in episodes]), labels)
+def _init_batch(
+    mu: np.ndarray, raw_support: np.ndarray, support_labels: np.ndarray, variant: Variant
+) -> _Batch:
+    """``init_prototypes`` of E episodes from their stacked ``mu``, raw supports and labels."""
+    w = class_means(raw_support, support_labels)
     dummy = None
     if variant is Variant.EXPLICIT_DUMMY:
         dummy = -center_normalize(w, mu[:, None]).mean(axis=1)
@@ -242,17 +243,13 @@ class _Inputs(NamedTuple):
     work: dict[str, np.ndarray]
 
 
-def _inputs(
-    episodes: Sequence[Episode], batch: _Batch, view: NormalizedChunk | None = None
-) -> _Inputs:
-    """``view``, or the episodes normalized at the batch's centering vectors."""
-    view = normalize_chunk(episodes, batch.mu) if view is None else view
+def _inputs(view: NormalizedChunk) -> _Inputs:
+    """The kernel's inputs from the chunk ``view``."""
     rows = np.concatenate([view.support, view.query], axis=1)
-    labels = np.stack([episode.support_labels for episode in episodes])
     n_episodes, n_rows = rows.shape[:2]
-    n_support = labels.shape[1]
+    n_support = view.support.shape[1]
     label_index = (
-        labels * (n_episodes * n_rows)
+        view.support_labels * (n_episodes * n_rows)
         + np.arange(n_episodes)[:, None] * n_rows
         + np.arange(n_support)
     )
@@ -453,7 +450,7 @@ def refine_batch(
     if cfg.n_steps == 0 or not states:
         return list(states)
     batch = _batch(states)
-    return _unbatch(_refine(batch, _inputs(episodes, batch), cfg))
+    return _unbatch(_refine(batch, _inputs(normalize_chunk(episodes, batch.mu)), cfg))
 
 
 def init_prototypes(
@@ -465,19 +462,20 @@ def init_prototypes(
     value, the negated average of the normalized prototypes, so its logits
     coincide with the implicit variant's before any refinement.
     """
-    return _unbatch(_init_batch(policy.resolve(episode)[None], [episode], Variant(variant)))[0]
+    return _unbatch(_init_batch(policy.resolve(episode)[None], episode.support_vectors[None],
+                                episode.support_labels[None], Variant(variant)))[0]
 
 
 def predict_chunk(
-    view: NormalizedChunk, episodes: Sequence[Episode], variant: Variant | str, cfg: OstimConfig
-) -> list[PredictionSheet]:
-    """``predict`` of each episode's refined ``init_prototypes``, in one kernel
-    call from the chunk normalized once in ``view``; fails as ``refine_batch``."""
-    batch = _init_batch(view.mu, episodes, Variant(variant))
-    batch = _refine(batch, _inputs(episodes, batch, view), cfg)
+    view: NormalizedChunk, variant: Variant | str, cfg: OstimConfig
+) -> PredictionSheet:
+    """One (E, n_query, C) sheet whose row e is ``predict`` of episode e's refined
+    ``init_prototypes``, all refined in one kernel call; fails as ``refine_batch``."""
+    batch = _init_batch(view.mu, view.raw_support, view.support_labels, Variant(variant))
+    batch = _refine(batch, _inputs(view), cfg)
     v = _directions(batch.w, batch.mu)[0]
     probs = _rows(_softmax(_logits((view.query,), v, batch, cfg.temperature, {})))
-    return [PredictionSheet(p, batch.w.shape[1]) for p in probs]
+    return PredictionSheet(probs, batch.w.shape[1])
 
 
 def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.ndarray:
@@ -498,7 +496,7 @@ def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBr
     present, carries zero target mass).
     """
     batch = _batch([ps])
-    inputs = _inputs([episode], batch)
+    inputs = _inputs(normalize_chunk([episode], batch.mu))
     return _loss_terms(_forward(inputs, batch, cfg.temperature)[0], inputs, cfg.alpha)[0]
 
 
@@ -507,7 +505,7 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray | None]:
     """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector)."""
     batch = _batch([ps])
-    inputs = _inputs([episode], batch)
+    inputs = _inputs(normalize_chunk([episode], batch.mu))
     probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
     breakdown = _loss_terms(probs, inputs, cfg.alpha)[0]
     return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
@@ -526,7 +524,7 @@ def refine(
     if cfg.n_steps == 0:
         return ps, trace
     batch = _batch([ps])
-    batch = _refine(batch, _inputs([episode], batch), cfg, [trace])
+    batch = _refine(batch, _inputs(normalize_chunk([episode], batch.mu)), cfg, [trace])
     return _unbatch(batch)[0], trace
 
 

@@ -7,15 +7,15 @@ method section (``OstimConfig``, ``BaselineConfig``) holds all of its
 settings, centering and ``variant`` included, and ``_KEYS`` declares their
 JSON keys once, for parsing and the report snapshot. ``METHODS`` maps each
 method name to the ``RunConfig`` field of its section and to its chunk
-evaluator, which receives that section. The loop walks the stream in
-chunks of ``CHUNK_SIZE`` episodes, normalizes each chunk once per centering
-in use, and scores the methods on that ``NormalizedChunk`` in ``METHODS``
-order as (E, ...) arrays, each method's chunk scored by one
-``score_chunk`` call; ``strong_baseline`` reuses the ``simpleshot`` and
-``knn`` reports, running either itself when it is not configured. Results
-are reduced in index order and do not depend on the chunk. A failing chunk
-is replayed one episode at a time, methods in config order, to name the
-first failing (episode, method) in stream order.
+evaluator ``evaluate(section, view, done)``. The loop walks the stream in
+chunks of ``CHUNK_SIZE`` episodes, stacks and normalizes each chunk once per
+centering in use into a ``NormalizedChunk`` ``view``, all an evaluator
+reads, and runs the methods in ``METHODS`` order: each chunk's one sheet or
+score array is scored by one ``score_chunk`` call. ``strong_baseline``
+reuses the ``simpleshot`` and ``knn`` reports, running either itself when
+it is not configured. Results are reduced in index order and do not depend
+on the chunk. A failing chunk is replayed one episode at a time, methods in
+config order, to name the first failing (episode, method) in stream order.
 ``workers`` is accepted and validated but selects no code path.
 """
 
@@ -35,7 +35,8 @@ import numpy as np
 from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, SamplingError
-from .feature_store import FeatureSet, atomic_write, base_mean, load_feature_store
+from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_path,
+                            load_feature_store)
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
 from .synthgen import SynthSpec
 from .transforms import CenteringPolicy, NormalizedChunk, normalize_chunk
@@ -80,40 +81,32 @@ class RunConfig:
 
 class Method(NamedTuple):
     section: str  # the RunConfig field holding its section ("ostim_cfg" or "baseline_cfg")
-    evaluate: Callable[[list[Episode], Section, NormalizedChunk, dict], list[EpisodeReport]]
+    evaluate: Callable[[Section, NormalizedChunk, dict], list[EpisodeReport]]
 
 
-def _truth(episodes: list[Episode]) -> np.ndarray:
-    return np.array([ep.query_truth for ep in episodes])
-
-
-def _scored(sheets, episodes: list[Episode]) -> list[EpisodeReport]:
-    return score_chunk(
-        _truth(episodes),
-        np.array([sheet.outlier_score for sheet in sheets]),
-        np.array([sheet.closed_pred for sheet in sheets]),
-    )
+def _scored(sheet, view: NormalizedChunk) -> list[EpisodeReport]:
+    return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
 
 
 def _refined(variant: ostim.Variant | None):
     """Refine the chunk with ``variant``, or with the section's own when it is None."""
-    return lambda episodes, ocfg, view, done: _scored(
-        ostim.predict_chunk(view, episodes, variant or ocfg.variant, ocfg), episodes
+    return lambda ocfg, view, done: _scored(
+        ostim.predict_chunk(view, variant or ocfg.variant, ocfg), view
     )
 
 
-def _simpleshot(episodes, bcfg, view, done):
-    return _scored(baselines.simpleshot_chunk(view, episodes, bcfg.temperature), episodes)
+def _simpleshot(bcfg, view, done):
+    return _scored(baselines.simpleshot_chunk(view, bcfg.temperature), view)
 
 
-def _knn(episodes, bcfg, view, done):
-    return score_chunk(_truth(episodes), baselines.knn_chunk(view, bcfg.knn_k))
+def _knn(bcfg, view, done):
+    return score_chunk(view.query_truth, baselines.knn_chunk(view, bcfg.knn_k))
 
 
-def _strong_baseline(episodes, bcfg, view, done):
+def _strong_baseline(bcfg, view, done):
     """``knn``'s reports with ``simpleshot``'s accuracy, at the same centering."""
     simpleshot, knn = (
-        done[m] if m in done else METHODS[m].evaluate(episodes, bcfg, view, done)
+        done[m] if m in done else METHODS[m].evaluate(bcfg, view, done)
         for m in ("simpleshot", "knn")
     )
     return [replace(k, acc=s.acc) for s, k in zip(simpleshot, knn)]
@@ -281,11 +274,6 @@ def _config_snapshot(cfg: RunConfig) -> dict:
     }
 
 
-def _normalized(episodes: list[Episode], kind: str, base_mu: np.ndarray | None) -> NormalizedChunk:
-    policy = CenteringPolicy(kind, base_mu if kind == "base" else None)
-    return normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
-
-
 def episode_checksum(episode: Episode) -> int:
     """CRC-32 over the episode payload; used to verify paired streams."""
     crc = 0
@@ -309,8 +297,9 @@ def evaluate_method(
     """
     section = getattr(cfg, METHODS[method].section)
     if section.centering not in views:
-        views[section.centering] = _normalized(episodes, section.centering, base_mu)
-    return METHODS[method].evaluate(episodes, section, views[section.centering], done)
+        policy = CenteringPolicy(section.centering, base_mu)
+        views[policy.kind] = normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
+    return METHODS[method].evaluate(section, views[section.centering], done)
 
 
 def _evaluate_chunk(
@@ -352,7 +341,8 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     or lies under a file is refused before the store loads. Output is
     byte-identical across repeated runs, worker counts and chunk sizes.
     """
-    _check_output_dir(cfg)
+    if cfg.output_dir is not None:
+        check_output_path(cfg.output_dir, "output_dir", directory=True)
     if fs is None:
         fs = load_feature_store(cfg.store)
     needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
@@ -378,26 +368,12 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     return run_reports
 
 
-def _check_output_dir(cfg: RunConfig) -> None:
-    """ConfigError if ``output_dir`` or its nearest existing ancestor is
-    not a directory, so a run fails before any work rather than at its end."""
-    if cfg.output_dir is None:
-        return
-    out_dir = Path(cfg.output_dir)
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise ConfigError(f"output_dir {cfg.output_dir!r}: {path} is not a directory")
-            return
-
-
 def write_reports(
     run_reports: dict[str, RunReport], cfg: RunConfig, out_dir: Path, stream_crc: int
 ) -> None:
     """Write ``run_report.json`` and ``run_report.csv`` into ``out_dir``.
     Both go to temporary files first and replace the old reports only once
     both are complete, so a write that fails leaves the earlier pair intact."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "episode_stream_crc32": f"{stream_crc:08x}",
         "reports": {m: asdict(r) for m, r in run_reports.items()},
@@ -437,9 +413,10 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
         points = [replace(cfg.ostim_cfg, alpha=float(alpha)) for alpha in grid]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
-    _check_output_dir(cfg)
+    if cfg.output_dir is not None:
+        check_output_path(cfg.output_dir, "output_dir", directory=True)
     fs = load_feature_store(cfg.store)
-    if not fs.classes_in_split("val"):
+    if not fs.split_class_ids("val").size:
         raise DataError("store has no validation split to sweep over")
     table = []
     for ostim_cfg in points:

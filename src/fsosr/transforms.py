@@ -1,5 +1,5 @@
 """Center-normalize transform, the three centering policies, and the
-normalized view of a chunk of episodes that every method reads."""
+normalized view of a chunk of episodes, the only input of every method."""
 
 from __future__ import annotations
 
@@ -88,22 +88,29 @@ class CenteringPolicy:
 
 
 class NormalizedChunk(NamedTuple):
-    """E same-shape episodes center-normalized at their centering vectors
-    ``mu`` (E, D): ``support`` (E, n_support, D) and ``query`` (E, n_query, D)."""
+    """``raw_support``, ``support_labels`` and ``query_truth`` of E same-shape episodes,
+    stacked, and ``support``/``query`` center-normalized at ``mu`` (E, D)."""
 
     mu: np.ndarray
     support: np.ndarray
     query: np.ndarray
+    raw_support: np.ndarray
+    support_labels: np.ndarray
+    query_truth: np.ndarray
 
 
 def normalize_chunk(episodes: Sequence[Episode], mu: Sequence[np.ndarray]) -> NormalizedChunk:
-    """Normalize each episode at its own centering vector. A vector at its
-    centering point raises DegenerateFeatureError, supports checked first."""
+    """The one stacking of episodes, each normalized at its own ``mu``. A vector
+    at its centering point raises DegenerateFeatureError, supports first."""
     mu = np.stack(mu)
+    raw_support = np.stack([ep.support_vectors for ep in episodes])
     return NormalizedChunk(
         mu,
-        center_normalize(np.stack([ep.support_vectors for ep in episodes]), mu[:, None]),
+        center_normalize(raw_support, mu[:, None]),
         center_normalize(np.stack([ep.query_vectors for ep in episodes]), mu[:, None]),
+        raw_support,
+        np.stack([ep.support_labels for ep in episodes]),
+        np.stack([ep.query_truth for ep in episodes]),
     )
 
 

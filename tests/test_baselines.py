@@ -77,6 +77,15 @@ def unit_rows(rng, *shape):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def detector_view(support, query):
+    """A chunk of the given normalized rows, centered at the origin; the
+    detector reads only ``support`` and ``query``."""
+    (n_episodes, n_support, dim), n_query = support.shape, query.shape[1]
+    return NormalizedChunk(np.zeros((n_episodes, dim)), support, query, support,
+                           np.zeros((n_episodes, n_support), np.int64),
+                           np.zeros((n_episodes, n_query), np.int64))
+
+
 @st.composite
 def near_tie_views(draw):
     """Chunks with duplicated supports, supports one ulp apart and queries on
@@ -97,7 +106,7 @@ def near_tie_views(draw):
         support[:, 2] = np.nextafter(support[:, 0], np.inf)
     if draw(st.booleans()):
         query[:, 0] = support[:, n_support - 1]
-    return NormalizedChunk(np.zeros((n_episodes, dim)), support, query)
+    return detector_view(support, query)
 
 
 class TestSimpleshot:
@@ -202,8 +211,7 @@ class TestKnn:
         difference-tensor loop this replaced, measured with numpy 2.4: two
         (150, 25, 64) float64 tensors, since each episode's was allocated
         before the previous one was freed."""
-        view = NormalizedChunk(np.zeros((16, 64)), unit_rows(rng, 16, 25, 64),
-                               unit_rows(rng, 16, 150, 64))
+        view = detector_view(unit_rows(rng, 16, 25, 64), unit_rows(rng, 16, 150, 64))
         assert traced_peak(lambda: knn_chunk(view, k)) <= 4_019_480
 
     def test_k_out_of_range(self, rng):

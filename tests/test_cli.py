@@ -149,6 +149,62 @@ def test_output_dir_under_a_file_is_2_before_the_store_loads(
     assert (tmp_path / "notadir").read_text() == ""
 
 
+# Each command with its output path in ``{out}``, and the flag naming it.
+OUTPUT_COMMANDS = {
+    "ingest": ("ingest --csv {csv} --splits {splits} --out {out}", "--out"),
+    "synth": ("synth --spec {spec} --out {out}", "--out"),
+    "sample": ("sample --store {store} --n 2 --dump {out}", "--dump"),
+    "diagnose": ("diagnose --store {store} --out {out}", "--out"),
+}
+
+
+def output_argv(command, tmp_path, synth_store, out):
+    """The command's argv writing to ``out``, with its inputs in ``tmp_path``."""
+    csv_path, splits, spec = tmp_path / "f.csv", tmp_path / "splits.json", tmp_path / "s.json"
+    csv_path.write_text("label,f0\na,0.5\nb,1.5\n")
+    splits.write_text(json.dumps({"base": ["a"], "test": ["b"]}))
+    spec.write_text(json.dumps({"dim": 3, "n_classes": 4, "points_per_class": 5,
+                                "centroid_radius": 1.0, "within_std": 0.2}))
+    template = OUTPUT_COMMANDS[command][0]
+    return template.format(csv=csv_path, splits=splits, spec=spec, store=synth_store,
+                           out=out).split()
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_under_a_file_is_2_naming_it_before_any_work(
+    synth_store, tmp_path, capsys, monkeypatch, command
+):
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    out = blocker / "sub" / "o.fsos"
+    argv = output_argv(command, tmp_path, synth_store, out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("fsosr.cli.ingest_csv", "fsosr.cli.load_feature_store",
+                 "fsosr.synthgen.generate"):
+        monkeypatch.setattr(name, refuse)
+    assert main(argv) == 2
+    flag = OUTPUT_COMMANDS[command][1]
+    assert capsys.readouterr().err == f"error: {flag} {str(out)!r}: {blocker} is not a directory\n"
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth", "diagnose"])
+def test_missing_output_directories_are_made(synth_store, tmp_path, command):
+    out = tmp_path / "new" / "deeper" / "o.out"
+    assert main(output_argv(command, tmp_path, synth_store, out)) == 0
+    assert out.is_file()
+
+
+def test_a_file_output_that_is_a_directory_is_2(synth_store, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(output_argv("diagnose", tmp_path, synth_store, out)) == 2
+    assert capsys.readouterr().err == f"error: --out {str(out)!r}: {out} is a directory\n"
+
+
 @pytest.mark.parametrize(
     "argv, target",
     [
@@ -240,6 +296,20 @@ class TestExitCodes:
         assert main(["ingest", "--csv", str(csv_path), "--splits", str(splits_path),
                      "--out", str(tmp_path / "o.fsos")]) == 3
         assert "split 'base' entry None" in capsys.readouterr().err
+
+    def test_a_bad_first_row_is_3_naming_line_1(self, tmp_path, capsys):
+        # Line 1 is a header only when none of its feature fields is a number.
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("a,x,1.0\nb,2.5,3.5\n")
+        splits_path = tmp_path / "splits.json"
+        splits_path.write_text(json.dumps({"base": ["a"], "test": ["b"]}))
+        argv = ["ingest", "--csv", str(csv_path), "--splits", str(splits_path),
+                "--out", str(tmp_path / "o.fsos")]
+        assert main(argv) == 3
+        assert f"{csv_path}:1: bad feature value" in capsys.readouterr().err
+        csv_path.write_text("label,f0,f1\na,0.5,1.5\nb,2.5,3.5\n")
+        assert main(argv) == 0
+        assert load_feature_store(tmp_path / "o.fsos").n == 2
 
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2

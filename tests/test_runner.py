@@ -263,9 +263,9 @@ class TestRun:
         seen = {}
 
         def spy(name, method):
-            def evaluate(episodes, section, policy, done):
+            def evaluate(section, view, done):
                 seen[name] = section
-                return method.evaluate(episodes, section, policy, done)
+                return method.evaluate(section, view, done)
 
             return method._replace(evaluate=evaluate)
 
@@ -326,10 +326,10 @@ class TestRun:
         # The one-episode replay finds nothing, so the chunk's own error stands.
         real = ostim_mod.predict_chunk
 
-        def batch_only(view, episodes, variant, cfg):
-            if len(episodes) > 1:
+        def batch_only(view, variant, cfg):
+            if len(view.mu) > 1:
                 raise ValueError("batch-only failure")
-            return real(view, episodes, variant, cfg)
+            return real(view, variant, cfg)
 
         monkeypatch.setattr(ostim_mod, "predict_chunk", batch_only)
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
@@ -391,8 +391,8 @@ class TestStrongBaseline:
         fs = load_feature_store(store_path)
         episodes = [sample_episode(fs, cfg.episode, i) for i in range(7)]
         stream = [episode_checksum(episode) for episode in episodes]
-        # knn_chunk sees only the view: its episodes are told apart by their
-        # queries normalized at the base mean.
+        # Each chunk function sees only the view: its episodes are told apart
+        # by their queries normalized at the base mean.
         checksum_of = {
             center_normalize(episode.query_vectors, base_mean(fs)).tobytes(): checksum
             for episode, checksum in zip(episodes, stream)
@@ -400,9 +400,9 @@ class TestStrongBaseline:
         calls = {"simpleshot_chunk": [], "knn_chunk": []}
         real_simpleshot, real_knn = baselines_mod.simpleshot_chunk, baselines_mod.knn_chunk
 
-        def simpleshot_chunk(view, episodes, *args):
-            calls["simpleshot_chunk"] += [episode_checksum(episode) for episode in episodes]
-            return real_simpleshot(view, episodes, *args)
+        def simpleshot_chunk(view, *args):
+            calls["simpleshot_chunk"] += [checksum_of[queries.tobytes()] for queries in view.query]
+            return real_simpleshot(view, *args)
 
         def knn_chunk(view, *args):
             calls["knn_chunk"] += [checksum_of[queries.tobytes()] for queries in view.query]
@@ -442,16 +442,16 @@ class TestChunkPath:
         view = normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
         ocfg = OstimConfig(n_steps=6, learning_rate=0.05)
         for variant in Variant:
-            sheets = ostim_mod.predict_chunk(view, episodes, variant, ocfg)
-            for episode, sheet in zip(episodes, sheets, strict=True):
+            sheet = ostim_mod.predict_chunk(view, variant, ocfg)
+            for episode, probs in zip(episodes, sheet.probs, strict=True):
                 state, _ = ostim_mod.refine(
                     ostim_mod.init_prototypes(episode, policy, variant), episode, ocfg
                 )
-                assert np.array_equal(sheet.probs, ostim_mod.predict(state, episode, ocfg).probs)
-        sheets = baselines_mod.simpleshot_chunk(view, episodes, 7.5)
+                assert np.array_equal(probs, ostim_mod.predict(state, episode, ocfg).probs)
+        sheet = baselines_mod.simpleshot_chunk(view, 7.5)
         scores = baselines_mod.knn_chunk(view, 2)
-        for episode, sheet, score in zip(episodes, sheets, scores, strict=True):
-            assert np.array_equal(sheet.probs, simpleshot_classify(episode, policy, 7.5).probs)
+        for episode, probs, score in zip(episodes, sheet.probs, scores, strict=True):
+            assert np.array_equal(probs, simpleshot_classify(episode, policy, 7.5).probs)
             assert np.array_equal(score, knn_outlier_score(episode, policy, 2))
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
@@ -594,8 +594,8 @@ class TestChunkFailures:
         target = task_mean(sample_episode(fs, cfg.episode, 2)).tobytes()
         real = ostim_mod._init_batch
 
-        def poisoned(mu, episodes, variant):
-            batch = real(mu, episodes, variant)
+        def poisoned(mu, raw_support, support_labels, variant):
+            batch = real(mu, raw_support, support_labels, variant)
             if variant is ostim_mod.Variant.CLOSED:
                 w = batch.w.copy()
                 for e, episode_mu in enumerate(batch.mu):

@@ -64,9 +64,9 @@ class TestGenerate:
 
     def test_split_sizes(self):
         fs = generate(base_spec())
-        assert len(fs.classes_in_split("base")) == 2
-        assert len(fs.classes_in_split("val")) == 2
-        assert len(fs.classes_in_split("test")) == 4
+        assert fs.split_class_ids("base").size == 2
+        assert fs.split_class_ids("val").size == 2
+        assert fs.split_class_ids("test").size == 4
 
     def test_split_counts_rounding(self):
         assert _split_counts((0.4, 0.2, 0.4), 10) == [4, 2, 4]

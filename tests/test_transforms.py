@@ -14,6 +14,7 @@ from fsosr import (
     center_normalize,
     task_mean,
 )
+from fsosr.transforms import normalize_chunk
 
 from conftest import make_episode, properties
 
@@ -88,6 +89,24 @@ class TestTaskMean:
             expected += row
         expected /= len(stacked)
         assert np.allclose(task_mean(episode), expected, rtol=1e-6)
+
+
+class TestNormalizeChunk:
+    def test_the_view_carries_the_stacked_episode_fields(self, rng):
+        episodes = [make_episode(rng) for _ in range(4)]
+        mu = [task_mean(episode) for episode in episodes]
+        view = normalize_chunk(episodes, mu)
+        assert np.array_equal(view.mu, np.stack(mu))
+        for name, field in (("raw_support", "support_vectors"),
+                            ("support_labels", "support_labels"),
+                            ("query_truth", "query_truth")):
+            stacked = np.stack([getattr(episode, field) for episode in episodes])
+            assert np.array_equal(getattr(view, name), stacked), name
+            assert getattr(view, name).dtype == stacked.dtype, name
+        for e, episode in enumerate(episodes):
+            support = center_normalize(episode.support_vectors, mu[e])
+            assert np.array_equal(view.support[e], support)
+            assert np.array_equal(view.query[e], center_normalize(episode.query_vectors, mu[e]))
 
 
 class TestCenteringPolicy:
