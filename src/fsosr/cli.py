@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-divergence. ``--out`` and ``--dump`` are checked before any command runs.
+divergence. Every file a command writes is checked before its work starts:
+``--out`` and ``--dump`` before any command runs, a store's sidecar with
+its ``--out``, and the files written into ``--dump`` or ``output_dir`` by
+the command itself.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .diagnostics import split_diagnostics
 from .episodes import sample_episode
 from .errors import ConfigError, FsosrError
 from .feature_store import (atomic_write, check_output_path, ingest_csv, load_feature_store,
-                            save_feature_store)
+                            save_feature_store, sidecar_path)
 from .metrics import METRIC_NAMES
 
 
@@ -39,10 +42,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     spec = runner.episode_spec_from_dict(doc)
     if args.n < 0:
         raise ConfigError(f"--n must be >= 0, got {args.n}")
-    fs = load_feature_store(args.store)
     out_dir = Path(args.dump)
+    paths = [out_dir / f"episode_{index:05d}.json" for index in range(args.n)]
+    for path in paths:
+        check_output_path(path, "--dump")
+    fs = load_feature_store(args.store)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index in range(args.n):
+    for index, path in enumerate(paths):
         episode = sample_episode(fs, spec, index, split=args.split)
         doc = {
             "episode_index": index,
@@ -53,7 +59,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "query_truth": episode.query_truth.tolist(),
             "query_vectors": episode.query_vectors.tolist(),
         }
-        with atomic_write(out_dir / f"episode_{index:05d}.json", "w") as fh:
+        with atomic_write(path, "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True))
     print(f"wrote {args.n} episodes -> {out_dir}")
     return 0
@@ -112,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     print(f"best alpha: {best:g}")
     if cfg.output_dir:
-        with atomic_write(Path(cfg.output_dir) / "sweep.json", "w") as fh:
+        with atomic_write(Path(cfg.output_dir) / runner.SWEEP_FILE, "w") as fh:
             fh.write(json.dumps({"param": args.param, "best": best, "table": table},
                                 indent=2, sort_keys=True))
     return 0
@@ -129,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--splits", required=True, help="JSON file with base/val/test class lists")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=_cmd_ingest, writes_store=True)
 
     p = sub.add_parser("synth", help="generate a synthetic Gaussian-cluster store")
     p.add_argument("--spec", required=True, help="JSON SynthSpec document")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, writes_store=True)
 
     p = sub.add_parser("sample", help="dump sampled episodes as JSON for inspection")
     p.add_argument("--store", required=True)
@@ -170,6 +176,8 @@ def main(argv: list[str] | None = None) -> int:
         for flag, directory in (("out", False), ("dump", True)):
             if getattr(args, flag, None) is not None:
                 check_output_path(getattr(args, flag), f"--{flag}", directory)
+        if getattr(args, "writes_store", False):
+            check_output_path(sidecar_path(args.out), "--out sidecar")
         return args.func(args)
     except FsosrError as exc:
         print(f"error: {exc}", file=sys.stderr)

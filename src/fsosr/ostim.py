@@ -27,27 +27,13 @@ frozen throughout.
 
 One kernel serves all three variants: it refines E same-shape episodes read
 from their ``NormalizedChunk`` alone, and ``predict_chunk`` returns one
-(E, n_query, C) sheet. Every product is per episode, so an episode's result
-does not depend on its chunk; the one-episode functions call the same code.
-
-The kernel keeps a step's logits, probabilities and logit gradients
-class-major: contiguous (C, E, N) arrays with the C = K or K + 1 logit
-columns outermost and the N = support + query rows of each episode
-innermost. A sum or maximum over the classes is then a few elementwise
-passes over (E, N) blocks instead of one short reduction per row, which is
-what bounded a step on small episodes. The results are those of the
-row-major (E, N, C) computation bit for bit, because every floating-point
-operation keeps its order:
-
-* each matmul reads and writes the row-major (E, n, .) layout, through
-  transposed copies in and out, and the support and query rows keep a
-  logit matmul each, since a matmul's bits depend on its row count;
-* the mean over query rows adds them in sequence, from a query-major copy;
-* ``_class_sum`` adds the classes in numpy's pairwise order for a
-  contiguous last axis.
-
-Elementwise operations have no order to keep. The public ``softmax`` runs
-the same class-major code on a copy of its input.
+(E, n_query, C) sheet. A step keeps its logits, probabilities and logit
+gradients as (E, C, N) arrays, with the C = K or K + 1 logit columns before
+the N = support + query rows of each episode, so that both matmuls read the
+normalized rows as they are: the logits are ``(tau v) @ rows^T`` and the
+prototype and dummy gradients ``g @ rows``. Every operation is per episode,
+so an episode's result does not depend on its chunk, bit for bit; the
+one-episode functions call the same code with E = 1.
 """
 
 from __future__ import annotations
@@ -150,45 +136,11 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return np.where(p > _PLOGP_FLOOR, p * np.log(np.maximum(p, _PLOGP_FLOOR)), 0.0)
 
 
-def _class_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy uses for a contiguous last axis:
-    in sequence below 8 terms, with 8 interleaved accumulators combined
-    pairwise up to 128 terms, and split in halves (on a multiple of 8) above
-    that. So ``_class_sum`` of a class-major copy equals ``x.sum(axis=-1)``
-    of the row-major array bit for bit."""
-    n = x.shape[0]
-    if n < 8:
-        return np.add.reduce(x, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _class_sum(x[:half]) + _class_sum(x[half:])
-    tail = n - n % 8
-    acc = np.add.reduce(x[:tail].reshape(tail // 8, 8, *x.shape[1:]), axis=0)
-    acc = acc[0::2] + acc[1::2]
-    acc = acc[0::2] + acc[1::2]
-    total = acc[0] + acc[1]
-    for row in x[tail:]:
-        total += row
-    return total
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0 of class-major ``logits``, computed in place."""
-    np.subtract(logits, np.maximum.reduce(logits, axis=0), out=logits)
-    np.exp(logits, out=logits)
-    return np.divide(logits, _class_sum(logits), out=logits)
-
-
-def _rows(class_major: np.ndarray) -> np.ndarray:
-    """The row-major (..., C) copy of a class-major (C, ...) array."""
-    return np.ascontiguousarray(np.moveaxis(class_major, 0, -1))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, ``exp(x - max) / sum``, computed on a
-    class-major copy."""
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``: ``exp(x - max) / sum``."""
     logits = np.asarray(logits, dtype=np.float64)
-    return _rows(_softmax(np.array(np.moveaxis(logits, -1, 0), order="C")))
+    e = np.exp(logits - np.max(logits, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 class _Batch(NamedTuple):
@@ -230,39 +182,31 @@ def _init_batch(
 
 
 class _Inputs(NamedTuple):
-    """Frozen inputs of E same-shape episodes, center-normalized at each
-    episode's centering vector. ``support`` and ``query`` are views of
-    ``rows``; ``label_index`` holds the flat index of each support row's
-    label in a class-major (C, E, n_support + n_query) array. ``work`` holds
-    the arrays of a step (see ``_work``)."""
+    """Frozen inputs of E same-shape episodes: ``rows`` (E, N, D) holds each
+    episode's center-normalized support rows, then its query rows, and
+    ``label_index`` (E, n_support) the flat index of each support row's label
+    in an (E, C, N) array."""
 
-    rows: np.ndarray  # (E, n_support + n_query, D)
-    support: np.ndarray
-    query: np.ndarray
-    label_index: np.ndarray  # (E, n_support)
-    work: dict[str, np.ndarray]
+    rows: np.ndarray
+    n_support: int
+    label_index: np.ndarray
 
 
-def _inputs(view: NormalizedChunk) -> _Inputs:
-    """The kernel's inputs from the chunk ``view``."""
+def _n_cols(batch: _Batch) -> int:
+    """C, the logit count: K, plus the outlier column of the two open variants."""
+    return batch.w.shape[1] + (batch.variant is not Variant.CLOSED)
+
+
+def _inputs(view: NormalizedChunk, batch: _Batch) -> _Inputs:
+    """The kernel's inputs from the chunk ``view``, for ``batch``'s logit count."""
     rows = np.concatenate([view.support, view.query], axis=1)
     n_episodes, n_rows = rows.shape[:2]
     n_support = view.support.shape[1]
     label_index = (
-        view.support_labels * (n_episodes * n_rows)
-        + np.arange(n_episodes)[:, None] * n_rows
+        (np.arange(n_episodes)[:, None] * _n_cols(batch) + view.support_labels) * n_rows
         + np.arange(n_support)
     )
-    return _Inputs(rows, rows[:, :n_support], rows[:, n_support:], label_index, {})
-
-
-def _work(work: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The array ``name`` of ``work``, made by a kernel call's first step and
-    overwritten by each later one, so that a step allocates no array of the
-    (C, E, N) size."""
-    if name not in work or work[name].shape != shape:
-        work[name] = np.empty(shape)
-    return work[name]
+    return _Inputs(rows, n_support, label_index)
 
 
 def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,53 +224,35 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shifted / radii[..., None], radii
 
 
-def _logits(
-    parts: Sequence[np.ndarray], v: np.ndarray, batch: _Batch, temperature: float,
-    work: dict[str, np.ndarray],
-) -> np.ndarray:
-    """Class-major logits (C, E, n) of normalized row blocks ``parts``, each
-    (E, n_i, D), against directions ``v``, the blocks in order along n. Each
-    block keeps its own matmuls, whose bits depend on their row count, and
-    their row-major results are copied in transposed. Both live in ``work``."""
-    n_episodes, k_way = v.shape[:2]
-    n_rows = sum(part.shape[1] for part in parts)
-    n_cols = k_way + (batch.variant is not Variant.CLOSED)
-    inlier = _work(work, "by_row", (n_episodes, n_rows, k_way))
-    out = _work(work, "logits", (n_cols, n_episodes, n_rows))
-    v_t = v.swapaxes(-1, -2)
-    lo = 0
-    for part in parts:
-        hi = lo + part.shape[1]
-        np.matmul(part, v_t, out=inlier[:, lo:hi])
-        if batch.variant is Variant.EXPLICIT_DUMMY:
-            extra = (part @ batch.dummy[..., None])[..., 0]
-            np.multiply(temperature, extra, out=out[k_way, :, lo:hi])
-        lo = hi
-    np.multiply(temperature, inlier.transpose(2, 0, 1), out=out[:k_way])
+def _logits(rows: np.ndarray, v: np.ndarray, batch: _Batch, temperature: float) -> np.ndarray:
+    """Logits (E, C, n) of normalized rows (E, n, D) against directions ``v``
+    (E, K, D) and, for explicit_dummy, the dummy vector. The implicit
+    outlier logit is the negated mean of the K inlier logits."""
+    k_way = v.shape[1]
+    directions = v if batch.dummy is None else np.concatenate([v, batch.dummy[:, None]], axis=1)
+    out = np.empty((len(v), _n_cols(batch), rows.shape[1]))
+    np.matmul(temperature * directions, rows.swapaxes(-1, -2), out=out[:, :directions.shape[1]])
     if batch.variant is Variant.IMPLICIT:
-        mean = _class_sum(out[:k_way])
-        np.negative(np.divide(mean, k_way, out=mean), out=out[k_way])
+        np.divide(np.add.reduce(out[:, :k_way], axis=1), -k_way, out=out[:, k_way])
     return out
 
 
 def _forward(
     inputs: _Inputs, batch: _Batch, temperature: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class-major probabilities (C, E, N) of every row, with the prototype
-    directions and radii they come from. The probabilities are a ``work``
-    array, which the next step overwrites."""
+    """Probabilities (E, C, N) of every row, with the prototype directions
+    and radii they come from."""
     v, radii = _directions(batch.w, batch.mu)
-    parts = (inputs.support, inputs.query)
-    return _softmax(_logits(parts, v, batch, temperature, inputs.work)), v, radii
+    return softmax(_logits(inputs.rows, v, batch, temperature), axis=1), v, radii
 
 
 def _loss_terms(probs: np.ndarray, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
-    """One breakdown per episode, from a row-major copy of the query rows."""
-    p_query = _rows(probs[..., inputs.support.shape[1]:])
-    n_episodes, n_query = p_query.shape[:2]
+    """One breakdown per episode."""
+    p_query = probs[..., inputs.n_support:]
+    n_query = p_query.shape[2]
     ce = -np.log(probs.take(inputs.label_index)).mean(axis=-1)
-    marginal = -_xlogx(p_query.mean(axis=1)).sum(axis=-1)
-    conditional = -_xlogx(p_query).reshape(n_episodes, -1).sum(axis=-1) / n_query
+    marginal = -_xlogx(np.add.reduce(p_query, axis=2) / n_query).sum(axis=-1)
+    conditional = -_xlogx(p_query).sum(axis=(1, 2)) / n_query
     total = ce - marginal + alpha * conditional
     return [
         LossBreakdown(float(c), float(m), float(h), float(t))
@@ -342,54 +268,32 @@ def _gradient(
 
     The gradient flows through the softmax, both entropy terms, and the
     prototype normalization; inputs and the centering vector are constants.
-    The logit gradient ``g`` is class-major (C, E, N), as ``probs`` is.
+    The logit gradient ``g`` is (E, C, N), as ``probs`` is.
     """
-    tau = cfg.temperature
     k_way = v.shape[1]
-    n_cols, n_episodes = probs.shape[:2]
-    n_s, n_q = inputs.support.shape[1], inputs.query.shape[1]
-    work = inputs.work
+    n_s = inputs.n_support
+    n_q = probs.shape[2] - n_s
 
     # d(loss)/d(logit), support rows: softmax cross-entropy.
-    g = _work(work, "g", probs.shape)
-    np.copyto(g[..., :n_s], probs[..., :n_s])
+    g = probs.copy()
     g.reshape(-1)[inputs.label_index] -= 1.0
     g[..., :n_s] /= n_s
 
-    # Query rows: marginal-entropy and conditional-entropy terms. The mean
-    # over queries adds them in order, and the dot of each row with log p_hat
-    # is a matmul of (E, n_q, C) rows; both read a query-major copy.
-    query_shape = (n_cols, n_episodes, n_q)
-    p_q = _work(work, "p_q", query_shape)
-    np.copyto(p_q, probs[..., n_s:])
-    by_query = _work(work, "by_query", query_shape[::-1])  # (n_q, E, C)
-    np.copyto(by_query, p_q.T)
-    log_p_hat = np.log(np.add.reduce(by_query, axis=0) / n_q)  # (E, C)
-    row_dot = (by_query.swapaxes(0, 1) @ log_p_hat[..., None])[..., 0]  # (E, n_q)
-    g_m = np.subtract(log_p_hat.T[..., None], row_dot, out=_work(work, "g_m", query_shape))
-    g_m *= p_q
-    g_m /= n_q
-    log_p_q = np.log(p_q, out=_work(work, "log_p_q", query_shape))
-    g_c = np.multiply(p_q, log_p_q, out=_work(work, "g_c", query_shape))
-    log_p_q -= _class_sum(g_c)
-    np.multiply(-(cfg.alpha / n_q), p_q, out=g_c)
-    g_c *= log_p_q
-    np.add(g_m, g_c, out=g[..., n_s:])
+    # Query rows: the marginal-entropy and conditional-entropy terms. With
+    # s = alpha log p - log p_hat, both are p (E_p[s] - s) / n_query.
+    p_q = probs[..., n_s:]
+    log_p_hat = np.log(np.add.reduce(p_q, axis=2, keepdims=True) / n_q)  # (E, C, 1)
+    s = cfg.alpha * np.log(p_q) - log_p_hat
+    g[..., n_s:] = p_q * (np.add.reduce(p_q * s, axis=1, keepdims=True) - s) / n_q
 
-    dummy_grad = None
+    # One matmul for every logit column's direction; the implicit outlier
+    # column's direction is the negated mean of the K prototype directions.
+    grad = cfg.temperature * (g @ inputs.rows)  # (E, C, D)
+    v_grad, dummy_grad = grad[:, :k_way], None
     if batch.variant is Variant.IMPLICIT:
-        g_sim = np.subtract(g[:k_way], g[k_way] / k_way, out=g[:k_way])
-    else:
-        g_sim = g[:k_way]
-    if batch.variant is Variant.EXPLICIT_DUMMY:
-        u_t = inputs.rows.swapaxes(-1, -2)
-        dummy_grad = (u_t @ (tau * g[k_way])[..., None])[..., 0]
-
-    # The prototype gradient's matmul reads a row-major (E, N, K) copy.
-    g_sim *= tau
-    g_sim_rows = _work(work, "by_row", inputs.rows.shape[:2] + (k_way,))
-    np.copyto(g_sim_rows, g_sim.transpose(1, 2, 0))
-    v_grad = g_sim_rows.swapaxes(-1, -2) @ inputs.rows
+        v_grad = v_grad - grad[:, k_way:] / k_way
+    elif batch.variant is Variant.EXPLICIT_DUMMY:
+        dummy_grad = grad[:, k_way]
     w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / radii[..., None]
     return w_grad, dummy_grad
 
@@ -397,7 +301,7 @@ def _gradient(
 def _forward_and_grad(
     inputs: _Inputs, batch: _Batch, cfg: OstimConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One refinement step: the class-major probabilities and the gradients."""
+    """One refinement step: the (E, C, N) probabilities and the gradients."""
     probs, v, radii = _forward(inputs, batch, cfg.temperature)
     return (probs, *_gradient(inputs, probs, v, radii, batch, cfg))
 
@@ -423,16 +327,19 @@ def _refine(
     """The refinement kernel: ``cfg.n_steps`` full-batch gradient-descent
     steps on every episode of ``batch`` at once. Appends each step's loss
     breakdowns to ``traces`` when given."""
-    for step in range(cfg.n_steps):
-        probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
-        _check_finite(step, probs.take(inputs.label_index), w_grad, dummy_grad)
-        if traces is not None:
-            for trace, breakdown in zip(traces, _loss_terms(probs, inputs, cfg.alpha)):
-                trace.append(breakdown)
-        dummy = batch.dummy
-        if dummy_grad is not None:
-            dummy = dummy - cfg.learning_rate * dummy_grad
-        batch = _Batch(batch.w - cfg.learning_rate * w_grad, batch.mu, dummy, batch.variant)
+    # numpy's warnings are silenced: a step that is not finite raises below,
+    # with the run's own message.
+    with np.errstate(all="ignore"):
+        for step in range(cfg.n_steps):
+            probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
+            _check_finite(step, probs.take(inputs.label_index), w_grad, dummy_grad)
+            if traces is not None:
+                for trace, breakdown in zip(traces, _loss_terms(probs, inputs, cfg.alpha)):
+                    trace.append(breakdown)
+            dummy = batch.dummy
+            if dummy_grad is not None:
+                dummy = dummy - cfg.learning_rate * dummy_grad
+            batch = _Batch(batch.w - cfg.learning_rate * w_grad, batch.mu, dummy, batch.variant)
     return batch
 
 
@@ -450,7 +357,7 @@ def refine_batch(
     if cfg.n_steps == 0 or not states:
         return list(states)
     batch = _batch(states)
-    return _unbatch(_refine(batch, _inputs(normalize_chunk(episodes, batch.mu)), cfg))
+    return _unbatch(_refine(batch, _inputs(normalize_chunk(episodes, batch.mu), batch), cfg))
 
 
 def init_prototypes(
@@ -472,10 +379,14 @@ def predict_chunk(
     """One (E, n_query, C) sheet whose row e is ``predict`` of episode e's refined
     ``init_prototypes``, all refined in one kernel call; fails as ``refine_batch``."""
     batch = _init_batch(view.mu, view.raw_support, view.support_labels, Variant(variant))
-    batch = _refine(batch, _inputs(view), cfg)
+    batch = _refine(batch, _inputs(view, batch), cfg)
+    return PredictionSheet(_query_probs(batch, view.query, cfg.temperature), batch.w.shape[1])
+
+
+def _query_probs(batch: _Batch, query: np.ndarray, temperature: float) -> np.ndarray:
+    """Probabilities (E, n, C) of normalized queries (E, n, D)."""
     v = _directions(batch.w, batch.mu)[0]
-    probs = _rows(_softmax(_logits((view.query,), v, batch, cfg.temperature, {})))
-    return PredictionSheet(probs, batch.w.shape[1])
+    return softmax(_logits(query, v, batch, temperature), axis=1).swapaxes(1, 2)
 
 
 def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.ndarray:
@@ -484,7 +395,7 @@ def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.nda
     u = center_normalize(np.atleast_2d(z), ps.mu)
     batch = _batch([ps])
     v = _directions(batch.w, batch.mu)[0]
-    out = _rows(_logits((u[None],), v, batch, temperature, {}))[0]
+    out = _logits(u[None], v, batch, temperature)[0].T
     return out[0] if z.ndim == 1 else out
 
 
@@ -496,7 +407,7 @@ def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBr
     present, carries zero target mass).
     """
     batch = _batch([ps])
-    inputs = _inputs(normalize_chunk([episode], batch.mu))
+    inputs = _inputs(normalize_chunk([episode], batch.mu), batch)
     return _loss_terms(_forward(inputs, batch, cfg.temperature)[0], inputs, cfg.alpha)[0]
 
 
@@ -505,7 +416,7 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray | None]:
     """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector)."""
     batch = _batch([ps])
-    inputs = _inputs(normalize_chunk([episode], batch.mu))
+    inputs = _inputs(normalize_chunk([episode], batch.mu), batch)
     probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
     breakdown = _loss_terms(probs, inputs, cfg.alpha)[0]
     return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
@@ -524,7 +435,7 @@ def refine(
     if cfg.n_steps == 0:
         return ps, trace
     batch = _batch([ps])
-    batch = _refine(batch, _inputs(normalize_chunk([episode], batch.mu)), cfg, [trace])
+    batch = _refine(batch, _inputs(normalize_chunk([episode], batch.mu), batch), cfg, [trace])
     return _unbatch(batch)[0], trace
 
 
@@ -532,7 +443,8 @@ def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionS
     """Softmax predictions for the episode's queries. The sheet reads the
     outlierness score from the outlier column when the variant has one,
     otherwise it is the negative maximum closed-set probability."""
-    return PredictionSheet(softmax(logits(ps, episode.query_vectors, cfg.temperature)), ps.n_way)
+    query = center_normalize(episode.query_vectors, ps.mu)[None]
+    return PredictionSheet(_query_probs(_batch([ps]), query, cfg.temperature)[0], ps.n_way)
 
 
 def closed_set_entropy(sheet: PredictionSheet) -> np.ndarray:

@@ -44,6 +44,10 @@ from .transforms import CenteringPolicy, NormalizedChunk, normalize_chunk
 # Consecutive episodes evaluated together; reports do not depend on it.
 CHUNK_SIZE = 16
 
+# The files ``run`` and ``fsosr sweep`` write into ``output_dir``.
+REPORT_FILES = ("run_report.json", "run_report.csv")
+SWEEP_FILE = "sweep.json"
+
 # A method section of the run config.
 Section = ostim.OstimConfig | baselines.BaselineConfig
 
@@ -338,11 +342,11 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
 
     Returns one RunReport per method and, when ``output_dir`` is set, writes
     ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
-    or lies under a file is refused before the store loads. Output is
-    byte-identical across repeated runs, worker counts and chunk sizes.
+    or lies under a file, or where a report is a directory, is refused
+    before the store loads. Output is byte-identical across repeated runs,
+    worker counts and chunk sizes.
     """
-    if cfg.output_dir is not None:
-        check_output_path(cfg.output_dir, "output_dir", directory=True)
+    _check_output_dir(cfg.output_dir, REPORT_FILES)
     if fs is None:
         fs = load_feature_store(cfg.store)
     needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
@@ -368,6 +372,15 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     return run_reports
 
 
+def _check_output_dir(output_dir: str | None, names: tuple[str, ...]) -> None:
+    """ConfigError unless ``output_dir``, when set, can be made a directory
+    and each of the files ``names`` in it can be written."""
+    if output_dir is not None:
+        check_output_path(output_dir, "output_dir", directory=True)
+        for name in names:
+            check_output_path(Path(output_dir) / name, "output_dir")
+
+
 def write_reports(
     run_reports: dict[str, RunReport], cfg: RunConfig, out_dir: Path, stream_crc: int
 ) -> None:
@@ -378,8 +391,9 @@ def write_reports(
         "episode_stream_crc32": f"{stream_crc:08x}",
         "reports": {m: asdict(r) for m, r in run_reports.items()},
     }
-    with atomic_write(out_dir / "run_report.json", "w") as js, atomic_write(
-        out_dir / "run_report.csv", "w", newline=""
+    json_name, csv_name = REPORT_FILES
+    with atomic_write(out_dir / json_name, "w") as js, atomic_write(
+        out_dir / csv_name, "w", newline=""
     ) as fh:
         js.write(json.dumps(doc, indent=2, sort_keys=True))
         writer = csv.writer(fh)
@@ -403,9 +417,10 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
     """Evaluate the transductive objective's alpha over validation episodes.
 
     Returns the AUROC-maximizing value (ties broken toward the smaller
-    alpha) and the full table. Every grid value and ``output_dir`` are
-    checked before the store is loaded. The grid points write no run
-    reports; ``output_dir`` is where the caller puts the table.
+    alpha) and the full table. Every grid value, ``output_dir`` and the
+    ``SWEEP_FILE`` in it are checked before the store is loaded. The grid
+    points write no run reports; ``output_dir`` is where the caller puts
+    the table, as ``SWEEP_FILE``.
     """
     if not grid:
         raise ConfigError("sweep grid must be nonempty")
@@ -413,8 +428,7 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
         points = [replace(cfg.ostim_cfg, alpha=float(alpha)) for alpha in grid]
     except ValueError as exc:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
-    if cfg.output_dir is not None:
-        check_output_path(cfg.output_dir, "output_dir", directory=True)
+    _check_output_dir(cfg.output_dir, (SWEEP_FILE,))
     fs = load_feature_store(cfg.store)
     if not fs.split_class_ids("val").size:
         raise DataError("store has no validation split to sweep over")

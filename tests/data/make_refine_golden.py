@@ -2,14 +2,15 @@
 refinement kernel must reproduce bit for bit.
 
 The cases cross all three variants with K in {5, 9, 20}, so the logit count
-C falls below 8, crosses 8 and reaches 21. D takes 16, 64 and 640 (640 for
-the implicit and explicit_dummy variants), E takes 1 and 4, and centering,
-learning rate and shot count alternate. Each case is built from its own
+C runs from 5 to 21. D takes 16, 64 and 640 (640 for the implicit and
+explicit_dummy variants), E takes 1 and 4, and centering, learning rate and
+shot count alternate. Each case is built from its own
 seed by ``build``, which the test imports too, so the file holds only
 outputs: for every case ``w`` (E, K, D), ``dummy`` (E, D)
 for the explicit_dummy variant, and the ``refine`` trace of the first
 episode as a (steps, 4) array of ce, marginal entropy, conditional entropy
-and total.
+and total. ``build`` records the numpy version and BLAS library that wrote
+the file, since a matmul's bits depend on them.
 
 Run from the repository root, on the commit whose bits are the reference:
 
@@ -28,7 +29,14 @@ from fsosr import (CenteringPolicy, Episode, OstimConfig, Variant, init_prototyp
                    refine_batch)
 
 GOLDEN = Path(__file__).with_name("refine_golden.npz")
+BUILD = "build"
 N_STEPS = 50
+
+
+def build_info() -> str:
+    """The numpy version and the BLAS library numpy runs on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
 
 
 class Case(NamedTuple):
@@ -48,8 +56,9 @@ class Case(NamedTuple):
 
 def cases() -> list[Case]:
     """Every variant at every K, once at D=16 and once at D=64, plus two
-    D=640 cases; E=4 at K=9, where C crosses 8. The file stays near 200 KB
-    because only outputs are stored, and D=640 prototypes are the bulk."""
+    D=640 cases; E=4 at K=9, so that a batch of episodes is pinned too. The
+    file stays near 200 KB because only outputs are stored, and D=640
+    prototypes are the bulk."""
     out = []
     for i, (variant, k_way) in enumerate(product(Variant, (5, 9, 20))):
         centering, other = ("task", "none") if i % 2 else ("none", "task")
@@ -108,8 +117,9 @@ def main() -> None:
         for key, value in outputs(case, seed).items():
             assert np.isfinite(value).all(), (case.name, key)
             arrays[f"{case.name}/{key}"] = value
+    arrays[BUILD] = np.array(build_info())
     np.savez_compressed(GOLDEN, **arrays)
-    print(f"{GOLDEN}: {len(cases())} cases, {GOLDEN.stat().st_size} bytes")
+    print(f"{GOLDEN}: {len(cases())} cases, {GOLDEN.stat().st_size} bytes, {build_info()}")
 
 
 if __name__ == "__main__":

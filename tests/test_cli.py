@@ -170,6 +170,17 @@ def output_argv(command, tmp_path, synth_store, out):
                            out=out).split()
 
 
+def refuse_work(monkeypatch):
+    """Make every command fail its test if it loads, ingests or generates a store."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output files were checked")
+
+    for name in ("fsosr.cli.ingest_csv", "fsosr.cli.load_feature_store",
+                 "fsosr.runner.load_feature_store", "fsosr.synthgen.generate"):
+        monkeypatch.setattr(name, refuse)
+
+
 @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
 def test_output_under_a_file_is_2_naming_it_before_any_work(
     synth_store, tmp_path, capsys, monkeypatch, command
@@ -178,17 +189,52 @@ def test_output_under_a_file_is_2_naming_it_before_any_work(
     blocker.write_text("")
     out = blocker / "sub" / "o.fsos"
     argv = output_argv(command, tmp_path, synth_store, out)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started before the output path was checked")
-
-    for name in ("fsosr.cli.ingest_csv", "fsosr.cli.load_feature_store",
-                 "fsosr.synthgen.generate"):
-        monkeypatch.setattr(name, refuse)
+    refuse_work(monkeypatch)
     assert main(argv) == 2
     flag = OUTPUT_COMMANDS[command][1]
     assert capsys.readouterr().err == f"error: {flag} {str(out)!r}: {blocker} is not a directory\n"
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_a_sidecar_that_is_a_directory_is_2_before_any_work(
+    synth_store, tmp_path, capsys, monkeypatch, command
+):
+    out = tmp_path / "o.fsos"
+    sidecar = sidecar_path(out)
+    sidecar.mkdir()
+    argv = output_argv(command, tmp_path, synth_store, out)
+    refuse_work(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out sidecar {str(sidecar)!r}: {sidecar} is a directory\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        ("run --config {config}", "run_report.json"),
+        ("run --config {config}", "run_report.csv"),
+        ("sweep --config {config} --param ostim.alpha --grid 0.5,1.0", "sweep.json"),
+        ("sample --store {store} --n 3 --dump {out}", "episode_00002.json"),
+    ],
+    ids=("run-json", "run-csv", "sweep", "sample"),
+)
+def test_a_written_file_that_is_a_directory_is_2_before_any_work(
+    synth_store, tmp_path, capsys, monkeypatch, argv, target
+):
+    out = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"store": str(synth_store), "output_dir": str(out)}))
+    (out / target).mkdir(parents=True)
+    refuse_work(monkeypatch)
+    assert main(argv.format(config=config, store=synth_store, out=out).split()) == 2
+    flag = "--dump" if target.startswith("episode") else "output_dir"
+    path = out / target
+    assert capsys.readouterr().err == f"error: {flag} {str(path)!r}: {path} is a directory\n"
+    assert [p.name for p in out.iterdir()] == [target]
 
 
 @pytest.mark.parametrize("command", ["ingest", "synth", "diagnose"])
@@ -371,14 +417,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "baseline.knn_k" in err and "support size 5" in err and "got 10" in err
 
+    # ``ostim`` sections whose refinement overflows: a step that throws a
+    # prototype out of float64 range, and logits that do not fit in it.
+    OVERFLOWS = {
+        "lr": {"lr": 1e160, "n_steps": 5},
+        "temperature": {"n_steps": 3, "temperature": 1e300},
+    }
+
     @staticmethod
-    def overflow_config(synth_store, tmp_path):
+    def overflow_config(synth_store, tmp_path, ostim=OVERFLOWS["lr"]):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"store": str(synth_store), "n_episodes": 3,
                                       "episodes": {"n_way": 3, "n_query_per_class": 5,
                                                    "n_open_classes": 2},
                                       "methods": ["ostim", "tim_closed"],
-                                      "ostim": {"lr": 1e160, "n_steps": 5}}))
+                                      "ostim": ostim}))
         return config
 
     def test_step_size_that_overflows_a_prototype_is_4(self, synth_store, tmp_path, capsys):
@@ -388,10 +441,11 @@ class TestExitCodes:
         assert captured.err.startswith("error: episode 0, method ostim: ")
         assert "overflows" in captured.err and captured.out == ""
 
-    def test_overflow_error_is_the_first_line_of_stderr(self, synth_store, tmp_path):
+    @pytest.mark.parametrize("ostim", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+    def test_overflow_error_is_the_first_line_of_stderr(self, synth_store, tmp_path, ostim):
         # In a fresh interpreter, where a numpy RuntimeWarning would print
         # to stderr ahead of the run's own message.
-        config = self.overflow_config(synth_store, tmp_path)
+        config = self.overflow_config(synth_store, tmp_path, ostim)
         src = str(Path(fsosr.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(

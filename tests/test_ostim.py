@@ -30,6 +30,7 @@ from fsosr import (
     refine,
     refine_batch,
 )
+from fsosr.transforms import normalize_chunk
 
 from conftest import make_episode, properties
 
@@ -419,6 +420,30 @@ class TestRefineBatch:
         with pytest.raises(DivergenceError, match="step 0"):
             refine_batch([ps] * 3, [healthy, episode, healthy], cfg)
 
+    # (n_way, n_shot, n_query_per_class, n_open_classes, dim) of the bench
+    # workloads quickstart, large_store and wide_transductive, and D=640.
+    BENCH_SHAPES = {
+        "quickstart": (5, 1, 15, 5, 16),
+        "large_store": (5, 5, 15, 5, 64),
+        "wide_transductive": (20, 5, 15, 10, 64),
+        "d640": (5, 1, 15, 5, 640),
+    }
+
+    @pytest.mark.parametrize("centering", ("none", "task"))
+    @pytest.mark.parametrize("shape", BENCH_SHAPES.values(), ids=BENCH_SHAPES.keys())
+    def test_an_episode_of_a_chunk_of_16_equals_it_alone(self, rng, shape, centering):
+        n_way, n_shot, n_query, n_open, dim = shape
+        episodes = [make_episode(rng, n_way, n_shot, n_query, n_open, dim) for _ in range(16)]
+        policy = CenteringPolicy(centering)
+        mu = [policy.resolve(episode) for episode in episodes]
+        cfg = OstimConfig(n_steps=4, learning_rate=0.05)
+        for variant in Variant:
+            chunk = ostim_mod.predict_chunk(normalize_chunk(episodes, mu), variant, cfg)
+            for i, episode in enumerate(episodes):
+                alone = ostim_mod.predict_chunk(normalize_chunk([episode], mu[i:i + 1]),
+                                                variant, cfg)
+                assert np.array_equal(chunk.probs[i], alone.probs[0]), (variant, i)
+
 
 class TestPredict:
     def test_query_on_prototype_direction(self):
@@ -542,25 +567,9 @@ class TestInvariants:
             assert final.marginal_entropy > 0.5 * math.log(k_way + 1)
 
 
-class TestClassMajorOrder:
-    """The kernel keeps its arrays class-major; its class-axis sums and the
-    public softmax must give the bits of the row-major expressions."""
-
-    # Sequential below 8 terms, 8 accumulators up to 128, halving above.
-    BRANCH_EDGES = (2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300)
-
-    @properties
-    @given(
-        n_classes=st.one_of(st.sampled_from(BRANCH_EDGES), st.integers(2, 300)),
-        n_rows=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_class_sum_equals_the_last_axis_sum(self, n_classes, n_rows, seed):
-        rng = np.random.default_rng(seed)
-        shape = (n_rows, 3, n_classes)
-        x = rng.normal(size=shape) * 2.0 ** rng.integers(-40, 41, size=shape)
-        class_major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-        assert np.array_equal(ostim_mod._class_sum(class_major), x.sum(axis=-1))
+class TestSoftmax:
+    """The one softmax, which the kernel and simpleshot share, must give
+    the bits of the plain last-axis expression."""
 
     @properties
     @given(
