@@ -377,9 +377,16 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
             if len(row) < 2:
                 raise DataError(f"{csv_path}:{lineno}: need label plus >=1 feature")
             try:
-                rows.append(np.array([float(x) for x in row[1:]], dtype=np.float32))
+                with np.errstate(over="ignore"):  # a value beyond float32 raises below
+                    values = np.array([float(x) for x in row[1:]], dtype=np.float32)
             except ValueError as exc:
                 raise DataError(f"{csv_path}:{lineno}: bad feature value ({exc})") from exc
+            finite = np.isfinite(values)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise DataError(f"{csv_path}:{lineno}: feature {j} is {row[1 + j].strip()!r}, "
+                                "which is not a finite float32")
+            rows.append(values)
             tokens.append(row[0])
     if not rows:
         raise DataError(f"{csv_path}: no data rows")

@@ -25,21 +25,21 @@ class usage spread out. Gradients are computed analytically, including the
 chain rule through the prototype normalization; the centering vector stays
 frozen throughout.
 
-One kernel serves all three variants: it refines E same-shape episodes read
-from their ``NormalizedChunk`` alone, and ``predict_chunk`` returns one
-(E, n_query, C) sheet. A step keeps its logits, probabilities and logit
-gradients as (E, C, N) arrays, with the C = K or K + 1 logit columns before
-the N = support + query rows of each episode, so that both matmuls read the
-normalized rows as they are: the logits are ``(tau v) @ rows^T`` and the
-prototype and dummy gradients ``g @ rows``. Every operation is per episode,
-so an episode's result does not depend on its chunk, bit for bit; the
-one-episode functions call the same code with E = 1.
+The unit of work is a chunk of E same-shape episodes, read from its
+``NormalizedChunk`` alone, and ``PrototypeSet`` holds the state of all E:
+``init_prototypes`` → ``refine`` → ``predict``, which returns one
+(E, n_query, C) sheet; a single episode is the chunk with E = 1. A step
+keeps its logits, probabilities and logit gradients as (E, C, N) arrays,
+with the C = K or K + 1 logit columns before the N = support + query rows
+of each episode, so that both matmuls read the normalized rows as they are:
+the logits are ``(tau v) @ rows^T`` and the prototype and dummy gradients
+``g @ rows``. Every operation is per episode, so an episode's result does
+not depend on its chunk, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -47,10 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFeatureError, DivergenceError
-from .episodes import Episode
 from .predictions import PredictionSheet
-from .transforms import (CenteringPolicy, NormalizedChunk, center_normalize, check_centering,
-                         class_means, normalize_chunk, row_norms)
+from .transforms import NormalizedChunk, center_normalize, check_centering, class_means, row_norms
 
 _EPS = 1e-12
 _PLOGP_FLOOR = 1e-30
@@ -92,8 +90,9 @@ class OstimConfig:
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """Optimization state: K prototypes, the frozen centering vector, and
-    (for the explicit_dummy variant) the free outlier vector."""
+    """Optimization state of a chunk of E episodes: K prototypes each ``w``
+    (E, K, D), the frozen centering vectors ``mu`` (E, D), and for the
+    explicit_dummy variant the free outlier vectors ``dummy`` (E, D)."""
 
     w: np.ndarray
     mu: np.ndarray
@@ -102,26 +101,26 @@ class PrototypeSet:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=np.float64)
-        mu = np.asarray(self.mu, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "mu", mu)
-        if w.ndim != 2 or w.shape[0] < 2:
-            raise ValueError(f"need >= 2 prototypes, got shape {w.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu))):
-            raise ValueError("prototypes and centering vector must be finite")
-        if self.variant is Variant.EXPLICIT_DUMMY:
-            if self.dummy is None:
-                raise ValueError("explicit_dummy variant requires a dummy vector")
-            dummy = np.asarray(self.dummy, dtype=np.float64)
-            if not np.all(np.isfinite(dummy)):
-                raise ValueError("dummy vector must be finite")
-            object.__setattr__(self, "dummy", dummy)
-        elif self.dummy is not None:
+        if w.ndim != 3 or w.shape[1] < 2:
+            raise ValueError(f"need (E, K, D) prototypes with K >= 2, got shape {w.shape}")
+        if self.variant is Variant.EXPLICIT_DUMMY and self.dummy is None:
+            raise ValueError("explicit_dummy variant requires a dummy vector")
+        if self.variant is not Variant.EXPLICIT_DUMMY and self.dummy is not None:
             raise ValueError(f"variant {self.variant.value} takes no dummy vector")
+        object.__setattr__(self, "w", w)
+        vectors = ("mu",) if self.dummy is None else ("mu", "dummy")
+        for name in vectors:
+            x = np.asarray(getattr(self, name), dtype=np.float64)
+            if x.shape != (w.shape[0], w.shape[2]):
+                raise ValueError(f"{name} of shape {x.shape} does not fit prototypes of shape "
+                                 f"{w.shape}: it must be (E, D)")
+            object.__setattr__(self, name, x)
+        if not all(np.isfinite(getattr(self, name)).all() for name in ("w", *vectors)):
+            raise ValueError("prototypes, centering and dummy vectors must be finite")
 
     @property
     def n_way(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -143,70 +142,51 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
-class _Batch(NamedTuple):
-    """E prototype sets of one variant, stacked: ``w`` (E, K, D), ``mu``
-    (E, D) and ``dummy`` (E, D) or None."""
+def init_prototypes(
+    view: NormalizedChunk, variant: Variant | str = Variant.IMPLICIT
+) -> PrototypeSet:
+    """Prototypes start at the per-class means of the raw support vectors.
 
-    w: np.ndarray
-    mu: np.ndarray
-    dummy: np.ndarray | None
-    variant: Variant
-
-
-def _batch(states: Sequence[PrototypeSet]) -> _Batch:
-    variant = states[0].variant
-    if any(ps.variant is not variant for ps in states):
-        raise ValueError("a batch must hold a single variant")
+    For the explicit_dummy variant the outlier vector starts at the implicit
+    value, the negated average of the normalized prototypes, so its logits
+    coincide with the implicit variant's before any refinement.
+    """
+    variant = Variant(variant)
+    w = class_means(view.raw_support, view.support_labels)
     dummy = None
     if variant is Variant.EXPLICIT_DUMMY:
-        dummy = np.stack([ps.dummy for ps in states])
-    return _Batch(
-        np.stack([ps.w for ps in states]), np.stack([ps.mu for ps in states]), dummy, variant
-    )
-
-
-def _unbatch(batch: _Batch) -> list[PrototypeSet]:
-    dummies = [None] * len(batch.w) if batch.dummy is None else batch.dummy
-    return [PrototypeSet(w, mu, batch.variant, d) for w, mu, d in zip(batch.w, batch.mu, dummies)]
-
-
-def _init_batch(
-    mu: np.ndarray, raw_support: np.ndarray, support_labels: np.ndarray, variant: Variant
-) -> _Batch:
-    """``init_prototypes`` of E episodes from their stacked ``mu``, raw supports and labels."""
-    w = class_means(raw_support, support_labels)
-    dummy = None
-    if variant is Variant.EXPLICIT_DUMMY:
-        dummy = -center_normalize(w, mu[:, None]).mean(axis=1)
-    return _Batch(w, mu, dummy, variant)
+        dummy = -center_normalize(w, view.mu[:, None]).mean(axis=1)
+    return PrototypeSet(w, view.mu, variant, dummy)
 
 
 class _Inputs(NamedTuple):
     """Frozen inputs of E same-shape episodes: ``rows`` (E, N, D) holds each
     episode's center-normalized support rows, then its query rows, and
     ``label_index`` (E, n_support) the flat index of each support row's label
-    in an (E, C, N) array."""
+    in an (E, C, N) array; ``mu`` and ``variant`` are the state's."""
 
     rows: np.ndarray
     n_support: int
     label_index: np.ndarray
+    mu: np.ndarray
+    variant: Variant
 
 
-def _n_cols(batch: _Batch) -> int:
+def _n_cols(variant: Variant, k_way: int) -> int:
     """C, the logit count: K, plus the outlier column of the two open variants."""
-    return batch.w.shape[1] + (batch.variant is not Variant.CLOSED)
+    return k_way + (variant is not Variant.CLOSED)
 
 
-def _inputs(view: NormalizedChunk, batch: _Batch) -> _Inputs:
-    """The kernel's inputs from the chunk ``view``, for ``batch``'s logit count."""
+def _inputs(ps: PrototypeSet, view: NormalizedChunk) -> _Inputs:
+    """The kernel's inputs from the chunk ``view``, for ``ps``'s logit count."""
     rows = np.concatenate([view.support, view.query], axis=1)
     n_episodes, n_rows = rows.shape[:2]
     n_support = view.support.shape[1]
     label_index = (
-        (np.arange(n_episodes)[:, None] * _n_cols(batch) + view.support_labels) * n_rows
-        + np.arange(n_support)
+        (np.arange(n_episodes)[:, None] * _n_cols(ps.variant, ps.n_way) + view.support_labels)
+        * n_rows + np.arange(n_support)
     )
-    return _Inputs(rows, n_support, label_index)
+    return _Inputs(rows, n_support, label_index, ps.mu, ps.variant)
 
 
 def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,26 +204,25 @@ def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shifted / radii[..., None], radii
 
 
-def _logits(rows: np.ndarray, v: np.ndarray, batch: _Batch, temperature: float) -> np.ndarray:
+def _logits(
+    rows: np.ndarray, v: np.ndarray, dummy: np.ndarray | None, variant: Variant,
+    temperature: float,
+) -> np.ndarray:
     """Logits (E, C, n) of normalized rows (E, n, D) against directions ``v``
-    (E, K, D) and, for explicit_dummy, the dummy vector. The implicit
+    (E, K, D) and, for explicit_dummy, the dummy vectors (E, D). The implicit
     outlier logit is the negated mean of the K inlier logits."""
     k_way = v.shape[1]
-    directions = v if batch.dummy is None else np.concatenate([v, batch.dummy[:, None]], axis=1)
-    out = np.empty((len(v), _n_cols(batch), rows.shape[1]))
+    directions = v if dummy is None else np.concatenate([v, dummy[:, None]], axis=1)
+    out = np.empty((len(v), _n_cols(variant, k_way), rows.shape[1]))
     np.matmul(temperature * directions, rows.swapaxes(-1, -2), out=out[:, :directions.shape[1]])
-    if batch.variant is Variant.IMPLICIT:
+    if variant is Variant.IMPLICIT:
         np.divide(np.add.reduce(out[:, :k_way], axis=1), -k_way, out=out[:, k_way])
     return out
 
 
-def _forward(
-    inputs: _Inputs, batch: _Batch, temperature: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probabilities (E, C, N) of every row, with the prototype directions
-    and radii they come from."""
-    v, radii = _directions(batch.w, batch.mu)
-    return softmax(_logits(inputs.rows, v, batch, temperature), axis=1), v, radii
+def logits(ps: PrototypeSet, rows: np.ndarray, temperature: float = 10.0) -> np.ndarray:
+    """Logits (E, C, n) of rows (E, n, D), center-normalized at ``ps.mu``."""
+    return _logits(rows, _directions(ps.w, ps.mu)[0], ps.dummy, ps.variant, temperature)
 
 
 def _loss_terms(probs: np.ndarray, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
@@ -260,16 +239,19 @@ def _loss_terms(probs: np.ndarray, inputs: _Inputs, alpha: float) -> list[LossBr
     ]
 
 
-def _gradient(
-    inputs: _Inputs, probs: np.ndarray, v: np.ndarray, radii: np.ndarray, batch: _Batch,
-    cfg: OstimConfig,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradients w.r.t. the prototypes (E, K, D) and the dummy vector (E, D).
+def _forward_and_grad(
+    inputs: _Inputs, w: np.ndarray, dummy: np.ndarray | None, cfg: OstimConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One refinement step at prototypes ``w`` and dummy vectors ``dummy``:
+    the (E, C, N) probabilities of every row and the gradients w.r.t. the
+    prototypes (E, K, D) and the dummy vectors (E, D).
 
     The gradient flows through the softmax, both entropy terms, and the
     prototype normalization; inputs and the centering vector are constants.
-    The logit gradient ``g`` is (E, C, N), as ``probs`` is.
+    The logit gradient ``g`` is (E, C, N), as the probabilities are.
     """
+    v, radii = _directions(w, inputs.mu)
+    probs = softmax(_logits(inputs.rows, v, dummy, inputs.variant, cfg.temperature), axis=1)
     k_way = v.shape[1]
     n_s = inputs.n_support
     n_q = probs.shape[2] - n_s
@@ -290,166 +272,83 @@ def _gradient(
     # column's direction is the negated mean of the K prototype directions.
     grad = cfg.temperature * (g @ inputs.rows)  # (E, C, D)
     v_grad, dummy_grad = grad[:, :k_way], None
-    if batch.variant is Variant.IMPLICIT:
+    if inputs.variant is Variant.IMPLICIT:
         v_grad = v_grad - grad[:, k_way:] / k_way
-    elif batch.variant is Variant.EXPLICIT_DUMMY:
+    elif inputs.variant is Variant.EXPLICIT_DUMMY:
         dummy_grad = grad[:, k_way]
     w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / radii[..., None]
-    return w_grad, dummy_grad
+    return probs, w_grad, dummy_grad
 
 
-def _forward_and_grad(
-    inputs: _Inputs, batch: _Batch, cfg: OstimConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One refinement step: the (E, C, N) probabilities and the gradients."""
-    probs, v, radii = _forward(inputs, batch, cfg.temperature)
-    return (probs, *_gradient(inputs, probs, v, radii, batch, cfg))
-
-
-def _check_finite(
-    step: int, label_p: np.ndarray, w_grad: np.ndarray, dummy_grad: np.ndarray | None
-) -> None:
-    """Raise if some episode's loss or gradient is not finite.
-
-    The loss is finite exactly when every support row gives its label a
-    nonzero probability: the gradients are finite only if all probabilities
-    are, and then both entropy terms are too.
-    """
-    finite = (label_p > 0).all() and np.isfinite(w_grad).all()
-    if not (finite and (dummy_grad is None or np.isfinite(dummy_grad).all())):
-        raise DivergenceError(f"non-finite loss or gradient at step {step}")
-
-
-def _refine(
-    batch: _Batch, inputs: _Inputs, cfg: OstimConfig,
-    traces: list[list[LossBreakdown]] | None = None,
-) -> _Batch:
-    """The refinement kernel: ``cfg.n_steps`` full-batch gradient-descent
-    steps on every episode of ``batch`` at once. Appends each step's loss
-    breakdowns to ``traces`` when given."""
-    # numpy's warnings are silenced: a step that is not finite raises below,
-    # with the run's own message.
-    with np.errstate(all="ignore"):
-        for step in range(cfg.n_steps):
-            probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
-            _check_finite(step, probs.take(inputs.label_index), w_grad, dummy_grad)
-            if traces is not None:
-                for trace, breakdown in zip(traces, _loss_terms(probs, inputs, cfg.alpha)):
-                    trace.append(breakdown)
-            dummy = batch.dummy
-            if dummy_grad is not None:
-                dummy = dummy - cfg.learning_rate * dummy_grad
-            batch = _Batch(batch.w - cfg.learning_rate * w_grad, batch.mu, dummy, batch.variant)
-    return batch
-
-
-def refine_batch(
-    states: Sequence[PrototypeSet], episodes: Sequence[Episode], cfg: OstimConfig
-) -> list[PrototypeSet]:
-    """Refine E same-shape episodes of one variant in one kernel call.
-
-    Item i of the result equals ``refine(states[i], episodes[i], cfg)[0]``
-    bit for bit, so an episode that fails in a batch fails alone with the
-    same error. A failure raises the plain error of some failing episode
-    without saying which; a caller that needs to know refines the episodes
-    one at a time.
-    """
-    if cfg.n_steps == 0 or not states:
-        return list(states)
-    batch = _batch(states)
-    return _unbatch(_refine(batch, _inputs(normalize_chunk(episodes, batch.mu), batch), cfg))
-
-
-def init_prototypes(
-    episode: Episode, policy: CenteringPolicy, variant: Variant | str = Variant.IMPLICIT
-) -> PrototypeSet:
-    """Prototypes start at the per-class means of the raw support vectors.
-
-    For the explicit_dummy variant the outlier vector starts at the implicit
-    value, the negated average of the normalized prototypes, so its logits
-    coincide with the implicit variant's before any refinement.
-    """
-    return _unbatch(_init_batch(policy.resolve(episode)[None], episode.support_vectors[None],
-                                episode.support_labels[None], Variant(variant)))[0]
-
-
-def predict_chunk(
-    view: NormalizedChunk, variant: Variant | str, cfg: OstimConfig
-) -> PredictionSheet:
-    """One (E, n_query, C) sheet whose row e is ``predict`` of episode e's refined
-    ``init_prototypes``, all refined in one kernel call; fails as ``refine_batch``."""
-    batch = _init_batch(view.mu, view.raw_support, view.support_labels, Variant(variant))
-    batch = _refine(batch, _inputs(view, batch), cfg)
-    return PredictionSheet(_query_probs(batch, view.query, cfg.temperature), batch.w.shape[1])
-
-
-def _query_probs(batch: _Batch, query: np.ndarray, temperature: float) -> np.ndarray:
-    """Probabilities (E, n, C) of normalized queries (E, n, D)."""
-    v = _directions(batch.w, batch.mu)[0]
-    return softmax(_logits(query, v, batch, temperature), axis=1).swapaxes(1, 2)
-
-
-def logits(ps: PrototypeSet, z: np.ndarray, temperature: float = 10.0) -> np.ndarray:
-    """Logit vector(s) for raw feature input ``z`` (single vector or batch)."""
-    z = np.asarray(z, dtype=np.float64)
-    u = center_normalize(np.atleast_2d(z), ps.mu)
-    batch = _batch([ps])
-    v = _directions(batch.w, batch.mu)[0]
-    out = _logits(u[None], v, batch, temperature)[0].T
-    return out[0] if z.ndim == 1 else out
-
-
-def compute_loss(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> LossBreakdown:
-    """Objective value split into its three terms.
+def loss_and_grad(
+    ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig
+) -> tuple[list[LossBreakdown], np.ndarray, np.ndarray | None]:
+    """Each episode's objective split into its three terms, plus the analytic
+    gradients w.r.t. the prototypes (E, K, D) and the dummy vectors (E, D).
 
     ``total = ce - marginal_entropy + alpha * conditional_entropy``; support
     labels are one-hot over the closed classes (the outlier column, when
     present, carries zero target mass).
     """
-    batch = _batch([ps])
-    inputs = _inputs(normalize_chunk([episode], batch.mu), batch)
-    return _loss_terms(_forward(inputs, batch, cfg.temperature)[0], inputs, cfg.alpha)[0]
-
-
-def loss_and_grad(
-    ps: PrototypeSet, episode: Episode, cfg: OstimConfig
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray | None]:
-    """Loss plus analytic gradients w.r.t. the prototypes (and dummy vector)."""
-    batch = _batch([ps])
-    inputs = _inputs(normalize_chunk([episode], batch.mu), batch)
-    probs, w_grad, dummy_grad = _forward_and_grad(inputs, batch, cfg)
-    breakdown = _loss_terms(probs, inputs, cfg.alpha)[0]
-    return breakdown, w_grad[0], None if dummy_grad is None else dummy_grad[0]
+    inputs = _inputs(ps, view)
+    probs, w_grad, dummy_grad = _forward_and_grad(inputs, ps.w, ps.dummy, cfg)
+    return _loss_terms(probs, inputs, cfg.alpha), w_grad, dummy_grad
 
 
 def refine(
-    ps: PrototypeSet, episode: Episode, cfg: OstimConfig
-) -> tuple[PrototypeSet, list[LossBreakdown]]:
-    """Run ``cfg.n_steps`` full-batch gradient-descent steps.
+    ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig,
+    traces: list[list[LossBreakdown]] | None = None,
+) -> PrototypeSet:
+    """Run ``cfg.n_steps`` full-batch gradient-descent steps on every episode
+    of the chunk at once; when ``traces`` is given, its list e gets episode
+    e's loss breakdown at each step, before that step's update.
 
-    Returns the refined state and the loss breakdown evaluated at each step
-    before its update. Non-finite losses or gradients abort with the step
-    index rather than silently propagating NaNs.
+    Non-finite losses or gradients abort with the step index rather than
+    silently propagating NaNs. An episode that fails in a chunk fails alone
+    with the same error; a failure raises the plain error of some failing
+    episode without saying which, so a caller that needs to know refines
+    the episodes one at a time.
     """
-    trace: list[LossBreakdown] = []
     if cfg.n_steps == 0:
-        return ps, trace
-    batch = _batch([ps])
-    batch = _refine(batch, _inputs(normalize_chunk([episode], batch.mu), batch), cfg, [trace])
-    return _unbatch(batch)[0], trace
+        return ps
+    inputs = _inputs(ps, view)
+    w, dummy = ps.w, ps.dummy
+    # numpy's warnings are silenced: a step that is not finite raises below,
+    # with the run's own message.
+    with np.errstate(all="ignore"):
+        for step in range(cfg.n_steps):
+            probs, w_grad, dummy_grad = _forward_and_grad(inputs, w, dummy, cfg)
+            # The loss is finite exactly when every support row gives its label
+            # a nonzero probability: the gradients are finite only if all
+            # probabilities are, and then both entropy terms are too.
+            grads = [w_grad] if dummy_grad is None else [w_grad, dummy_grad]
+            if not ((probs.take(inputs.label_index) > 0).all()
+                    and all(np.isfinite(g).all() for g in grads)):
+                raise DivergenceError(f"non-finite loss or gradient at step {step}")
+            if traces is not None:
+                for trace, breakdown in zip(traces, _loss_terms(probs, inputs, cfg.alpha)):
+                    trace.append(breakdown)
+            w = w - cfg.learning_rate * w_grad
+            if dummy_grad is not None:
+                dummy = dummy - cfg.learning_rate * dummy_grad
+    if not (np.isfinite(w).all() and (dummy is None or np.isfinite(dummy).all())):
+        raise DivergenceError(f"the update of step {cfg.n_steps - 1} overflows")
+    return PrototypeSet(w, ps.mu, ps.variant, dummy)
 
 
-def predict(ps: PrototypeSet, episode: Episode, cfg: OstimConfig) -> PredictionSheet:
-    """Softmax predictions for the episode's queries. The sheet reads the
-    outlierness score from the outlier column when the variant has one,
-    otherwise it is the negative maximum closed-set probability."""
-    query = center_normalize(episode.query_vectors, ps.mu)[None]
-    return PredictionSheet(_query_probs(_batch([ps]), query, cfg.temperature)[0], ps.n_way)
+def predict(ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig) -> PredictionSheet:
+    """Softmax predictions for the chunk's queries, as one (E, n_query, C)
+    sheet. The sheet reads the outlierness score from the outlier column
+    when the variant has one, otherwise it is the negative maximum
+    closed-set probability."""
+    probs = softmax(logits(ps, view.query, cfg.temperature), axis=1).swapaxes(1, 2)
+    return PredictionSheet(probs, ps.n_way)
 
 
 def closed_set_entropy(sheet: PredictionSheet) -> np.ndarray:
     """Entropy of each query's distribution renormalized over the closed
-    classes only. A diagnostic: it is not any variant's outlierness score."""
-    head = sheet.probs[:, : sheet.n_closed]
-    head = head / head.sum(axis=1, keepdims=True)
-    return -_xlogx(head).sum(axis=1)
+    classes only, for an (n, C) or (E, n, C) sheet. A diagnostic: it is not
+    any variant's outlierness score."""
+    head = sheet.probs[..., : sheet.n_closed]
+    head = head / head.sum(axis=-1, keepdims=True)
+    return -_xlogx(head).sum(axis=-1)

@@ -94,9 +94,12 @@ def _scored(sheet, view: NormalizedChunk) -> list[EpisodeReport]:
 
 def _refined(variant: ostim.Variant | None):
     """Refine the chunk with ``variant``, or with the section's own when it is None."""
-    return lambda ocfg, view, done: _scored(
-        ostim.predict_chunk(view, variant or ocfg.variant, ocfg), view
-    )
+
+    def evaluate(ocfg, view, done):
+        ps = ostim.init_prototypes(view, variant or ocfg.variant)
+        return _scored(ostim.predict(ostim.refine(ps, view, ocfg), view, ocfg), view)
+
+    return evaluate
 
 
 def _simpleshot(bcfg, view, done):

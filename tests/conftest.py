@@ -11,7 +11,8 @@ import pytest
 from hypothesis import settings
 
 import fsosr.feature_store
-from fsosr import Episode, FeatureSet, OUTLIER
+from fsosr import CenteringPolicy, Episode, FeatureSet, OUTLIER
+from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 
 # The one settings object of every property test: the same examples on
@@ -88,6 +89,11 @@ def make_episode(
         closed_classes=np.arange(n_way, dtype=np.int64),
         open_classes=np.arange(n_way, n_way + n_open_classes, dtype=np.int64),
     )
+
+
+def episode_view(episode: Episode, policy: CenteringPolicy) -> NormalizedChunk:
+    """The chunk of the one ``episode``, normalized at ``policy``'s centering vector."""
+    return normalize_chunk([episode], [policy.resolve(episode)])
 
 
 @pytest.fixture

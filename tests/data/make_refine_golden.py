@@ -4,13 +4,14 @@ refinement kernel must reproduce bit for bit.
 The cases cross all three variants with K in {5, 9, 20}, so the logit count
 C runs from 5 to 21. D takes 16, 64 and 640 (640 for the implicit and
 explicit_dummy variants), E takes 1 and 4, and centering, learning rate and
-shot count alternate. Each case is built from its own
-seed by ``build``, which the test imports too, so the file holds only
-outputs: for every case ``w`` (E, K, D), ``dummy`` (E, D)
+shot count alternate. ``build`` makes each case's chunk, its initial
+``PrototypeSet`` and its config from the case's own seed, and ``outputs``
+refines the chunk in one ``refine`` call; the test imports both, so the
+file holds only outputs: for every case ``w`` (E, K, D), ``dummy`` (E, D)
 for the explicit_dummy variant, and the ``refine`` trace of the first
 episode as a (steps, 4) array of ce, marginal entropy, conditional entropy
-and total. ``build`` records the numpy version and BLAS library that wrote
-the file, since a matmul's bits depend on them.
+and total. ``build_info`` records the numpy version and BLAS library that
+wrote the file, since a matmul's bits depend on them.
 
 Run from the repository root, on the commit whose bits are the reference:
 
@@ -25,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fsosr import (CenteringPolicy, Episode, OstimConfig, Variant, init_prototypes, refine,
-                   refine_batch)
+from fsosr import (CenteringPolicy, Episode, OstimConfig, PrototypeSet, Variant, init_prototypes,
+                   refine)
+from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 GOLDEN = Path(__file__).with_name("refine_golden.npz")
 BUILD = "build"
@@ -86,28 +88,30 @@ def _episode(rng: np.random.Generator, case: Case) -> Episode:
     )
 
 
-def build(case: Case, seed: int) -> tuple[list, list[Episode], OstimConfig]:
-    """The case's initial prototype sets, episodes and config."""
+def build(case: Case, seed: int) -> tuple[PrototypeSet, NormalizedChunk, OstimConfig]:
+    """The case's initial prototype sets, its chunk of episodes and its config."""
     rng = np.random.default_rng(seed)
     episodes = [_episode(rng, case) for _ in range(case.n_episodes)]
     policy = CenteringPolicy(case.centering)
-    states = [init_prototypes(episode, policy, case.variant) for episode in episodes]
+    view = normalize_chunk(episodes, [policy.resolve(episode) for episode in episodes])
     cfg = OstimConfig(n_steps=N_STEPS, learning_rate=case.lr, variant=case.variant,
                       centering=case.centering)
-    return states, episodes, cfg
+    return init_prototypes(view, case.variant), view, cfg
 
 
 def outputs(case: Case, seed: int) -> dict[str, np.ndarray]:
-    states, episodes, cfg = build(case, seed)
-    refined = refine_batch(states, episodes, cfg)
-    _, trace = refine(states[0], episodes[0], cfg)
+    """The case's refined ``w``, ``dummy`` (explicit_dummy only) and the
+    first episode's loss trace, all from one ``refine`` of its chunk."""
+    ps, view, cfg = build(case, seed)
+    traces = [[] for _ in range(case.n_episodes)]
+    refined = refine(ps, view, cfg, traces)
     out = {
-        "w": np.stack([ps.w for ps in refined]),
+        "w": refined.w,
         "trace": np.array([[b.ce, b.marginal_entropy, b.conditional_entropy, b.total]
-                           for b in trace]),
+                           for b in traces[0]]),
     }
     if case.variant is Variant.EXPLICIT_DUMMY:
-        out["dummy"] = np.stack([ps.dummy for ps in refined])
+        out["dummy"] = refined.dummy
     return out
 
 

@@ -19,10 +19,10 @@ import pytest
 
 import fsosr.runner as runner_module
 from fsosr import (
+    OUTLIER,
     CenteringPolicy,
     EpisodeSpec,
     OstimConfig,
-    PrototypeSet,
     RunConfig,
     SynthSpec,
     Variant,
@@ -31,26 +31,23 @@ from fsosr import (
     base_mean,
     center_normalize,
     closed_set_entropy,
-    compute_loss,
     generate,
     init_prototypes,
-    knn_outlier_score,
     logits,
     loss_and_grad,
     mean_imposture_factor,
     precision_at_recall,
     predict,
     refine,
-    refine_batch,
     run,
     sample_episode,
     save_feature_store,
-    score_episode,
-    score_sheet,
-    simpleshot_classify,
+    score_chunk,
 )
+from fsosr.baselines import knn_chunk, simpleshot_chunk
+from fsosr.transforms import normalize_chunk
 
-from conftest import make_episode
+from conftest import episode_view, make_episode
 from test_metrics import oracle_aupr, oracle_auroc, oracle_prec_at_recall
 from test_ostim import fd_gradients, max_rel_err, random_state
 
@@ -69,7 +66,7 @@ SPEC_B = EpisodeSpec(seed=777)
 CFG_B = OstimConfig(alpha=1.0, learning_rate=0.05)
 
 N_TREND_EPISODES = 500
-TREND_CHUNK = 100  # episodes per refine_batch call
+TREND_CHUNK = 100  # episodes per chunk, each refined and scored at once
 
 
 def _gate(number: int, description: str, passed: bool) -> None:
@@ -78,16 +75,25 @@ def _gate(number: int, description: str, passed: bool) -> None:
 
 
 def _trend_chunks(fs, spec: EpisodeSpec):
-    """The trend stream as lists of consecutive episodes, each refined in one
-    ``refine_batch`` call; its slices equal one-episode ``refine`` bit for bit."""
+    """The trend stream as lists of consecutive episodes, each evaluated as
+    one chunk, as ``fsosr run`` does; results do not depend on the chunk."""
     for start in range(0, N_TREND_EPISODES, TREND_CHUNK):
         stop = min(start + TREND_CHUNK, N_TREND_EPISODES)
         yield [sample_episode(fs, spec, index) for index in range(start, stop)]
 
 
-def _refined(episodes, policy, variant, cfg):
-    states = [init_prototypes(episode, policy, variant) for episode in episodes]
-    return refine_batch(states, episodes, cfg)
+def _view(episodes, policy: CenteringPolicy):
+    return normalize_chunk(episodes, [policy.resolve(episode) for episode in episodes])
+
+
+def _scored(sheet, view):
+    """One report per episode of the chunk ``view``."""
+    return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
+
+
+def _refined(view, variant, cfg):
+    """The refined prediction sheet of the chunk ``view``."""
+    return predict(refine(init_prototypes(view, variant), view, cfg), view, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -106,33 +112,31 @@ def store_a_run():
     base_pol = CenteringPolicy("base", mu_base)
     task_pol = CenteringPolicy("task")
     for episodes in _trend_chunks(fs, SPEC_A):
-        inits = [init_prototypes(episode, task_pol, Variant.IMPLICIT) for episode in episodes]
-        finals = refine_batch(inits, episodes, CFG_A)
-        closed = _refined(episodes, task_pol, Variant.CLOSED, CFG_A)
-        for episode, init, final, closed_state in zip(episodes, inits, finals, closed):
-            sheet_ss = simpleshot_classify(episode, base_pol, 10.0)
-            knn_scores = knn_outlier_score(episode, base_pol, 1)
-            strong = score_episode(episode.query_truth, knn_scores, sheet_ss.closed_pred)
-            agg["ss_acc"].append(strong.acc)
-            agg["strong_auroc"].append(strong.auroc)
+        base_view, task_view = _view(episodes, base_pol), _view(episodes, task_pol)
+        sheet_ss = simpleshot_chunk(base_view, 10.0)
+        knn_scores = knn_chunk(base_view, 1)
+        strong = score_chunk(base_view.query_truth, knn_scores, sheet_ss.closed_pred)
+        agg["ss_acc"] += [report.acc for report in strong]
+        agg["strong_auroc"] += [report.auroc for report in strong]
 
-            sheet_init = predict(init, episode, CFG_A)
-            sheet_final = predict(final, episode, CFG_A)
-            report = score_sheet(sheet_final, episode.query_truth)
-            agg["ostim_acc"].append(report.acc)
-            agg["ostim_auroc"].append(report.auroc)
+        init = init_prototypes(task_view, Variant.IMPLICIT)
+        sheet_init = predict(init, task_view, CFG_A)
+        sheet_final = predict(refine(init, task_view, CFG_A), task_view, CFG_A)
+        reports = _scored(sheet_final, task_view)
+        agg["ostim_acc"] += [report.acc for report in reports]
+        agg["ostim_auroc"] += [report.auroc for report in reports]
 
-            outlier = episode.is_outlier
-            ent_init = closed_set_entropy(sheet_init)
-            ent_final = closed_set_entropy(sheet_final)
-            agg["ent_in_init"].append(ent_init[~outlier].mean())
-            agg["ent_in_final"].append(ent_final[~outlier].mean())
-            agg["ent_out_init"].append(ent_init[outlier].mean())
-            agg["ent_out_final"].append(ent_final[outlier].mean())
+        ent_init = closed_set_entropy(sheet_init)
+        ent_final = closed_set_entropy(sheet_final)
+        for e, truth in enumerate(task_view.query_truth):
+            outlier = truth == OUTLIER
+            agg["ent_in_init"].append(ent_init[e, ~outlier].mean())
+            agg["ent_in_final"].append(ent_final[e, ~outlier].mean())
+            agg["ent_out_init"].append(ent_init[e, outlier].mean())
+            agg["ent_out_final"].append(ent_final[e, outlier].mean())
 
-            agg["tim_auroc"].append(
-                score_sheet(predict(closed_state, episode, CFG_A), episode.query_truth).auroc
-            )
+        closed = _scored(_refined(task_view, Variant.CLOSED, CFG_A), task_view)
+        agg["tim_auroc"] += [report.auroc for report in closed]
     means = {k: float(np.mean(v)) for k, v in agg.items()}
     means["elapsed"] = time.monotonic() - t0
     return means
@@ -178,10 +182,10 @@ def test_criterion_2_gradient_correctness(rng):
             n_query_per_class=2, n_open_classes=1, dim=dim,
         )
         variant = variants[trial % len(variants)]
-        state = random_state(rng, episode, variant)
+        state, view = random_state(rng, episode, variant)
         cfg = OstimConfig(alpha=float(rng.uniform(0.0, 2.0)))
-        _, w_grad, dummy_grad = loss_and_grad(state, episode, cfg)
-        fd_w, fd_dummy = fd_gradients(state, episode, cfg, h=1e-4)
+        _, w_grad, dummy_grad = loss_and_grad(state, view, cfg)
+        fd_w, fd_dummy = fd_gradients(state, view, cfg, h=1e-4)
         worst = max(worst, max_rel_err(w_grad, fd_w))
         if dummy_grad is not None:
             worst = max(worst, max_rel_err(dummy_grad, fd_dummy))
@@ -199,19 +203,20 @@ def test_criterion_3_implicit_prototype_identity(rng):
     worst = 0.0
     for index in range(20):
         episode = sample_episode(fs, EpisodeSpec(seed=42), index)
-        state = init_prototypes(episode, CenteringPolicy("task"), Variant.IMPLICIT)
+        view = episode_view(episode, CenteringPolicy("task"))
+        state = init_prototypes(view, Variant.IMPLICIT)
         step_cfg = replace(CFG_A, n_steps=1)
         for _ in range(10):
-            out = logits(state, episode.query_vectors, CFG_A.temperature)
-            residual = np.abs(out[:, -1] + out[:, :-1].mean(axis=1)).max()
+            out = logits(state, view.query, CFG_A.temperature)[0]
+            residual = np.abs(out[-1] + out[:-1].mean(axis=0)).max()
             # independent route: similarity to the negated prototype mean
-            u = center_normalize(episode.query_vectors, state.mu)
-            v = center_normalize(state.w, state.mu)
+            u = center_normalize(episode.query_vectors, state.mu[0])
+            v = center_normalize(state.w[0], state.mu[0])
             via_prototype = CFG_A.temperature * (u @ (-v.mean(axis=0)))
             worst = max(
-                worst, float(residual), float(np.abs(out[:, -1] - via_prototype).max())
+                worst, float(residual), float(np.abs(out[-1] - via_prototype).max())
             )
-            state, _ = refine(state, episode, step_cfg)
+            state = refine(state, view, step_cfg)
     _gate(
         3,
         f"outlier logit equals negated mean inlier logit at every step "
@@ -302,26 +307,19 @@ def test_criterion_7_ablation_trends():
         "none": CenteringPolicy("none"),
     }
     for episodes in _trend_chunks(fs, SPEC_B):
-        refined = {
-            name: _refined(episodes, policy, Variant.IMPLICIT, CFG_B)
-            for name, policy in policies.items()
-        }
-        dummies = _refined(episodes, policies["task"], Variant.EXPLICIT_DUMMY, CFG_B)
-        for j, episode in enumerate(episodes):
-            state = init_prototypes(episode, policies["task"], Variant.IMPLICIT)
-            report_init = score_sheet(predict(state, episode, CFG_B), episode.query_truth)
-            acc_init.append(report_init.acc)
-            aupr_of["init"].append(report_init.aupr)
-            for name in policies:
-                report = score_sheet(
-                    predict(refined[name][j], episode, CFG_B), episode.query_truth
-                )
-                aupr_of[name].append(report.aupr)
-                if name == "task":
-                    acc_final.append(report.acc)
-            aupr_of["dummy"].append(
-                score_sheet(predict(dummies[j], episode, CFG_B), episode.query_truth).aupr
-            )
+        views = {name: _view(episodes, policy) for name, policy in policies.items()}
+        task_view = views["task"]
+        initial = _scored(predict(init_prototypes(task_view, Variant.IMPLICIT), task_view, CFG_B),
+                          task_view)
+        acc_init += [report.acc for report in initial]
+        aupr_of["init"] += [report.aupr for report in initial]
+        for name, view in views.items():
+            reports = _scored(_refined(view, Variant.IMPLICIT, CFG_B), view)
+            aupr_of[name] += [report.aupr for report in reports]
+            if name == "task":
+                acc_final += [report.acc for report in reports]
+        dummies = _scored(_refined(task_view, Variant.EXPLICIT_DUMMY, CFG_B), task_view)
+        aupr_of["dummy"] += [report.aupr for report in dummies]
 
     m = {k: float(np.mean(v)) for k, v in aupr_of.items()}
     a0, a1 = float(np.mean(acc_init)), float(np.mean(acc_final))

@@ -1,5 +1,6 @@
 """Only ``transforms.normalize_chunk`` turns a list of episodes into (E, ...)
-arrays; every chunk evaluator reads the ``NormalizedChunk`` it returns."""
+arrays; every chunk evaluator reads the ``NormalizedChunk`` it returns, and
+the refinement API of ``fsosr.ostim`` takes only chunks."""
 
 from __future__ import annotations
 
@@ -63,3 +64,20 @@ def test_only_normalize_chunk_stacks_episodes():
     for path in SOURCES:
         found |= episode_stacks(path.read_text(), path.name)
     assert found == {("transforms.py", "normalize_chunk")}
+
+
+def test_no_public_ostim_function_takes_an_episode():
+    tree = ast.parse((ROOT / "src" / "fsosr" / "ostim.py").read_text())
+    public = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert {"init_prototypes", "refine", "predict", "loss_and_grad", "logits"} <= {
+        function.name for function in public
+    }
+    takes_episode = {
+        (function.name, arg.arg)
+        for function in public
+        for arg in [*function.args.posonlyargs, *function.args.args, *function.args.kwonlyargs]
+        if "episode" in arg.arg.lower()
+        or (arg.annotation is not None and "Episode" in ast.unparse(arg.annotation))
+    }
+    assert not takes_episode

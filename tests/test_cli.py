@@ -357,6 +357,22 @@ class TestExitCodes:
         assert main(argv) == 0
         assert load_feature_store(tmp_path / "o.fsos").n == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    def test_a_non_finite_feature_is_3_naming_its_line(self, tmp_path, capsys, value):
+        # 1e39 parses as a float but overflows float32; no numpy warning is printed.
+        csv_path = tmp_path / "features.csv"
+        csv_path.write_text(f"label,f0,f1\na,0.5,1.5\nb,2.5,{value}\n")
+        splits_path = tmp_path / "splits.json"
+        splits_path.write_text(json.dumps({"base": ["a"], "test": ["b"]}))
+        argv = ["ingest", "--csv", str(csv_path), "--splits", str(splits_path),
+                "--out", str(tmp_path / "o.fsos")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}:3: feature 1 is '{value}', which is not a finite float32\n"
+        )
+        assert not (tmp_path / "o.fsos").exists()
+
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -1,4 +1,8 @@
-"""Transductive prototype refinement: oracles, gradients, invariants."""
+"""Transductive prototype refinement: oracles, gradients, invariants.
+
+Every function takes a chunk; a test of one episode uses its one-episode
+chunk, ``episode_view``, and a (1, ...) ``PrototypeSet``.
+"""
 
 from __future__ import annotations
 
@@ -18,21 +22,23 @@ from fsosr import (
     DegenerateFeatureError,
     DivergenceError,
     OstimConfig,
+    PredictionSheet,
     PrototypeSet,
     Variant,
     center_normalize,
     closed_set_entropy,
-    compute_loss,
     init_prototypes,
     logits,
     loss_and_grad,
     predict,
     refine,
-    refine_batch,
 )
-from fsosr.transforms import normalize_chunk
+from fsosr.transforms import NormalizedChunk, normalize_chunk
 
-from conftest import make_episode, properties
+from conftest import episode_view, make_episode, properties
+
+TASK = CenteringPolicy("task")
+NONE = CenteringPolicy("none")
 
 
 def _psi(vec, mu):
@@ -49,17 +55,19 @@ def _softmax_row(row):
 
 
 def oracle_loss(ps: PrototypeSet, episode, cfg: OstimConfig):
-    """Scalar double-loop re-computation of all three loss terms."""
+    """Scalar double-loop re-computation of all three loss terms of a
+    one-episode state."""
     k_way = ps.n_way
-    v = [_psi(w, ps.mu) for w in ps.w]
+    mu = ps.mu[0]
+    v = [_psi(w, mu) for w in ps.w[0]]
 
     def logit_row(raw):
-        u = _psi(raw, ps.mu)
+        u = _psi(raw, mu)
         row = [cfg.temperature * sum(a * b for a, b in zip(u, vk)) for vk in v]
         if ps.variant is Variant.IMPLICIT:
             row.append(-sum(row) / k_way)
         elif ps.variant is Variant.EXPLICIT_DUMMY:
-            row.append(cfg.temperature * sum(a * b for a, b in zip(u, ps.dummy)))
+            row.append(cfg.temperature * sum(a * b for a, b in zip(u, ps.dummy[0])))
         return row
 
     p_s = [_softmax_row(logit_row(x)) for x in episode.support_vectors]
@@ -78,28 +86,33 @@ def oracle_loss(ps: PrototypeSet, episode, cfg: OstimConfig):
     return ce, marginal, conditional, total
 
 
-def fd_gradients(ps: PrototypeSet, episode, cfg: OstimConfig, h: float = 1e-4):
-    """Central finite differences of the total loss."""
+def loss(ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig):
+    """The loss breakdown of a one-episode chunk: ``loss_and_grad``'s first item."""
+    (breakdown,) = loss_and_grad(ps, view, cfg)[0]
+    return breakdown
+
+
+def fd_gradients(ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig, h: float = 1e-4):
+    """Central finite differences of a one-episode chunk's total loss."""
     w_grad = np.zeros_like(ps.w)
-    for k in range(ps.w.shape[0]):
-        for d in range(ps.w.shape[1]):
-            plus, minus = ps.w.copy(), ps.w.copy()
-            plus[k, d] += h
-            minus[k, d] -= h
-            w_grad[k, d] = (
-                compute_loss(replace(ps, w=plus), episode, cfg).total
-                - compute_loss(replace(ps, w=minus), episode, cfg).total
-            ) / (2 * h)
+    for index in np.ndindex(ps.w.shape):
+        plus, minus = ps.w.copy(), ps.w.copy()
+        plus[index] += h
+        minus[index] -= h
+        w_grad[index] = (
+            loss(replace(ps, w=plus), view, cfg).total
+            - loss(replace(ps, w=minus), view, cfg).total
+        ) / (2 * h)
     dummy_grad = None
     if ps.dummy is not None:
         dummy_grad = np.zeros_like(ps.dummy)
-        for d in range(ps.dummy.size):
+        for index in np.ndindex(ps.dummy.shape):
             plus, minus = ps.dummy.copy(), ps.dummy.copy()
-            plus[d] += h
-            minus[d] -= h
-            dummy_grad[d] = (
-                compute_loss(replace(ps, dummy=plus), episode, cfg).total
-                - compute_loss(replace(ps, dummy=minus), episode, cfg).total
+            plus[index] += h
+            minus[index] -= h
+            dummy_grad[index] = (
+                loss(replace(ps, dummy=plus), view, cfg).total
+                - loss(replace(ps, dummy=minus), view, cfg).total
             ) / (2 * h)
     return w_grad, dummy_grad
 
@@ -108,12 +121,26 @@ def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)))
 
 
-def random_state(rng, episode, variant: Variant) -> PrototypeSet:
+def random_state(rng, episode, variant: Variant) -> tuple[PrototypeSet, NormalizedChunk]:
+    """A random one-episode state and the episode's chunk, normalized at its ``mu``."""
     k_way = episode.n_way
-    w = rng.normal(size=(k_way, episode.dim))
-    mu = 0.3 * rng.normal(size=episode.dim)
-    dummy = rng.normal(size=episode.dim) if variant is Variant.EXPLICIT_DUMMY else None
-    return PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
+    w = rng.normal(size=(1, k_way, episode.dim))
+    mu = 0.3 * rng.normal(size=(1, episode.dim))
+    dummy = rng.normal(size=(1, episode.dim)) if variant is Variant.EXPLICIT_DUMMY else None
+    ps = PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
+    return ps, episode_view(episode, CenteringPolicy("base", mu[0]))
+
+
+def predicted(view: NormalizedChunk, variant: Variant, cfg: OstimConfig) -> PredictionSheet:
+    """The runner's refinement methods: init, refine and predict the chunk."""
+    return predict(refine(init_prototypes(view, variant), view, cfg), view, cfg)
+
+
+def one_of(ps: PrototypeSet, view: NormalizedChunk, i: int):
+    """Episode ``i`` of a chunk's state and view, as a chunk of one."""
+    dummy = None if ps.dummy is None else ps.dummy[i:i + 1]
+    return (PrototypeSet(ps.w[i:i + 1], ps.mu[i:i + 1], ps.variant, dummy),
+            NormalizedChunk(*(field[i:i + 1] for field in view)))
 
 
 class TestConfig:
@@ -145,82 +172,110 @@ class TestConfig:
             OstimConfig(variant="softmax")
 
 
+class TestPrototypeSet:
+    W = np.ones((2, 3, 4)) + np.arange(4)
+
+    @pytest.mark.parametrize("variant, w, mu, dummy, message", [
+        (Variant.IMPLICIT, np.ones((2, 1, 4)), np.zeros((2, 4)), None, "K >= 2"),
+        (Variant.IMPLICIT, np.ones((3, 4)), np.zeros((1, 4)), None, "K >= 2"),
+        (Variant.IMPLICIT, W, np.zeros((1, 4)), None, r"mu of shape \(1, 4\)"),
+        (Variant.IMPLICIT, W, np.zeros((2, 5)), None, r"mu of shape \(2, 5\)"),
+        (Variant.CLOSED, W, np.zeros(4), None, r"mu of shape \(4,\)"),
+        (Variant.EXPLICIT_DUMMY, W, np.zeros((2, 4)), np.zeros((1, 4)),
+         r"dummy of shape \(1, 4\)"),
+        (Variant.EXPLICIT_DUMMY, W, np.zeros((2, 4)), np.zeros(4), r"dummy of shape \(4,\)"),
+        (Variant.EXPLICIT_DUMMY, W, np.zeros((2, 4)), None, "requires a dummy vector"),
+        (Variant.IMPLICIT, W, np.zeros((2, 4)), np.zeros((2, 4)), "takes no dummy vector"),
+        (Variant.IMPLICIT, W * np.nan, np.zeros((2, 4)), None, "must be finite"),
+        (Variant.EXPLICIT_DUMMY, W, np.zeros((2, 4)), np.full((2, 4), np.inf), "must be finite"),
+    ])
+    def test_rejects_a_bad_state(self, variant, w, mu, dummy, message):
+        with pytest.raises(ValueError, match=message):
+            PrototypeSet(w, mu, variant, dummy)
+
+    def test_holds_float64_arrays_of_a_chunk(self):
+        ps = PrototypeSet(self.W.astype(np.float32), np.zeros((2, 4), np.float32),
+                          Variant.EXPLICIT_DUMMY, np.ones((2, 4), np.float32))
+        assert ps.n_way == 3
+        assert {ps.w.dtype, ps.mu.dtype, ps.dummy.dtype} == {np.dtype(np.float64)}
+
+
 class TestInit:
     def test_one_shot_prototype_is_support_vector(self, rng):
         episode = make_episode(rng, n_shot=1)
-        ps = init_prototypes(episode, CenteringPolicy("task"))
-        assert np.array_equal(ps.w, episode.support_vectors)
+        ps = init_prototypes(episode_view(episode, TASK))
+        assert np.array_equal(ps.w[0], episode.support_vectors)
 
     def test_five_shot_matches_summation_oracle(self, rng):
         episode = make_episode(rng, n_way=3, n_shot=5)
-        ps = init_prototypes(episode, CenteringPolicy("none"))
+        ps = init_prototypes(episode_view(episode, NONE))
         for k in range(3):
             members = episode.support_vectors[episode.support_labels == k]
             expected = np.zeros(episode.dim)
             for row in members:
                 expected += row
             expected /= len(members)
-            assert np.allclose(ps.w[k], expected, rtol=1e-6)
+            assert np.allclose(ps.w[0, k], expected, rtol=1e-6)
 
     def test_dummy_init_matches_implicit_logits(self, rng):
         episode = make_episode(rng)
-        implicit = init_prototypes(episode, CenteringPolicy("task"), Variant.IMPLICIT)
-        dummy = init_prototypes(episode, CenteringPolicy("task"), Variant.EXPLICIT_DUMMY)
-        for _ in range(5):
-            z = rng.normal(size=episode.dim)
-            li = logits(implicit, z, 10.0)
-            ld = logits(dummy, z, 10.0)
-            assert abs(li[-1] - ld[-1]) <= 1e-6
-            assert np.allclose(li[:-1], ld[:-1], atol=1e-12)
+        view = episode_view(episode, TASK)
+        implicit = init_prototypes(view, Variant.IMPLICIT)
+        dummy = init_prototypes(view, Variant.EXPLICIT_DUMMY)
+        rows = center_normalize(rng.normal(size=(5, episode.dim)), view.mu[0])[None]
+        li = logits(implicit, rows, 10.0)[0]
+        ld = logits(dummy, rows, 10.0)[0]
+        assert np.all(np.abs(li[-1] - ld[-1]) <= 1e-6)
+        assert np.allclose(li[:-1], ld[:-1], atol=1e-12)
 
     def test_closed_variant_has_no_dummy(self, rng):
         episode = make_episode(rng)
-        ps = init_prototypes(episode, CenteringPolicy("task"), Variant.CLOSED)
+        ps = init_prototypes(episode_view(episode, TASK), Variant.CLOSED)
         assert ps.dummy is None
-        assert logits(ps, rng.normal(size=episode.dim)).shape == (episode.n_way,)
+        rows = center_normalize(rng.normal(size=(1, episode.dim)), ps.mu[0])[None]
+        assert logits(ps, rows).shape == (1, episode.n_way, 1)
+
+
+def _unit_state(w) -> PrototypeSet:
+    """One implicit-variant episode with prototypes ``w`` (K, D), centered at the origin."""
+    w = np.asarray(w, dtype=np.float64)
+    return PrototypeSet(w=w[None], mu=np.zeros((1, w.shape[1])), variant=Variant.IMPLICIT)
+
+
+def _logit_row(ps: PrototypeSet, row, temperature: float) -> np.ndarray:
+    """The logits (C,) of one normalized row of a one-episode state."""
+    return logits(ps, np.asarray(row, dtype=np.float64)[None, None], temperature)[0, :, 0]
 
 
 class TestLogits:
     def test_symmetric_pair_gives_zero_outlier_logit(self):
         # inlier cosines +0.5 and -0.5 -> outlier logit 0
         half = math.sqrt(3) / 2
-        ps = PrototypeSet(
-            w=np.array([[0.5, half], [-0.5, half]]),
-            mu=np.zeros(2),
-            variant=Variant.IMPLICIT,
-        )
-        out = logits(ps, np.array([0.0, 1.0]), temperature=10.0)
+        ps = _unit_state([[0.5, half], [-0.5, half]])
+        out = _logit_row(ps, [0.0, 1.0], temperature=10.0)
         assert np.allclose(out[:2], [10 * half, 10 * half])
         # rebuild with prototypes at +-60 degrees around the query
-        ps = PrototypeSet(
-            w=np.array([[half, 0.5], [half, -0.5]]),
-            mu=np.zeros(2),
-            variant=Variant.IMPLICIT,
-        )
-        out = logits(ps, np.array([1.0, 0.0]), temperature=10.0)
+        ps = _unit_state([[half, 0.5], [half, -0.5]])
+        out = _logit_row(ps, [1.0, 0.0], temperature=10.0)
         assert np.allclose(out[:2], [10 * half, 10 * half])
 
     def test_equal_inlier_logits_negate(self):
         c = 0.4
         s = math.sqrt(1 - c * c)
-        ps = PrototypeSet(
-            w=np.array([[c, s, 0.0], [c, -s, 0.0], [c, 0.0, s]]),
-            mu=np.zeros(3),
-            variant=Variant.IMPLICIT,
-        )
-        out = logits(ps, np.array([1.0, 0.0, 0.0]), temperature=5.0)
+        ps = _unit_state([[c, s, 0.0], [c, -s, 0.0], [c, 0.0, s]])
+        out = _logit_row(ps, [1.0, 0.0, 0.0], temperature=5.0)
         assert np.allclose(out[:3], 5.0 * c, atol=1e-12)
         assert np.isclose(out[3], -5.0 * c, atol=1e-12)
 
     def test_outlier_logit_is_implicit_prototype_similarity(self, rng):
         for _ in range(20):
             episode = make_episode(rng, dim=6)
-            ps = random_state(rng, episode, Variant.IMPLICIT)
-            z = rng.normal(size=6)
-            out = logits(ps, z, 3.0)
-            v = center_normalize(ps.w, ps.mu)
+            ps, _ = random_state(rng, episode, Variant.IMPLICIT)
+            u = center_normalize(rng.normal(size=6), ps.mu[0])
+            out = _logit_row(ps, u, 3.0)
+            v = center_normalize(ps.w[0], ps.mu[0])
             implicit_prototype = -v.mean(axis=0)
-            expected = 3.0 * float(center_normalize(z, ps.mu) @ implicit_prototype)
+            expected = 3.0 * float(u @ implicit_prototype)
             assert abs(out[-1] - expected) <= 1e-6
 
     @pytest.mark.filterwarnings("error")
@@ -228,13 +283,14 @@ class TestLogits:
         # Each entry is finite, but the squared radius is not: the directions
         # would all be zero and every logit 0, which looks finite downstream.
         # numpy's own overflow warning is silenced, so the error comes first.
-        ps = PrototypeSet(w=np.array([[1e200, 0.0], [0.0, 1e200]]), mu=np.zeros(2),
-                          variant=Variant.IMPLICIT)
+        ps = _unit_state([[1e200, 0.0], [0.0, 1e200]])
         with pytest.raises(DivergenceError, match="overflows"):
-            logits(ps, np.array([1.0, 0.5]))
+            _logit_row(ps, center_normalize(np.array([1.0, 0.5]), np.zeros(2)), 10.0)
 
 
 class TestComputeLoss:
+    """The loss breakdown, the first item of ``loss_and_grad``."""
+
     def test_uniform_predictions_entropies(self, rng):
         # prototypes on axes, queries orthogonal to all of them: logits all zero
         k_way, dim = 3, 5
@@ -242,8 +298,8 @@ class TestComputeLoss:
                                n_open_classes=1, dim=dim)
         object.__setattr__(episode, "query_vectors",
                            np.tile(np.eye(dim)[dim - 1], (episode.query_vectors.shape[0], 1)))
-        ps = PrototypeSet(w=np.eye(dim)[:k_way], mu=np.zeros(dim), variant=Variant.IMPLICIT)
-        out = compute_loss(ps, episode, OstimConfig())
+        ps = _unit_state(np.eye(dim)[:k_way])
+        out = loss(ps, episode_view(episode, NONE), OstimConfig())
         assert np.isclose(out.marginal_entropy, math.log(k_way + 1), atol=1e-12)
         assert np.isclose(out.conditional_entropy, math.log(k_way + 1), atol=1e-12)
 
@@ -257,9 +313,8 @@ class TestComputeLoss:
             episode, "query_vectors",
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
         )
-        ps = PrototypeSet(w=np.array([[1.0, 0.0], [0.0, 1.0]]), mu=np.zeros(2),
-                          variant=Variant.IMPLICIT)
-        out = compute_loss(ps, episode, OstimConfig(temperature=200.0))
+        ps = _unit_state([[1.0, 0.0], [0.0, 1.0]])
+        out = loss(ps, episode_view(episode, NONE), OstimConfig(temperature=200.0))
         assert out.conditional_entropy <= 1e-9
         assert np.isclose(out.marginal_entropy, math.log(3), atol=1e-9)
 
@@ -268,9 +323,9 @@ class TestComputeLoss:
             for _ in range(5):
                 episode = make_episode(rng, n_way=2, n_shot=2, n_query_per_class=2,
                                        n_open_classes=1, dim=4)
-                ps = random_state(rng, episode, variant)
+                ps, view = random_state(rng, episode, variant)
                 cfg = OstimConfig(alpha=rng.uniform(0.0, 2.0), temperature=rng.uniform(1, 12))
-                got = compute_loss(ps, episode, cfg)
+                got = loss(ps, view, cfg)
                 ce, marginal, conditional, total = oracle_loss(ps, episode, cfg)
                 assert abs(got.ce - ce) <= 1e-8
                 assert abs(got.marginal_entropy - marginal) <= 1e-8
@@ -280,8 +335,7 @@ class TestComputeLoss:
     def test_term_ranges(self, rng):
         for _ in range(20):
             episode = make_episode(rng)
-            ps = random_state(rng, episode, Variant.IMPLICIT)
-            out = compute_loss(ps, episode, OstimConfig())
+            out = loss(*random_state(rng, episode, Variant.IMPLICIT), OstimConfig())
             assert out.ce >= 0
             assert 0 <= out.marginal_entropy <= math.log(episode.n_way + 1) + 1e-12
             assert out.conditional_entropy >= 0
@@ -296,10 +350,10 @@ class TestGradients:
             dim = int(rng.integers(3, 9))
             episode = make_episode(rng, n_way=k_way, n_shot=2, n_query_per_class=2,
                                    n_open_classes=1, dim=dim)
-            ps = random_state(rng, episode, variant)
+            ps, view = random_state(rng, episode, variant)
             cfg = OstimConfig(alpha=float(rng.uniform(0, 2)))
-            _, w_grad, dummy_grad = loss_and_grad(ps, episode, cfg)
-            fd_w, fd_dummy = fd_gradients(ps, episode, cfg)
+            _, w_grad, dummy_grad = loss_and_grad(ps, view, cfg)
+            fd_w, fd_dummy = fd_gradients(ps, view, cfg)
             worst = max(worst, max_rel_err(w_grad, fd_w))
             if dummy_grad is not None:
                 worst = max(worst, max_rel_err(dummy_grad, fd_dummy))
@@ -308,10 +362,10 @@ class TestGradients:
 
 class TestRefine:
     def test_zero_steps_identity(self, rng):
-        episode = make_episode(rng)
-        ps = init_prototypes(episode, CenteringPolicy("task"))
-        out, trace = refine(ps, episode, OstimConfig(n_steps=0))
-        assert out is ps and trace == []
+        view = episode_view(make_episode(rng), TASK)
+        ps = init_prototypes(view)
+        traces = [[]]
+        assert refine(ps, view, OstimConfig(n_steps=0), traces) is ps and traces == [[]]
 
     def test_loss_monotone_without_conditional_term(self, rng):
         # alpha=0 leaves CE plus marginal entropy; small steps must descend
@@ -319,30 +373,32 @@ class TestRefine:
         for trial in range(30):
             episode = make_episode(rng, n_way=3, n_shot=1, n_query_per_class=4,
                                    n_open_classes=2, dim=6, spread=0.3, radius=2.0)
-            ps = init_prototypes(episode, CenteringPolicy("task"))
+            view = episode_view(episode, TASK)
             cfg = OstimConfig(alpha=0.0, n_steps=40, learning_rate=1e-3)
-            _, trace = refine(ps, episode, cfg)
-            losses = np.array([t.total for t in trace])
+            traces = [[]]
+            refine(init_prototypes(view), view, cfg, traces)
+            losses = np.array([t.total for t in traces[0]])
             if not np.all(np.diff(losses) <= 1e-12):
                 violations += 1
         assert violations == 0
 
     def test_trace_length_and_final_state_move(self, rng):
-        episode = make_episode(rng)
-        ps = init_prototypes(episode, CenteringPolicy("task"))
-        out, trace = refine(ps, episode, OstimConfig(n_steps=25))
-        assert len(trace) == 25
+        view = episode_view(make_episode(rng), TASK)
+        ps = init_prototypes(view)
+        traces = [[]]
+        out = refine(ps, view, OstimConfig(n_steps=25), traces)
+        assert len(traces[0]) == 25
         assert not np.array_equal(out.w, ps.w)
 
     def test_dummy_vector_is_optimized(self, rng):
-        episode = make_episode(rng)
-        ps = init_prototypes(episode, CenteringPolicy("task"), Variant.EXPLICIT_DUMMY)
-        out, _ = refine(ps, episode, OstimConfig(n_steps=25))
+        view = episode_view(make_episode(rng), TASK)
+        ps = init_prototypes(view, Variant.EXPLICIT_DUMMY)
+        out = refine(ps, view, OstimConfig(n_steps=25))
         assert not np.array_equal(out.dummy, ps.dummy)
 
     def test_divergence_reports_step(self, rng, monkeypatch):
-        episode = make_episode(rng)
-        ps = init_prototypes(episode, CenteringPolicy("task"))
+        view = episode_view(make_episode(rng), TASK)
+        ps = init_prototypes(view)
         # The kernel's per-step forward pass and gradient, poisoned at step 2.
         real = ostim_mod._forward_and_grad
         calls = {"n": 0}
@@ -357,7 +413,17 @@ class TestRefine:
 
         monkeypatch.setattr(ostim_mod, "_forward_and_grad", poisoned)
         with pytest.raises(DivergenceError, match="step 2"):
-            refine(ps, episode, OstimConfig(n_steps=10))
+            refine(ps, view, OstimConfig(n_steps=10))
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_update_that_overflows_at_the_last_step_is_a_divergence(self, rng):
+        # Prototypes near the centering point have gradients above 1, so one
+        # step of 1e308 throws them out of float64 range.
+        view = episode_view(make_episode(rng), TASK)
+        ps = init_prototypes(view)
+        ps = replace(ps, w=ps.mu[:, None] + 1e-3 * (ps.w - ps.mu[:, None]))
+        with pytest.raises(DivergenceError, match="^the update of step 0 overflows$"):
+            refine(ps, view, OstimConfig(n_steps=1, learning_rate=1e308))
 
 
 def _underflowing_support_episode(rng):
@@ -367,58 +433,65 @@ def _underflowing_support_episode(rng):
                            n_open_classes=1, dim=3)
     object.__setattr__(episode, "support_vectors", np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
     object.__setattr__(episode, "query_vectors", np.tile([0.0, 0.0, 1.0], (6, 1)))
-    ps = PrototypeSet(w=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), mu=np.zeros(3),
+    ps = PrototypeSet(w=np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]), mu=np.zeros((1, 3)),
                       variant=Variant.CLOSED)
     return ps, episode
 
 
 class TestRefineBatch:
+    """A chunk of episodes refined at once equals each episode refined alone."""
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_slices_match_single_episode_refine(self, rng, variant):
         episodes = [make_episode(rng, n_way=3, n_shot=2, dim=6) for _ in range(3)]
-        states = [init_prototypes(e, CenteringPolicy("task"), variant) for e in episodes]
+        view = normalize_chunk(episodes, [TASK.resolve(e) for e in episodes])
+        ps = init_prototypes(view, variant)
         cfg = OstimConfig(n_steps=30, learning_rate=0.05)
-        batched = refine_batch(states, episodes, cfg)
-        for state, episode, got in zip(states, episodes, batched):
-            want, _ = refine(state, episode, cfg)
-            assert np.array_equal(got.w, want.w)
-            assert (want.dummy is None) == (got.dummy is None)
+        batched = refine(ps, view, cfg)
+        for i in range(len(episodes)):
+            want = refine(*one_of(ps, view, i), cfg)
+            assert np.array_equal(batched.w[i:i + 1], want.w)
+            assert (want.dummy is None) == (batched.dummy is None)
             if want.dummy is not None:
-                assert np.array_equal(got.dummy, want.dummy)
+                assert np.array_equal(batched.dummy[i:i + 1], want.dummy)
 
     def test_degenerate_prototype_names_its_slice(self, rng):
         episodes = [make_episode(rng) for _ in range(3)]
-        states = [init_prototypes(e, CenteringPolicy("task")) for e in episodes]
-        w = states[1].w.copy()
-        w[2] = states[1].mu
-        states[1] = replace(states[1], w=w)
+        view = normalize_chunk(episodes, [TASK.resolve(e) for e in episodes])
+        ps = init_prototypes(view)
+        w = ps.w.copy()
+        w[1, 2] = ps.mu[1]
+        ps = replace(ps, w=w)
         cfg = OstimConfig(n_steps=5)
         with pytest.raises(DegenerateFeatureError, match="prototype 2") as batched:
-            refine_batch(states, episodes, cfg)
+            refine(ps, view, cfg)
         # The failing slice fails alone with the same error; the others do not.
         with pytest.raises(DegenerateFeatureError) as alone:
-            refine(states[1], episodes[1], cfg)
+            refine(*one_of(ps, view, 1), cfg)
         assert str(batched.value) == str(alone.value)
-        refine(states[0], episodes[0], cfg)
-        refine(states[2], episodes[2], cfg)
+        refine(*one_of(ps, view, 0), cfg)
+        refine(*one_of(ps, view, 2), cfg)
 
     def test_loss_only_divergence_raises(self, rng):
         # At temperature 1000 the first support row gives its own label
         # probability exp(-1000) = 0: infinite cross-entropy, finite gradient.
         cfg = OstimConfig(temperature=1000.0, n_steps=3)
         ps, episode = _underflowing_support_episode(rng)
+        view = episode_view(episode, NONE)
         with np.errstate(divide="ignore"):
-            breakdown, w_grad, _ = loss_and_grad(ps, episode, cfg)
+            (breakdown,), w_grad, _ = loss_and_grad(ps, view, cfg)
         assert math.isinf(breakdown.ce) and np.all(np.isfinite(w_grad))
         with pytest.raises(DivergenceError, match="step 0"):
-            refine(ps, episode, cfg)
+            refine(ps, view, cfg)
 
         # The same episode with each support row on its own prototype.
         _, healthy = _underflowing_support_episode(rng)
-        object.__setattr__(healthy, "support_vectors", ps.w.copy())
-        refine(ps, healthy, cfg)
+        object.__setattr__(healthy, "support_vectors", ps.w[0].copy())
+        refine(ps, episode_view(healthy, NONE), cfg)
+        chunk = [healthy, episode, healthy]
+        three = PrototypeSet(np.repeat(ps.w, 3, axis=0), np.zeros((3, 3)), Variant.CLOSED)
         with pytest.raises(DivergenceError, match="step 0"):
-            refine_batch([ps] * 3, [healthy, episode, healthy], cfg)
+            refine(three, normalize_chunk(chunk, [np.zeros(3)] * 3), cfg)
 
     # (n_way, n_shot, n_query_per_class, n_open_classes, dim) of the bench
     # workloads quickstart, large_store and wide_transductive, and D=640.
@@ -435,99 +508,99 @@ class TestRefineBatch:
         n_way, n_shot, n_query, n_open, dim = shape
         episodes = [make_episode(rng, n_way, n_shot, n_query, n_open, dim) for _ in range(16)]
         policy = CenteringPolicy(centering)
-        mu = [policy.resolve(episode) for episode in episodes]
+        view = normalize_chunk(episodes, [policy.resolve(episode) for episode in episodes])
         cfg = OstimConfig(n_steps=4, learning_rate=0.05)
         for variant in Variant:
-            chunk = ostim_mod.predict_chunk(normalize_chunk(episodes, mu), variant, cfg)
+            chunk = predicted(view, variant, cfg)
             for i, episode in enumerate(episodes):
-                alone = ostim_mod.predict_chunk(normalize_chunk([episode], mu[i:i + 1]),
-                                                variant, cfg)
+                alone = predicted(episode_view(episode, policy), variant, cfg)
                 assert np.array_equal(chunk.probs[i], alone.probs[0]), (variant, i)
 
 
 class TestPredict:
-    def test_query_on_prototype_direction(self):
-        ps = PrototypeSet(w=np.array([[1.0, 0.0], [0.0, 1.0]]), mu=np.zeros(2),
-                          variant=Variant.IMPLICIT)
+    @staticmethod
+    def one_query_view(query) -> NormalizedChunk:
         rng = np.random.default_rng(0)
         episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=1,
                                n_open_classes=1, dim=2)
-        object.__setattr__(episode, "query_vectors", np.array([[0.0, 1.0]]))
-        sheet = predict(ps, episode, OstimConfig())
-        assert sheet.closed_pred[0] == 1
-        assert sheet.probs[0, 2] < sheet.probs[0, 1]
+        object.__setattr__(episode, "query_vectors", np.array([query]))
+        return episode_view(episode, NONE)
+
+    def test_query_on_prototype_direction(self):
+        ps = _unit_state([[1.0, 0.0], [0.0, 1.0]])
+        sheet = predict(ps, self.one_query_view([0.0, 1.0]), OstimConfig())
+        assert sheet.closed_pred[0, 0] == 1
+        assert sheet.probs[0, 0, 2] < sheet.probs[0, 0, 1]
 
     def test_query_on_implicit_prototype_direction(self):
-        ps = PrototypeSet(w=np.array([[1.0, 0.0], [0.0, 1.0]]), mu=np.zeros(2),
-                          variant=Variant.IMPLICIT)
-        rng = np.random.default_rng(0)
-        episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=1,
-                               n_open_classes=1, dim=2)
-        object.__setattr__(episode, "query_vectors", np.array([[-1.0, -1.0]]))
-        sheet = predict(ps, episode, OstimConfig())
-        assert sheet.probs[0].argmax() == 2
-        assert sheet.outlier_score[0] == sheet.probs[0, 2]
+        ps = _unit_state([[1.0, 0.0], [0.0, 1.0]])
+        sheet = predict(ps, self.one_query_view([-1.0, -1.0]), OstimConfig())
+        assert sheet.probs[0, 0].argmax() == 2
+        assert sheet.outlier_score[0, 0] == sheet.probs[0, 0, 2]
 
     def test_rows_match_oracle_softmax(self, rng):
-        episode = make_episode(rng)
-        ps = random_state(rng, episode, Variant.IMPLICIT)
+        ps, view = random_state(rng, make_episode(rng), Variant.IMPLICIT)
         cfg = OstimConfig()
-        sheet = predict(ps, episode, cfg)
-        assert np.all(np.abs(sheet.probs.sum(axis=1) - 1) <= 1e-9)
-        for i, raw in enumerate(episode.query_vectors):
-            row = logits(ps, raw, cfg.temperature)
-            assert np.allclose(sheet.probs[i], _softmax_row(list(row)), atol=1e-12)
+        sheet = predict(ps, view, cfg)
+        assert sheet.probs.shape == (1, view.query.shape[1], ps.n_way + 1)
+        assert np.all(np.abs(sheet.probs.sum(axis=-1) - 1) <= 1e-9)
+        for i, row in enumerate(view.query[0]):
+            logit_row = _logit_row(ps, row, cfg.temperature)
+            assert np.allclose(sheet.probs[0, i], _softmax_row(list(logit_row)), atol=1e-12)
 
     def test_closed_variant_outlier_score(self, rng):
-        episode = make_episode(rng)
-        ps = random_state(rng, episode, Variant.CLOSED)
-        sheet = predict(ps, episode, OstimConfig())
-        assert np.allclose(sheet.outlier_score, -sheet.probs.max(axis=1), atol=1e-15)
+        ps, view = random_state(rng, make_episode(rng), Variant.CLOSED)
+        sheet = predict(ps, view, OstimConfig())
+        assert np.allclose(sheet.outlier_score, -sheet.probs.max(axis=-1), atol=1e-15)
 
 
 class TestClosedSetEntropy:
-    def test_uniform_and_one_hot(self, rng):
-        episode = make_episode(rng, n_way=4)
-        ps = random_state(rng, episode, Variant.IMPLICIT)
-        sheet = predict(ps, episode, OstimConfig())
+    def test_uniform_and_one_hot(self):
         head = np.full((2, 4), 0.25)
-        object.__setattr__(sheet, "probs", np.hstack([head * 0.8, np.full((2, 1), 0.2)]))
-        ent = closed_set_entropy(sheet)
-        assert np.allclose(ent, math.log(4), atol=1e-12)
+        sheet = PredictionSheet(np.hstack([head * 0.8, np.full((2, 1), 0.2)]), 4)
+        assert np.allclose(closed_set_entropy(sheet), math.log(4), atol=1e-12)
         one_hot = np.zeros((2, 5))
         one_hot[:, 0] = 0.9
         one_hot[:, 4] = 0.1
-        object.__setattr__(sheet, "probs", one_hot)
-        assert np.allclose(closed_set_entropy(sheet), 0.0, atol=1e-12)
+        assert np.allclose(closed_set_entropy(PredictionSheet(one_hot, 4)), 0.0, atol=1e-12)
 
     def test_matches_direct_sum(self, rng):
-        episode = make_episode(rng)
-        ps = random_state(rng, episode, Variant.IMPLICIT)
-        sheet = predict(ps, episode, OstimConfig())
+        ps, view = random_state(rng, make_episode(rng), Variant.IMPLICIT)
+        sheet = predict(ps, view, OstimConfig())
         ent = closed_set_entropy(sheet)
+        assert ent.shape == (1, sheet.n_queries)
         for i in range(sheet.n_queries):
-            head = sheet.probs[i, : sheet.n_closed]
+            head = sheet.probs[0, i, : sheet.n_closed]
             head = [p / head.sum() for p in head]
             expected = -sum(p * math.log(p) for p in head if p > 0)
-            assert abs(ent[i] - expected) <= 1e-10
+            assert abs(ent[0, i] - expected) <= 1e-10
+
+    @pytest.mark.parametrize("outlier_column", (0, 1))
+    def test_a_chunk_sheet_equals_it_row_by_row(self, rng, outlier_column):
+        probs = rng.dirichlet(np.ones(4 + outlier_column), size=(5, 7))
+        probs[2, 3] = np.eye(4 + outlier_column)[1]  # a one-hot row: its entropy is 0
+        chunk = closed_set_entropy(PredictionSheet(probs, 4))
+        assert chunk.shape == (5, 7)
+        for e in range(5):
+            assert np.array_equal(chunk[e], closed_set_entropy(PredictionSheet(probs[e], 4)))
+        assert chunk[2, 3] == 0.0
 
 
 class TestInvariants:
     def test_implicit_identity_along_refinement(self, rng):
         for trial in range(5):
-            episode = make_episode(rng)
-            ps = init_prototypes(episode, CenteringPolicy("task"))
+            view = episode_view(make_episode(rng), TASK)
+            ps = init_prototypes(view)
             cfg = OstimConfig(n_steps=1)
             for step in range(20):
-                out = logits(ps, episode.query_vectors[:10], cfg.temperature)
-                residual = out[:, -1] + out[:, :-1].mean(axis=1)
+                out = logits(ps, view.query[:, :10], cfg.temperature)[0]
+                residual = out[-1] + out[:-1].mean(axis=0)
                 assert np.max(np.abs(residual)) <= 1e-9
-                ps, _ = refine(ps, episode, cfg)
+                ps = refine(ps, view, cfg)
 
     def test_closed_pred_invariant_to_logit_rescaling(self, rng):
-        episode = make_episode(rng)
-        ps = random_state(rng, episode, Variant.IMPLICIT)
-        preds = [predict(ps, episode, OstimConfig(temperature=t)).closed_pred
+        ps, view = random_state(rng, make_episode(rng), Variant.IMPLICIT)
+        preds = [predict(ps, view, OstimConfig(temperature=t)).closed_pred
                  for t in (0.25, 10.0, 80.0)]
         assert np.array_equal(preds[0], preds[1])
         assert np.array_equal(preds[1], preds[2])
@@ -545,13 +618,13 @@ class TestInvariants:
         object.__setattr__(permuted, "query_truth", truth)
 
         cfg = OstimConfig(n_steps=15)
-        policy = CenteringPolicy("task")
-        a, _ = refine(init_prototypes(episode, policy), episode, cfg)
-        b, _ = refine(init_prototypes(permuted, policy), permuted, cfg)
-        assert np.allclose(b.w[perm], a.w, atol=1e-10)
-        sheet_a = predict(a, episode, cfg)
-        sheet_b = predict(b, permuted, cfg)
-        assert np.allclose(sheet_b.probs[:, perm], sheet_a.probs[:, :4], atol=1e-10)
+        view_a, view_b = episode_view(episode, TASK), episode_view(permuted, TASK)
+        a = refine(init_prototypes(view_a), view_a, cfg)
+        b = refine(init_prototypes(view_b), view_b, cfg)
+        assert np.allclose(b.w[0, perm], a.w[0], atol=1e-10)
+        sheet_a = predict(a, view_a, cfg)
+        sheet_b = predict(b, view_b, cfg)
+        assert np.allclose(sheet_b.probs[..., perm], sheet_a.probs[..., :4], atol=1e-10)
         assert np.allclose(sheet_b.outlier_score, sheet_a.outlier_score, atol=1e-10)
         assert np.array_equal(sheet_b.closed_pred, perm[sheet_a.closed_pred])
 
@@ -560,11 +633,10 @@ class TestInvariants:
         for trial in range(10):
             episode = make_episode(rng, n_way=k_way, n_shot=1, n_query_per_class=5,
                                    n_open_classes=3, dim=8)
-            ps = init_prototypes(episode, CenteringPolicy("task"))
+            view = episode_view(episode, TASK)
             cfg = OstimConfig(alpha=1.0, n_steps=100)
-            out, _ = refine(ps, episode, cfg)
-            final = compute_loss(out, episode, cfg)
-            assert final.marginal_entropy > 0.5 * math.log(k_way + 1)
+            out = refine(init_prototypes(view), view, cfg)
+            assert loss(out, view, cfg).marginal_entropy > 0.5 * math.log(k_way + 1)
 
 
 class TestSoftmax:

@@ -8,7 +8,7 @@ import json
 import re
 from pathlib import Path
 
-from fsosr import generate, runner, sample_episode
+from fsosr import generate, runner, sample_episode, save_feature_store
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +55,14 @@ def test_sweep_config_fits_the_val_split_of_the_synth_store():
 def test_method_table_lists_exactly_the_registry():
     methods = README.read_text().split("\n## Methods\n", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` ", methods, re.M) == list(runner.METHODS)
+
+
+def test_python_api_example_runs_on_the_synth_store(tmp_path, monkeypatch):
+    code = re.search(r"\n## Python API\n.*?```python\n(.*?)```", README.read_text(), re.S)[1]
+    save_feature_store(generate(runner.synth_spec_from_dict(heredocs()["synth.json"])),
+                       tmp_path / "store.fsos")
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(code, names)
+    assert names["sheet"].probs.shape == (16, 150, 6)
+    assert len(names["reports"]) == 16

@@ -43,6 +43,8 @@ from fsosr.transforms import (
     task_mean,
 )
 
+from conftest import episode_view
+
 CHUNK_SIZES = (1, 3, runner_mod.CHUNK_SIZE)
 
 
@@ -324,14 +326,14 @@ class TestRun:
 
     def test_failure_only_in_a_batch_is_raised_as_it_is(self, store_path, monkeypatch):
         # The one-episode replay finds nothing, so the chunk's own error stands.
-        real = ostim_mod.predict_chunk
+        real = ostim_mod.refine
 
-        def batch_only(view, variant, cfg):
+        def batch_only(ps, view, cfg):
             if len(view.mu) > 1:
                 raise ValueError("batch-only failure")
-            return real(view, variant, cfg)
+            return real(ps, view, cfg)
 
-        monkeypatch.setattr(ostim_mod, "predict_chunk", batch_only)
+        monkeypatch.setattr(ostim_mod, "refine", batch_only)
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
         with pytest.raises(ValueError, match="^batch-only failure$"):
             run(tiny_config(store_path, methods=("ostim",), n_episodes=3))
@@ -425,6 +427,12 @@ def shuffled_support(episode: Episode, rng: np.random.Generator) -> Episode:
                    support_labels=episode.support_labels[order])
 
 
+def refined_sheet(view, variant: Variant, ocfg: OstimConfig):
+    """The chunk's sheet from the public refinement functions, as the runner composes them."""
+    ps = ostim_mod.init_prototypes(view, variant)
+    return ostim_mod.predict(ostim_mod.refine(ps, view, ocfg), view, ocfg)
+
+
 class TestChunkPath:
     """Each method's chunk-level function, fed the chunk normalized once,
     equals the one-episode public functions composed episode by episode."""
@@ -442,12 +450,10 @@ class TestChunkPath:
         view = normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
         ocfg = OstimConfig(n_steps=6, learning_rate=0.05)
         for variant in Variant:
-            sheet = ostim_mod.predict_chunk(view, variant, ocfg)
+            sheet = refined_sheet(view, variant, ocfg)
             for episode, probs in zip(episodes, sheet.probs, strict=True):
-                state, _ = ostim_mod.refine(
-                    ostim_mod.init_prototypes(episode, policy, variant), episode, ocfg
-                )
-                assert np.array_equal(probs, ostim_mod.predict(state, episode, ocfg).probs)
+                alone = refined_sheet(episode_view(episode, policy), variant, ocfg)
+                assert np.array_equal(probs, alone.probs[0])
         sheet = baselines_mod.simpleshot_chunk(view, 7.5)
         scores = baselines_mod.knn_chunk(view, 2)
         for episode, probs, score in zip(episodes, sheet.probs, scores, strict=True):
@@ -471,11 +477,10 @@ class TestChunkPath:
             episode = sample_episode(fs, cfg.episode, i)
             for method, variant in (("ostim", ocfg.variant), ("tim_closed", Variant.CLOSED),
                                     ("explicit_dummy", Variant.EXPLICIT_DUMMY)):
-                state, _ = ostim_mod.refine(
-                    ostim_mod.init_prototypes(episode, task, variant), episode, ocfg
-                )
-                sheet = ostim_mod.predict(state, episode, ocfg)
-                alone[method].append(score_sheet(sheet, episode.query_truth))
+                sheet = refined_sheet(episode_view(episode, task), variant, ocfg)
+                alone[method].append(score_episode(
+                    episode.query_truth, sheet.outlier_score[0], sheet.closed_pred[0]
+                ))
             sheet = simpleshot_classify(episode, plain, bcfg.temperature)
             scores = knn_outlier_score(episode, plain, bcfg.knn_k)
             alone["simpleshot"].append(score_sheet(sheet, episode.query_truth))
@@ -534,14 +539,14 @@ def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
     real = ostim_mod._forward_and_grad
     calls: list = []  # [inputs, steps taken] of the running kernel call
 
-    def poisoned(inputs, batch, ostim_cfg):
-        fwd, w_grad, dummy_grad = real(inputs, batch, ostim_cfg)
+    def poisoned(inputs, w, dummy, ostim_cfg):
+        fwd, w_grad, dummy_grad = real(inputs, w, dummy, ostim_cfg)
         if not calls or calls[-1][0] is not inputs:
             calls.append([inputs, 0])
         step = calls[-1][1]
         calls[-1][1] += 1
         w_grad = w_grad.copy()
-        for e, mu in enumerate(batch.mu):
+        for e, mu in enumerate(inputs.mu):
             if step_of.get(mu.tobytes()) == step:
                 w_grad[e, 0, 0] = np.nan
         return fwd, w_grad, dummy_grad
@@ -592,19 +597,19 @@ class TestChunkFailures:
         cfg = tiny_config(store_path, methods=("ostim", "tim_closed"), n_episodes=6)
         fs = load_feature_store(store_path)
         target = task_mean(sample_episode(fs, cfg.episode, 2)).tobytes()
-        real = ostim_mod._init_batch
+        real = ostim_mod.init_prototypes
 
-        def poisoned(mu, raw_support, support_labels, variant):
-            batch = real(mu, raw_support, support_labels, variant)
+        def poisoned(view, variant):
+            ps = real(view, variant)
             if variant is ostim_mod.Variant.CLOSED:
-                w = batch.w.copy()
-                for e, episode_mu in enumerate(batch.mu):
+                w = ps.w.copy()
+                for e, episode_mu in enumerate(ps.mu):
                     if episode_mu.tobytes() == target:
                         w[e, 1] = episode_mu
-                batch = batch._replace(w=w)
-            return batch
+                ps = replace(ps, w=w)
+            return ps
 
-        monkeypatch.setattr(ostim_mod, "_init_batch", poisoned)
+        monkeypatch.setattr(ostim_mod, "init_prototypes", poisoned)
         self.expect(monkeypatch, cfg, DegenerateFeatureError,
                     r"^episode 2, method tim_closed: prototype 1 coincides")
 
