@@ -21,8 +21,8 @@ import numpy as np
 from .episodes import Episode
 from .ostim import softmax
 from .predictions import PredictionSheet
-from .transforms import (CenteringPolicy, NormalizedChunk, center_normalize, check_centering,
-                         class_means, normalize_chunk)
+from .transforms import (NormalizedChunk, center_normalize, check_centering, class_means,
+                         normalize_chunk)
 
 _EPS64 = np.finfo(np.float64).eps
 _TINY64 = np.finfo(np.float64).smallest_subnormal
@@ -139,16 +139,19 @@ def knn_chunk(view: NormalizedChunk, k: int = 1) -> np.ndarray:
 
 
 def simpleshot_classify(
-    episode: Episode, policy: CenteringPolicy, temperature: float = 10.0
+    episode: Episode, centering: str, base_mu: np.ndarray | None = None,
+    temperature: float = 10.0,
 ) -> PredictionSheet:
-    """``simpleshot_chunk`` of one episode, normalized at ``policy``'s centering."""
-    sheet = simpleshot_chunk(normalize_chunk([episode], [policy.resolve(episode)]), temperature)
+    """``simpleshot_chunk`` of one episode, normalized at ``centering``."""
+    sheet = simpleshot_chunk(normalize_chunk([episode], centering, base_mu), temperature)
     return PredictionSheet(sheet.probs[0], sheet.n_closed)
 
 
-def knn_outlier_score(episode: Episode, policy: CenteringPolicy, k: int = 1) -> np.ndarray:
-    """``knn_chunk`` of one episode, normalized at ``policy``'s centering."""
+def knn_outlier_score(
+    episode: Episode, centering: str, base_mu: np.ndarray | None = None, k: int = 1
+) -> np.ndarray:
+    """``knn_chunk`` of one episode, normalized at ``centering``."""
     n_support = episode.support_vectors.shape[0]
     if not 1 <= k <= n_support:
         raise ValueError(f"k must be in [1, {n_support}], got {k}")
-    return knn_chunk(normalize_chunk([episode], [policy.resolve(episode)]), k)[0]
+    return knn_chunk(normalize_chunk([episode], centering, base_mu), k)[0]

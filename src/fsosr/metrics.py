@@ -25,7 +25,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .episodes import OUTLIER
-from .predictions import PredictionSheet
 
 
 @dataclass(frozen=True)
@@ -212,10 +211,6 @@ def score_episode(
     return score_chunk(
         truth[None], scores[None], None if closed_pred is None else np.asarray(closed_pred)[None]
     )[0]
-
-
-def score_sheet(sheet: PredictionSheet, truth: np.ndarray) -> EpisodeReport:
-    return score_episode(truth, sheet.outlier_score, sheet.closed_pred)
 
 
 def aggregate(

@@ -39,7 +39,7 @@ from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_pa
                             load_feature_store)
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
 from .synthgen import SynthSpec
-from .transforms import CenteringPolicy, NormalizedChunk, normalize_chunk
+from .transforms import NormalizedChunk, normalize_chunk
 
 # Consecutive episodes evaluated together; reports do not depend on it.
 CHUNK_SIZE = 16
@@ -303,10 +303,10 @@ def evaluate_method(
     plain error of some failing episode; ``_evaluate_chunk`` finds out which.
     """
     section = getattr(cfg, METHODS[method].section)
-    if section.centering not in views:
-        policy = CenteringPolicy(section.centering, base_mu)
-        views[policy.kind] = normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
-    return METHODS[method].evaluate(section, views[section.centering], done)
+    centering = section.centering
+    if centering not in views:
+        views[centering] = normalize_chunk(episodes, centering, base_mu)
+    return METHODS[method].evaluate(section, views[centering], done)
 
 
 def _evaluate_chunk(

@@ -1,10 +1,10 @@
-"""Center-normalize transform, the three centering policies, and the
-normalized view of a chunk of episodes, the only input of every method."""
+"""Center-normalize transform and ``normalize_chunk``, the one place that
+picks a chunk's centering (task mean, base mean or origin) and builds its
+normalized view, the only input of every method."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +18,7 @@ _EPS = 1e-12
 
 
 def check_centering(kind: str) -> None:
-    """ConfigError unless ``kind`` names a centering policy."""
+    """ConfigError unless ``kind`` names a centering."""
     if kind not in CENTERING_KINDS:
         raise ConfigError(f"unknown centering {kind!r}; expected one of {CENTERING_KINDS}")
 
@@ -49,44 +49,6 @@ def center_normalize(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return shifted / norms
 
 
-def task_mean(episode: Episode) -> np.ndarray:
-    """Mean of all raw features in the task (support and queries pooled)."""
-    stacked = np.concatenate([episode.support_vectors, episode.query_vectors], axis=0)
-    return stacked.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class CenteringPolicy:
-    """Which centering vector feeds the transform.
-
-    ``none`` centers at the origin, ``base`` at a precomputed dataset mean
-    (must be supplied in ``mu``), ``task`` at the per-episode mean of all
-    support and query features. The task mean is computed once from raw
-    features and held fixed afterwards.
-    """
-
-    kind: str
-    mu: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        check_centering(self.kind)
-        if self.mu is not None:
-            mu = np.asarray(self.mu, dtype=np.float64)
-            if not np.all(np.isfinite(mu)):
-                raise ConfigError("centering vector must be finite")
-            object.__setattr__(self, "mu", mu)
-        if self.kind == "base" and self.mu is None:
-            raise ConfigError("base centering requires a precomputed mean")
-
-    def resolve(self, episode: Episode) -> np.ndarray:
-        """Concrete centering vector for this episode."""
-        if self.kind == "task":
-            return task_mean(episode)
-        if self.kind == "base":
-            return np.asarray(self.mu, dtype=np.float64)
-        return np.zeros(episode.dim, dtype=np.float64)
-
-
 class NormalizedChunk(NamedTuple):
     """``raw_support``, ``support_labels`` and ``query_truth`` of E same-shape episodes,
     stacked, and ``support``/``query`` center-normalized at ``mu`` (E, D)."""
@@ -99,19 +61,52 @@ class NormalizedChunk(NamedTuple):
     query_truth: np.ndarray
 
 
-def normalize_chunk(episodes: Sequence[Episode], mu: Sequence[np.ndarray]) -> NormalizedChunk:
-    """The one stacking of episodes, each normalized at its own ``mu``. A vector
-    at its centering point raises DegenerateFeatureError, supports first."""
-    mu = np.stack(mu)
+def normalize_chunk(
+    episodes: Sequence[Episode], centering: str, base_mu: np.ndarray | None = None
+) -> NormalizedChunk:
+    """The one stacking of episodes and the one choice of their centering
+    vectors: ``task`` centers each episode at the mean of its raw support
+    and query rows, ``base`` every episode at the dataset mean ``base_mu``,
+    and ``none`` at the origin. A vector at its centering point raises
+    DegenerateFeatureError naming its set and its row in the episode,
+    supports first, and the episode when the chunk has more than one."""
+    check_centering(centering)
+    if base_mu is not None:
+        base_mu = np.asarray(base_mu, dtype=np.float64)
+        if not np.all(np.isfinite(base_mu)):
+            raise ConfigError("centering vector must be finite")
+    elif centering == "base":
+        raise ConfigError("base centering requires a precomputed mean")
     raw_support = np.stack([ep.support_vectors for ep in episodes])
+    raw_query = np.stack([ep.query_vectors for ep in episodes])
+    if centering == "task":
+        mu = np.concatenate([raw_support, raw_query], axis=1).mean(axis=1)
+    elif centering == "base":
+        mu = np.tile(base_mu, (len(episodes), 1))
+    else:
+        mu = np.zeros((len(episodes), raw_support.shape[-1]))
     return NormalizedChunk(
         mu,
-        center_normalize(raw_support, mu[:, None]),
-        center_normalize(np.stack([ep.query_vectors for ep in episodes]), mu[:, None]),
+        _normalized(raw_support, mu, "support"),
+        _normalized(raw_query, mu, "query"),
         raw_support,
         np.stack([ep.support_labels for ep in episodes]),
         np.stack([ep.query_truth for ep in episodes]),
     )
+
+
+def _normalized(rows: np.ndarray, mu: np.ndarray, name: str) -> np.ndarray:
+    """``center_normalize`` of (E, n, D) ``rows`` at (E, D) ``mu``; a vector at
+    its centering point is named as the ``name`` row of its episode."""
+    try:
+        return center_normalize(rows, mu[:, None])
+    except DegenerateFeatureError:
+        shifted = np.asarray(rows, np.float64) - mu[:, None]
+        episode, row = np.argwhere(row_norms(shifted) < _EPS)[0]
+        where = f" of episode {episode}" if len(rows) > 1 else ""
+        raise DegenerateFeatureError(
+            f"{name} vector {row}{where} coincides with the centering point"
+        ) from None
 
 
 def class_means(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 import fsosr.feature_store
-from fsosr import CenteringPolicy, Episode, FeatureSet, OUTLIER
+from fsosr import Episode, FeatureSet, OUTLIER
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 
@@ -91,9 +91,11 @@ def make_episode(
     )
 
 
-def episode_view(episode: Episode, policy: CenteringPolicy) -> NormalizedChunk:
-    """The chunk of the one ``episode``, normalized at ``policy``'s centering vector."""
-    return normalize_chunk([episode], [policy.resolve(episode)])
+def episode_view(
+    episode: Episode, centering: str, base_mu: np.ndarray | None = None
+) -> NormalizedChunk:
+    """The chunk of the one ``episode``, normalized at ``centering``."""
+    return normalize_chunk([episode], centering, base_mu)
 
 
 @pytest.fixture

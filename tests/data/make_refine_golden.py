@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fsosr import (CenteringPolicy, Episode, OstimConfig, PrototypeSet, Variant, init_prototypes,
-                   refine)
+from fsosr import Episode, OstimConfig, PrototypeSet, Variant, init_prototypes, refine
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 GOLDEN = Path(__file__).with_name("refine_golden.npz")
@@ -92,8 +91,7 @@ def build(case: Case, seed: int) -> tuple[PrototypeSet, NormalizedChunk, OstimCo
     """The case's initial prototype sets, its chunk of episodes and its config."""
     rng = np.random.default_rng(seed)
     episodes = [_episode(rng, case) for _ in range(case.n_episodes)]
-    policy = CenteringPolicy(case.centering)
-    view = normalize_chunk(episodes, [policy.resolve(episode) for episode in episodes])
+    view = normalize_chunk(episodes, case.centering)
     cfg = OstimConfig(n_steps=N_STEPS, learning_rate=case.lr, variant=case.variant,
                       centering=case.centering)
     return init_prototypes(view, case.variant), view, cfg

@@ -20,7 +20,6 @@ import pytest
 import fsosr.runner as runner_module
 from fsosr import (
     OUTLIER,
-    CenteringPolicy,
     EpisodeSpec,
     OstimConfig,
     RunConfig,
@@ -82,10 +81,6 @@ def _trend_chunks(fs, spec: EpisodeSpec):
         yield [sample_episode(fs, spec, index) for index in range(start, stop)]
 
 
-def _view(episodes, policy: CenteringPolicy):
-    return normalize_chunk(episodes, [policy.resolve(episode) for episode in episodes])
-
-
 def _scored(sheet, view):
     """One report per episode of the chunk ``view``."""
     return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
@@ -109,10 +104,9 @@ def store_a_run():
             "ent_in_init", "ent_in_final", "ent_out_init", "ent_out_final",
         )
     }
-    base_pol = CenteringPolicy("base", mu_base)
-    task_pol = CenteringPolicy("task")
     for episodes in _trend_chunks(fs, SPEC_A):
-        base_view, task_view = _view(episodes, base_pol), _view(episodes, task_pol)
+        base_view = normalize_chunk(episodes, "base", mu_base)
+        task_view = normalize_chunk(episodes, "task")
         sheet_ss = simpleshot_chunk(base_view, 10.0)
         knn_scores = knn_chunk(base_view, 1)
         strong = score_chunk(base_view.query_truth, knn_scores, sheet_ss.closed_pred)
@@ -203,7 +197,7 @@ def test_criterion_3_implicit_prototype_identity(rng):
     worst = 0.0
     for index in range(20):
         episode = sample_episode(fs, EpisodeSpec(seed=42), index)
-        view = episode_view(episode, CenteringPolicy("task"))
+        view = episode_view(episode, "task")
         state = init_prototypes(view, Variant.IMPLICIT)
         step_cfg = replace(CFG_A, n_steps=1)
         for _ in range(10):
@@ -301,13 +295,8 @@ def test_criterion_7_ablation_trends():
     mu_base = base_mean(fs)
     acc_init, acc_final = [], []
     aupr_of = {"task": [], "base": [], "none": [], "dummy": [], "init": []}
-    policies = {
-        "task": CenteringPolicy("task"),
-        "base": CenteringPolicy("base", mu_base),
-        "none": CenteringPolicy("none"),
-    }
     for episodes in _trend_chunks(fs, SPEC_B):
-        views = {name: _view(episodes, policy) for name, policy in policies.items()}
+        views = {c: normalize_chunk(episodes, c, mu_base) for c in ("task", "base", "none")}
         task_view = views["task"]
         initial = _scored(predict(init_prototypes(task_view, Variant.IMPLICIT), task_view, CFG_B),
                           task_view)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fsosr import CenteringPolicy, ConfigError, baselines
+from fsosr import ConfigError, baselines
 from fsosr.baselines import knn_chunk, knn_outlier_score, simpleshot_classify
 from fsosr.transforms import NormalizedChunk, center_normalize
 
@@ -114,11 +114,10 @@ class TestSimpleshot:
         episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=1,
                                n_open_classes=1, dim=4)
         mu = np.zeros(4)
-        policy = CenteringPolicy("base", mu)
         near = episode.support_vectors[0] * 1.0001
         mid = (episode.support_vectors[0] + episode.support_vectors[1]) / 2
         object.__setattr__(episode, "query_vectors", np.stack([near, mid]))
-        sheet = simpleshot_classify(episode, policy)
+        sheet = simpleshot_classify(episode, "base", mu)
         assert sheet.closed_pred[0] == 0
         assert sheet.outlier_score[0] < sheet.outlier_score[1]
 
@@ -128,7 +127,7 @@ class TestSimpleshot:
         object.__setattr__(episode, "support_vectors", np.array([[1.0, 0.0], [0.0, 1.0]]))
         object.__setattr__(episode, "support_labels", np.array([0, 1]))
         object.__setattr__(episode, "query_vectors", np.array([[1.0, 1.0]]))
-        sheet = simpleshot_classify(episode, CenteringPolicy("none"))
+        sheet = simpleshot_classify(episode, "none")
         assert np.allclose(sheet.probs[0], [0.5, 0.5], atol=1e-12)
         assert np.isclose(sheet.outlier_score[0], -0.5)
 
@@ -137,20 +136,19 @@ class TestSimpleshot:
             episode = make_episode(rng, n_way=3, n_shot=2, n_query_per_class=3,
                                    n_open_classes=2, dim=4)
             mu = rng.normal(size=4) * 0.3
-            sheet = simpleshot_classify(episode, CenteringPolicy("base", mu), 7.5)
+            sheet = simpleshot_classify(episode, "base", mu, 7.5)
             expected = oracle_simpleshot(episode, mu, 7.5)
             assert np.allclose(sheet.probs, expected, atol=1e-6)
 
     def test_rows_sum_to_one(self, rng):
         episode = make_episode(rng)
-        sheet = simpleshot_classify(episode, CenteringPolicy("task"))
+        sheet = simpleshot_classify(episode, "task")
         assert np.all(np.abs(sheet.probs.sum(axis=1) - 1) <= 1e-9)
 
     def test_argmax_temperature_invariant(self, rng):
         episode = make_episode(rng, n_way=4, n_shot=1, n_query_per_class=5)
-        policy = CenteringPolicy("task")
         preds = [
-            simpleshot_classify(episode, policy, t).closed_pred
+            simpleshot_classify(episode, "task", temperature=t).closed_pred
             for t in (0.5, 10.0, 300.0)
         ]
         assert np.array_equal(preds[0], preds[1])
@@ -165,7 +163,7 @@ class TestKnn:
             episode, "query_vectors",
             np.concatenate([episode.support_vectors[:1], episode.query_vectors[1:]]),
         )
-        scores = knn_outlier_score(episode, CenteringPolicy("none"), k=1)
+        scores = knn_outlier_score(episode, "none", k=1)
         assert scores[0] == 0.0
 
     def test_two_support_k2_averages(self):
@@ -173,7 +171,7 @@ class TestKnn:
                                n_query_per_class=1, n_open_classes=1, dim=2)
         object.__setattr__(episode, "support_vectors", np.array([[1.0, 0.0], [0.0, 1.0]]))
         object.__setattr__(episode, "query_vectors", np.array([[-1.0, 0.0]]))
-        scores = knn_outlier_score(episode, CenteringPolicy("none"), k=2)
+        scores = knn_outlier_score(episode, "none", k=2)
         expected = (2.0 + math.sqrt(2.0)) / 2
         assert np.isclose(scores[0], expected, atol=1e-12)
 
@@ -182,7 +180,7 @@ class TestKnn:
             episode = make_episode(rng, n_way=3, n_shot=3, n_query_per_class=2,
                                    n_open_classes=2, dim=4)
             mu = rng.normal(size=4) * 0.2
-            scores = knn_outlier_score(episode, CenteringPolicy("base", mu), k=3)
+            scores = knn_outlier_score(episode, "base", mu, k=3)
             expected = oracle_knn(episode, mu, 3)
             assert np.array_equal(scores, expected)
 
@@ -191,12 +189,11 @@ class TestKnn:
         episode = make_episode(rng, n_way=5, n_shot=5, n_query_per_class=15,
                                n_open_classes=5, dim=64)
         mu = rng.normal(size=64) * 0.2
-        policy = CenteringPolicy("base", mu)
         support = center_normalize(episode.support_vectors, mu)
         queries = center_normalize(episode.query_vectors, mu)
         distances = np.sqrt(((queries[:, None, :] - support[None, :, :]) ** 2).sum(axis=-1))
         expected = np.sort(distances, axis=1)[:, :k].mean(axis=1)
-        assert np.array_equal(knn_outlier_score(episode, policy, k=k), expected)
+        assert np.array_equal(knn_outlier_score(episode, "base", mu, k=k), expected)
 
     @properties
     @given(near_tie_views())
@@ -217,7 +214,7 @@ class TestKnn:
     def test_k_out_of_range(self, rng):
         episode = make_episode(rng, n_way=2, n_shot=1)
         with pytest.raises(ValueError, match=r"k must be"):
-            knn_outlier_score(episode, CenteringPolicy("none"), k=3)
+            knn_outlier_score(episode, "none", k=3)
 
     def test_support_permutation_invariant(self, rng):
         episode = make_episode(rng, n_way=3, n_shot=3)
@@ -226,16 +223,15 @@ class TestKnn:
         object.__setattr__(shuffled, "support_vectors", episode.support_vectors[perm])
         object.__setattr__(shuffled, "support_labels", episode.support_labels[perm])
         object.__setattr__(shuffled, "query_vectors", episode.query_vectors)
-        a = knn_outlier_score(episode, CenteringPolicy("none"), k=2)
-        b = knn_outlier_score(shuffled, CenteringPolicy("none"), k=2)
+        a = knn_outlier_score(episode, "none", k=2)
+        b = knn_outlier_score(shuffled, "none", k=2)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_monotone_in_k(self, rng):
         episode = make_episode(rng, n_way=3, n_shot=4, n_query_per_class=3)
-        policy = CenteringPolicy("task")
         previous = None
         for k in range(1, 13):
-            scores = knn_outlier_score(episode, policy, k=k)
+            scores = knn_outlier_score(episode, "task", k=k)
             if previous is not None:
                 assert np.all(scores >= previous - 1e-12)
             previous = scores
@@ -243,7 +239,7 @@ class TestKnn:
     def test_outliers_score_higher_on_separated_clusters(self, rng):
         episode = make_episode(rng, n_way=4, n_shot=2, n_query_per_class=6,
                                n_open_classes=3, dim=8, spread=0.2, radius=4.0)
-        scores = knn_outlier_score(episode, CenteringPolicy("task"), k=1)
+        scores = knn_outlier_score(episode, "task", k=1)
         inlier_mean = scores[~episode.is_outlier].mean()
         outlier_mean = scores[episode.is_outlier].mean()
         assert outlier_mean > inlier_mean

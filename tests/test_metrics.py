@@ -19,7 +19,6 @@ from fsosr import (
     precision_at_recall,
     score_chunk,
     score_episode,
-    score_sheet,
 )
 
 from conftest import properties
@@ -78,19 +77,19 @@ def sheet_from_probs(probs):
 
 
 class TestAccuracy:
-    """Closed-set accuracy as ``score_sheet`` reports it."""
+    """Closed-set accuracy as ``score_episode`` reports it for a prediction sheet."""
 
     def test_all_inliers_correct(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
         sheet = sheet_from_probs(probs)
         truth = np.array([0, 1, OUTLIER])
-        assert score_sheet(sheet, truth).acc == 1.0
+        assert score_episode(truth, sheet.outlier_score, sheet.closed_pred).acc == 1.0
 
     def test_three_of_four(self):
         probs = np.array([[0.9, 0.1]] * 4 + [[0.1, 0.9]])
         sheet = sheet_from_probs(probs)
         truth = np.array([0, 0, 0, 1, OUTLIER])
-        assert score_sheet(sheet, truth).acc == 0.75
+        assert score_episode(truth, sheet.outlier_score, sheet.closed_pred).acc == 0.75
 
     def test_chance_level(self, rng):
         k = 4
@@ -101,17 +100,18 @@ class TestAccuracy:
         # ignores it.
         sheet = sheet_from_probs(np.vstack([probs, np.full(k, 1 / k)]))
         truth = np.append(truth, OUTLIER)
-        assert abs(score_sheet(sheet, truth).acc - 1 / k) < 0.01
+        assert abs(score_episode(truth, sheet.outlier_score, sheet.closed_pred).acc - 1 / k) < 0.01
 
     def test_outliers_excluded(self):
         probs = np.array([[0.9, 0.1], [0.9, 0.1]])
         sheet = sheet_from_probs(probs)
-        assert score_sheet(sheet, np.array([0, OUTLIER])).acc == 1.0
+        truth = np.array([0, OUTLIER])
+        assert score_episode(truth, sheet.outlier_score, sheet.closed_pred).acc == 1.0
 
     def test_no_inliers_raises(self):
         sheet = sheet_from_probs(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="inlier"):
-            score_sheet(sheet, np.array([OUTLIER]))
+            score_episode(np.array([OUTLIER]), sheet.outlier_score, sheet.closed_pred)
 
 
 class TestAuroc:

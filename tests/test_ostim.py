@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import fsosr.ostim as ostim_mod
 from fsosr import (
-    CenteringPolicy,
     ConfigError,
     DegenerateFeatureError,
     DivergenceError,
@@ -36,10 +35,6 @@ from fsosr import (
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 from conftest import episode_view, make_episode, properties
-
-TASK = CenteringPolicy("task")
-NONE = CenteringPolicy("none")
-
 
 def _psi(vec, mu):
     shifted = [v - m for v, m in zip(vec, mu)]
@@ -128,7 +123,7 @@ def random_state(rng, episode, variant: Variant) -> tuple[PrototypeSet, Normaliz
     mu = 0.3 * rng.normal(size=(1, episode.dim))
     dummy = rng.normal(size=(1, episode.dim)) if variant is Variant.EXPLICIT_DUMMY else None
     ps = PrototypeSet(w=w, mu=mu, variant=variant, dummy=dummy)
-    return ps, episode_view(episode, CenteringPolicy("base", mu[0]))
+    return ps, episode_view(episode, "base", mu[0])
 
 
 def predicted(view: NormalizedChunk, variant: Variant, cfg: OstimConfig) -> PredictionSheet:
@@ -203,12 +198,12 @@ class TestPrototypeSet:
 class TestInit:
     def test_one_shot_prototype_is_support_vector(self, rng):
         episode = make_episode(rng, n_shot=1)
-        ps = init_prototypes(episode_view(episode, TASK))
+        ps = init_prototypes(episode_view(episode, "task"))
         assert np.array_equal(ps.w[0], episode.support_vectors)
 
     def test_five_shot_matches_summation_oracle(self, rng):
         episode = make_episode(rng, n_way=3, n_shot=5)
-        ps = init_prototypes(episode_view(episode, NONE))
+        ps = init_prototypes(episode_view(episode, "none"))
         for k in range(3):
             members = episode.support_vectors[episode.support_labels == k]
             expected = np.zeros(episode.dim)
@@ -219,7 +214,7 @@ class TestInit:
 
     def test_dummy_init_matches_implicit_logits(self, rng):
         episode = make_episode(rng)
-        view = episode_view(episode, TASK)
+        view = episode_view(episode, "task")
         implicit = init_prototypes(view, Variant.IMPLICIT)
         dummy = init_prototypes(view, Variant.EXPLICIT_DUMMY)
         rows = center_normalize(rng.normal(size=(5, episode.dim)), view.mu[0])[None]
@@ -230,7 +225,7 @@ class TestInit:
 
     def test_closed_variant_has_no_dummy(self, rng):
         episode = make_episode(rng)
-        ps = init_prototypes(episode_view(episode, TASK), Variant.CLOSED)
+        ps = init_prototypes(episode_view(episode, "task"), Variant.CLOSED)
         assert ps.dummy is None
         rows = center_normalize(rng.normal(size=(1, episode.dim)), ps.mu[0])[None]
         assert logits(ps, rows).shape == (1, episode.n_way, 1)
@@ -299,7 +294,7 @@ class TestComputeLoss:
         object.__setattr__(episode, "query_vectors",
                            np.tile(np.eye(dim)[dim - 1], (episode.query_vectors.shape[0], 1)))
         ps = _unit_state(np.eye(dim)[:k_way])
-        out = loss(ps, episode_view(episode, NONE), OstimConfig())
+        out = loss(ps, episode_view(episode, "none"), OstimConfig())
         assert np.isclose(out.marginal_entropy, math.log(k_way + 1), atol=1e-12)
         assert np.isclose(out.conditional_entropy, math.log(k_way + 1), atol=1e-12)
 
@@ -314,7 +309,7 @@ class TestComputeLoss:
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
         )
         ps = _unit_state([[1.0, 0.0], [0.0, 1.0]])
-        out = loss(ps, episode_view(episode, NONE), OstimConfig(temperature=200.0))
+        out = loss(ps, episode_view(episode, "none"), OstimConfig(temperature=200.0))
         assert out.conditional_entropy <= 1e-9
         assert np.isclose(out.marginal_entropy, math.log(3), atol=1e-9)
 
@@ -362,7 +357,7 @@ class TestGradients:
 
 class TestRefine:
     def test_zero_steps_identity(self, rng):
-        view = episode_view(make_episode(rng), TASK)
+        view = episode_view(make_episode(rng), "task")
         ps = init_prototypes(view)
         traces = [[]]
         assert refine(ps, view, OstimConfig(n_steps=0), traces) is ps and traces == [[]]
@@ -373,7 +368,7 @@ class TestRefine:
         for trial in range(30):
             episode = make_episode(rng, n_way=3, n_shot=1, n_query_per_class=4,
                                    n_open_classes=2, dim=6, spread=0.3, radius=2.0)
-            view = episode_view(episode, TASK)
+            view = episode_view(episode, "task")
             cfg = OstimConfig(alpha=0.0, n_steps=40, learning_rate=1e-3)
             traces = [[]]
             refine(init_prototypes(view), view, cfg, traces)
@@ -383,7 +378,7 @@ class TestRefine:
         assert violations == 0
 
     def test_trace_length_and_final_state_move(self, rng):
-        view = episode_view(make_episode(rng), TASK)
+        view = episode_view(make_episode(rng), "task")
         ps = init_prototypes(view)
         traces = [[]]
         out = refine(ps, view, OstimConfig(n_steps=25), traces)
@@ -391,13 +386,13 @@ class TestRefine:
         assert not np.array_equal(out.w, ps.w)
 
     def test_dummy_vector_is_optimized(self, rng):
-        view = episode_view(make_episode(rng), TASK)
+        view = episode_view(make_episode(rng), "task")
         ps = init_prototypes(view, Variant.EXPLICIT_DUMMY)
         out = refine(ps, view, OstimConfig(n_steps=25))
         assert not np.array_equal(out.dummy, ps.dummy)
 
     def test_divergence_reports_step(self, rng, monkeypatch):
-        view = episode_view(make_episode(rng), TASK)
+        view = episode_view(make_episode(rng), "task")
         ps = init_prototypes(view)
         # The kernel's per-step forward pass and gradient, poisoned at step 2.
         real = ostim_mod._forward_and_grad
@@ -419,7 +414,7 @@ class TestRefine:
     def test_an_update_that_overflows_at_the_last_step_is_a_divergence(self, rng):
         # Prototypes near the centering point have gradients above 1, so one
         # step of 1e308 throws them out of float64 range.
-        view = episode_view(make_episode(rng), TASK)
+        view = episode_view(make_episode(rng), "task")
         ps = init_prototypes(view)
         ps = replace(ps, w=ps.mu[:, None] + 1e-3 * (ps.w - ps.mu[:, None]))
         with pytest.raises(DivergenceError, match="^the update of step 0 overflows$"):
@@ -444,7 +439,7 @@ class TestRefineBatch:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_slices_match_single_episode_refine(self, rng, variant):
         episodes = [make_episode(rng, n_way=3, n_shot=2, dim=6) for _ in range(3)]
-        view = normalize_chunk(episodes, [TASK.resolve(e) for e in episodes])
+        view = normalize_chunk(episodes, "task")
         ps = init_prototypes(view, variant)
         cfg = OstimConfig(n_steps=30, learning_rate=0.05)
         batched = refine(ps, view, cfg)
@@ -457,7 +452,7 @@ class TestRefineBatch:
 
     def test_degenerate_prototype_names_its_slice(self, rng):
         episodes = [make_episode(rng) for _ in range(3)]
-        view = normalize_chunk(episodes, [TASK.resolve(e) for e in episodes])
+        view = normalize_chunk(episodes, "task")
         ps = init_prototypes(view)
         w = ps.w.copy()
         w[1, 2] = ps.mu[1]
@@ -477,7 +472,7 @@ class TestRefineBatch:
         # probability exp(-1000) = 0: infinite cross-entropy, finite gradient.
         cfg = OstimConfig(temperature=1000.0, n_steps=3)
         ps, episode = _underflowing_support_episode(rng)
-        view = episode_view(episode, NONE)
+        view = episode_view(episode, "none")
         with np.errstate(divide="ignore"):
             (breakdown,), w_grad, _ = loss_and_grad(ps, view, cfg)
         assert math.isinf(breakdown.ce) and np.all(np.isfinite(w_grad))
@@ -487,11 +482,11 @@ class TestRefineBatch:
         # The same episode with each support row on its own prototype.
         _, healthy = _underflowing_support_episode(rng)
         object.__setattr__(healthy, "support_vectors", ps.w[0].copy())
-        refine(ps, episode_view(healthy, NONE), cfg)
+        refine(ps, episode_view(healthy, "none"), cfg)
         chunk = [healthy, episode, healthy]
         three = PrototypeSet(np.repeat(ps.w, 3, axis=0), np.zeros((3, 3)), Variant.CLOSED)
         with pytest.raises(DivergenceError, match="step 0"):
-            refine(three, normalize_chunk(chunk, [np.zeros(3)] * 3), cfg)
+            refine(three, normalize_chunk(chunk, "none"), cfg)
 
     # (n_way, n_shot, n_query_per_class, n_open_classes, dim) of the bench
     # workloads quickstart, large_store and wide_transductive, and D=640.
@@ -507,13 +502,12 @@ class TestRefineBatch:
     def test_an_episode_of_a_chunk_of_16_equals_it_alone(self, rng, shape, centering):
         n_way, n_shot, n_query, n_open, dim = shape
         episodes = [make_episode(rng, n_way, n_shot, n_query, n_open, dim) for _ in range(16)]
-        policy = CenteringPolicy(centering)
-        view = normalize_chunk(episodes, [policy.resolve(episode) for episode in episodes])
+        view = normalize_chunk(episodes, centering)
         cfg = OstimConfig(n_steps=4, learning_rate=0.05)
         for variant in Variant:
             chunk = predicted(view, variant, cfg)
             for i, episode in enumerate(episodes):
-                alone = predicted(episode_view(episode, policy), variant, cfg)
+                alone = predicted(episode_view(episode, centering), variant, cfg)
                 assert np.array_equal(chunk.probs[i], alone.probs[0]), (variant, i)
 
 
@@ -524,7 +518,7 @@ class TestPredict:
         episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=1,
                                n_open_classes=1, dim=2)
         object.__setattr__(episode, "query_vectors", np.array([query]))
-        return episode_view(episode, NONE)
+        return episode_view(episode, "none")
 
     def test_query_on_prototype_direction(self):
         ps = _unit_state([[1.0, 0.0], [0.0, 1.0]])
@@ -589,7 +583,7 @@ class TestClosedSetEntropy:
 class TestInvariants:
     def test_implicit_identity_along_refinement(self, rng):
         for trial in range(5):
-            view = episode_view(make_episode(rng), TASK)
+            view = episode_view(make_episode(rng), "task")
             ps = init_prototypes(view)
             cfg = OstimConfig(n_steps=1)
             for step in range(20):
@@ -618,7 +612,7 @@ class TestInvariants:
         object.__setattr__(permuted, "query_truth", truth)
 
         cfg = OstimConfig(n_steps=15)
-        view_a, view_b = episode_view(episode, TASK), episode_view(permuted, TASK)
+        view_a, view_b = episode_view(episode, "task"), episode_view(permuted, "task")
         a = refine(init_prototypes(view_a), view_a, cfg)
         b = refine(init_prototypes(view_b), view_b, cfg)
         assert np.allclose(b.w[0, perm], a.w[0], atol=1e-10)
@@ -633,7 +627,7 @@ class TestInvariants:
         for trial in range(10):
             episode = make_episode(rng, n_way=k_way, n_shot=1, n_query_per_class=5,
                                    n_open_classes=3, dim=8)
-            view = episode_view(episode, TASK)
+            view = episode_view(episode, "task")
             cfg = OstimConfig(alpha=1.0, n_steps=100)
             out = refine(init_prototypes(view), view, cfg)
             assert loss(out, view, cfg).marginal_entropy > 0.5 * math.log(k_way + 1)

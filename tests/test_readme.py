@@ -35,7 +35,8 @@ def test_run_config_parses_and_sets_every_documented_value():
             assert {k: snapshot[key][k] for k in value} == value, key
         elif key in snapshot:
             assert snapshot[key] == value, key
-    assert cfg.workers == doc["workers"] and cfg.output_dir == doc["output_dir"]
+    assert "workers" not in doc and cfg.workers == 1
+    assert cfg.output_dir == doc["output_dir"]
 
 
 def test_run_config_round_trips_through_the_report_snapshot():

@@ -33,15 +33,9 @@ from fsosr import (
 from fsosr.baselines import BaselineConfig, knn_outlier_score, simpleshot_classify
 from fsosr.episodes import sample_episode
 from fsosr.feature_store import base_mean
-from fsosr.metrics import aggregate, score_episode, score_sheet
+from fsosr.metrics import aggregate, score_episode
 from fsosr.runner import episode_checksum, load_config
-from fsosr.transforms import (
-    CENTERING_KINDS,
-    CenteringPolicy,
-    center_normalize,
-    normalize_chunk,
-    task_mean,
-)
+from fsosr.transforms import CENTERING_KINDS, center_normalize, normalize_chunk
 
 from conftest import episode_view
 
@@ -376,13 +370,13 @@ class TestStrongBaseline:
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
         cfg = tiny_config(store_path, methods=methods, n_episodes=7)
         fs = load_feature_store(store_path)
-        policy = CenteringPolicy("base", base_mean(fs))
+        mu = base_mean(fs)
         bcfg = cfg.baseline_cfg
         expected = []
         for i in range(cfg.n_episodes):
             episode = sample_episode(fs, cfg.episode, i)
-            sheet = simpleshot_classify(episode, policy, bcfg.temperature)
-            scores = knn_outlier_score(episode, policy, bcfg.knn_k)
+            sheet = simpleshot_classify(episode, "base", mu, bcfg.temperature)
+            scores = knn_outlier_score(episode, "base", mu, bcfg.knn_k)
             expected.append(score_episode(episode.query_truth, scores, sheet.closed_pred))
         snapshot = runner_mod._config_snapshot(cfg)
         assert run(cfg, fs=fs)["strong_baseline"] == aggregate(expected, "strong_baseline", snapshot)
@@ -446,19 +440,19 @@ class TestChunkPath:
         middle = len(episodes) // 2
         episodes[middle] = shuffled_support(episodes[middle], np.random.default_rng(chunk))
         assert chunk < 3 or not np.all(np.diff(episodes[middle].support_labels) >= 0)
-        policy = CenteringPolicy(centering, base_mean(fs) if centering == "base" else None)
-        view = normalize_chunk(episodes, [policy.resolve(ep) for ep in episodes])
+        mu = base_mean(fs) if centering == "base" else None
+        view = normalize_chunk(episodes, centering, mu)
         ocfg = OstimConfig(n_steps=6, learning_rate=0.05)
         for variant in Variant:
             sheet = refined_sheet(view, variant, ocfg)
             for episode, probs in zip(episodes, sheet.probs, strict=True):
-                alone = refined_sheet(episode_view(episode, policy), variant, ocfg)
+                alone = refined_sheet(episode_view(episode, centering, mu), variant, ocfg)
                 assert np.array_equal(probs, alone.probs[0])
         sheet = baselines_mod.simpleshot_chunk(view, 7.5)
         scores = baselines_mod.knn_chunk(view, 2)
         for episode, probs, score in zip(episodes, sheet.probs, scores, strict=True):
-            assert np.array_equal(probs, simpleshot_classify(episode, policy, 7.5).probs)
-            assert np.array_equal(score, knn_outlier_score(episode, policy, 2))
+            assert np.array_equal(probs, simpleshot_classify(episode, centering, mu, 7.5).probs)
+            assert np.array_equal(score, knn_outlier_score(episode, centering, mu, 2))
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_every_method_of_a_chunk_equals_its_episodes_scored_alone(
@@ -470,20 +464,21 @@ class TestChunkPath:
                                               n_open_classes=2, seed=4),
                           baseline_cfg=BaselineConfig(knn_k=2, centering="none"))
         fs = load_feature_store(store_path)
-        task, plain = CenteringPolicy("task"), CenteringPolicy("none")
         ocfg, bcfg = cfg.ostim_cfg, cfg.baseline_cfg
         alone: dict[str, list] = {m: [] for m in cfg.methods}
         for i in range(cfg.n_episodes):
             episode = sample_episode(fs, cfg.episode, i)
             for method, variant in (("ostim", ocfg.variant), ("tim_closed", Variant.CLOSED),
                                     ("explicit_dummy", Variant.EXPLICIT_DUMMY)):
-                sheet = refined_sheet(episode_view(episode, task), variant, ocfg)
+                sheet = refined_sheet(episode_view(episode, "task"), variant, ocfg)
                 alone[method].append(score_episode(
                     episode.query_truth, sheet.outlier_score[0], sheet.closed_pred[0]
                 ))
-            sheet = simpleshot_classify(episode, plain, bcfg.temperature)
-            scores = knn_outlier_score(episode, plain, bcfg.knn_k)
-            alone["simpleshot"].append(score_sheet(sheet, episode.query_truth))
+            sheet = simpleshot_classify(episode, "none", temperature=bcfg.temperature)
+            scores = knn_outlier_score(episode, "none", k=bcfg.knn_k)
+            alone["simpleshot"].append(
+                score_episode(episode.query_truth, sheet.outlier_score, sheet.closed_pred)
+            )
             alone["knn"].append(score_episode(episode.query_truth, scores))
             alone["strong_baseline"].append(
                 score_episode(episode.query_truth, scores, sheet.closed_pred)
@@ -522,7 +517,7 @@ class TestChunkPath:
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
             with pytest.raises(DegenerateFeatureError, match=(
-                r"^episode 4, method simpleshot: vector 5 coincides with the centering point$"
+                r"^episode 4, method simpleshot: query vector 5 coincides with the centering point$"
             )):
                 run(cfg, fs=fs)
 
@@ -530,10 +525,10 @@ class TestChunkPath:
 def diverge_at(monkeypatch, cfg: RunConfig, plan: dict[int, int]) -> None:
     """Make the refinement of stream episode i produce a NaN gradient at
     step plan[i]. Episodes are told apart by their task mean, the centering
-    vector of the default ``task`` policy."""
+    vector of the default ``ostim`` section."""
     fs = load_feature_store(cfg.store)
     step_of = {
-        task_mean(sample_episode(fs, cfg.episode, i)).tobytes(): step
+        episode_view(sample_episode(fs, cfg.episode, i), "task").mu[0].tobytes(): step
         for i, step in plan.items()
     }
     real = ostim_mod._forward_and_grad
@@ -596,7 +591,7 @@ class TestChunkFailures:
     def test_degenerate_prototype_in_later_slice(self, store_path, monkeypatch):
         cfg = tiny_config(store_path, methods=("ostim", "tim_closed"), n_episodes=6)
         fs = load_feature_store(store_path)
-        target = task_mean(sample_episode(fs, cfg.episode, 2)).tobytes()
+        target = episode_view(sample_episode(fs, cfg.episode, 2), "task").mu[0].tobytes()
         real = ostim_mod.init_prototypes
 
         def poisoned(view, variant):

@@ -1,20 +1,16 @@
-"""Center-normalize transform and centering policies."""
+"""Center-normalize transform and the centering that ``normalize_chunk`` picks."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fsosr import (
-    CenteringPolicy,
-    ConfigError,
-    DegenerateFeatureError,
-    center_normalize,
-    task_mean,
-)
-from fsosr.transforms import normalize_chunk
+from fsosr import ConfigError, DegenerateFeatureError, Episode, center_normalize
+from fsosr.transforms import CENTERING_KINDS, normalize_chunk
 
 from conftest import make_episode, properties
 
@@ -64,22 +60,42 @@ class TestCenterNormalize:
             assert np.allclose(out[i], center_normalize(batch[i], mu), atol=1e-15)
 
 
+def reference_mean(episode) -> np.ndarray:
+    """The reference task mean: the episode's support and query rows pooled."""
+    return np.concatenate([episode.support_vectors, episode.query_vectors]).mean(axis=0)
+
+
+def chunk_mu(episode, centering: str = "task", base_mu=None) -> np.ndarray:
+    """The centering vector ``normalize_chunk`` picks for ``episode`` alone."""
+    return normalize_chunk([episode], centering, base_mu).mu[0]
+
+
+def symmetric_episode() -> Episode:
+    """An episode of four 2-D vectors symmetric about the origin, its task mean."""
+    episode = make_episode(np.random.default_rng(0), n_way=2, n_shot=1,
+                           n_query_per_class=1, n_open_classes=1, dim=2)
+    object.__setattr__(episode, "support_vectors", np.array([[1.0, 0.0]]))
+    object.__setattr__(
+        episode, "query_vectors", np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    )
+    return episode
+
+
+def midpoint_episode(rng) -> Episode:
+    """One support and one query vector, their mean the midpoint (2, 3, 4)."""
+    episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=1,
+                           n_open_classes=1, dim=3)
+    object.__setattr__(episode, "support_vectors", np.array([[1.0, 1.0, 1.0]]))
+    object.__setattr__(episode, "query_vectors", np.array([[3.0, 5.0, 7.0]]))
+    return episode
+
+
 class TestTaskMean:
     def test_symmetric_case(self):
-        episode = make_episode(np.random.default_rng(0), n_way=2, n_shot=1,
-                               n_query_per_class=1, n_open_classes=1, dim=2)
-        object.__setattr__(episode, "support_vectors", np.array([[1.0, 0.0]]))
-        object.__setattr__(
-            episode, "query_vectors", np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        )
-        assert np.allclose(task_mean(episode), [0.0, 0.0], atol=1e-15)
+        assert np.allclose(chunk_mu(symmetric_episode()), [0.0, 0.0], atol=1e-15)
 
     def test_midpoint(self, rng):
-        episode = make_episode(rng, n_way=2, n_shot=1, n_query_per_class=1,
-                               n_open_classes=1, dim=3)
-        object.__setattr__(episode, "support_vectors", np.array([[1.0, 1.0, 1.0]]))
-        object.__setattr__(episode, "query_vectors", np.array([[3.0, 5.0, 7.0]]))
-        assert np.allclose(task_mean(episode), [2.0, 3.0, 4.0])
+        assert np.allclose(chunk_mu(midpoint_episode(rng)), [2.0, 3.0, 4.0])
 
     def test_matches_brute_force(self, rng):
         episode = make_episode(rng)
@@ -88,14 +104,14 @@ class TestTaskMean:
         for row in stacked:
             expected += row
         expected /= len(stacked)
-        assert np.allclose(task_mean(episode), expected, rtol=1e-6)
+        assert np.allclose(chunk_mu(episode), expected, rtol=1e-6)
 
 
 class TestNormalizeChunk:
     def test_the_view_carries_the_stacked_episode_fields(self, rng):
         episodes = [make_episode(rng) for _ in range(4)]
-        mu = [task_mean(episode) for episode in episodes]
-        view = normalize_chunk(episodes, mu)
+        mu = [reference_mean(episode) for episode in episodes]
+        view = normalize_chunk(episodes, "task")
         assert np.array_equal(view.mu, np.stack(mu))
         for name, field in (("raw_support", "support_vectors"),
                             ("support_labels", "support_labels"),
@@ -108,30 +124,52 @@ class TestNormalizeChunk:
             assert np.array_equal(view.support[e], support)
             assert np.array_equal(view.query[e], center_normalize(episode.query_vectors, mu[e]))
 
+    @pytest.mark.parametrize("kind, episode, row", [
+        ("query", 2, 1), ("support", 1, 0), ("query", 0, 9),
+    ])
+    def test_a_vector_at_the_centering_point_is_named_by_set_row_and_episode(
+        self, rng, kind, episode, row
+    ):
+        """Three episodes of 2 support and 10 query rows: the row is counted
+        within its set and its episode, not over the chunk."""
+        mu = rng.normal(size=4)
+        episodes = [make_episode(rng, n_way=2, n_shot=1, n_query_per_class=2,
+                                 n_open_classes=3, dim=4) for _ in range(3)]
+        field = f"{kind}_vectors"
+        rows = getattr(episodes[episode], field).copy()
+        rows[row] = mu
+        episodes[episode] = replace(episodes[episode], **{field: rows})
+        message = rf"^{kind} vector {row} of episode {episode} coincides with the centering point$"
+        with pytest.raises(DegenerateFeatureError, match=message):
+            normalize_chunk(episodes, "base", mu)
+        with pytest.raises(DegenerateFeatureError,
+                           match=rf"^{kind} vector {row} coincides with the centering point$"):
+            normalize_chunk(episodes[episode:episode + 1], "base", mu)
 
-class TestCenteringPolicy:
+
+class TestCentering:
     def test_none_equals_base_with_zero_mu(self, rng):
         episode = make_episode(rng)
-        mu_none = CenteringPolicy("none").resolve(episode)
-        mu_zero = CenteringPolicy("base", np.zeros(episode.dim)).resolve(episode)
-        z = rng.normal(size=episode.dim)
-        assert np.array_equal(center_normalize(z, mu_none), center_normalize(z, mu_zero))
+        none = normalize_chunk([episode], "none")
+        zero = normalize_chunk([episode], "base", np.zeros(episode.dim))
+        for name in ("mu", "support", "query"):
+            assert np.array_equal(getattr(none, name), getattr(zero, name)), name
 
-    def test_task_policy_uses_episode(self, rng):
+    def test_task_centering_uses_the_episode(self, rng):
         episode = make_episode(rng)
-        assert np.allclose(CenteringPolicy("task").resolve(episode), task_mean(episode))
+        assert np.allclose(chunk_mu(episode), reference_mean(episode))
 
-    def test_base_requires_mu(self):
+    def test_base_requires_mu(self, rng):
         with pytest.raises(ConfigError, match="precomputed"):
-            CenteringPolicy("base")
+            normalize_chunk([make_episode(rng)], "base")
 
-    def test_unknown_kind(self):
+    def test_unknown_kind(self, rng):
         with pytest.raises(ConfigError, match="unknown centering"):
-            CenteringPolicy("global")
+            normalize_chunk([make_episode(rng)], "global")
 
-    def test_non_finite_mu_rejected(self):
+    def test_non_finite_mu_rejected(self, rng):
         with pytest.raises(ConfigError, match="finite"):
-            CenteringPolicy("base", np.array([1.0, np.inf]))
+            normalize_chunk([make_episode(rng, dim=2)], "base", np.array([1.0, np.inf]))
 
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False)
@@ -166,6 +204,27 @@ def rows_near_mu(draw) -> tuple[np.ndarray, np.ndarray, int]:
     return z, mu, near.index(True)
 
 
+@st.composite
+def chunks(draw) -> tuple[list[Episode], str, np.ndarray | None]:
+    """E in {1, 2, 16} same-shape episodes, a centering and, for ``base``, a mean."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = dict(n_way=draw(st.integers(2, 4)), n_shot=draw(st.integers(1, 3)),
+                 n_query_per_class=draw(st.integers(1, 3)),
+                 n_open_classes=draw(st.integers(1, 2)),
+                 dim=draw(st.sampled_from([2, 3, 16, 64])))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    episodes = []
+    for _ in range(draw(st.sampled_from([1, 2, 16]))):
+        episode = make_episode(rng, **shape)
+        episodes.append(replace(episode, support_vectors=scale * episode.support_vectors,
+                                query_vectors=scale * episode.query_vectors))
+    centering = draw(st.sampled_from(CENTERING_KINDS))
+    base_mu = None
+    if centering == "base":
+        base_mu = np.array(draw(st.lists(FINITE, min_size=shape["dim"], max_size=shape["dim"])))
+    return episodes, centering, base_mu
+
+
 class TestProperties:
     @properties
     @given(points())
@@ -191,11 +250,21 @@ class TestProperties:
             center_normalize(z[first], mu)
 
     @properties
-    @given(st.integers(0, 2**32 - 1), st.lists(FINITE, min_size=5, max_size=5))
-    def test_resolve_returns_zeros_the_given_mean_or_the_task_mean(self, seed, base):
-        episode = make_episode(np.random.default_rng(seed), dim=5)
-        none = CenteringPolicy("none").resolve(episode)
-        assert none.dtype == np.float64 and np.array_equal(none, np.zeros(5))
-        given_mean = CenteringPolicy("base", np.array(base)).resolve(episode)
-        assert given_mean.dtype == np.float64 and np.array_equal(given_mean, base)
-        assert np.array_equal(CenteringPolicy("task").resolve(episode), task_mean(episode))
+    @given(chunks())
+    @example(([symmetric_episode()], "task", None))
+    @example(([midpoint_episode(np.random.default_rng(1))] * 2, "task", None))
+    @example(([symmetric_episode()] * 16, "base", np.zeros(2)))
+    @example(([symmetric_episode()] * 16, "none", None))
+    def test_a_chunk_equals_its_episodes_normalized_alone(self, drawn):
+        episodes, centering, base_mu = drawn
+        view = normalize_chunk(episodes, centering, base_mu)
+        assert view.mu.dtype == np.float64
+        for e, episode in enumerate(episodes):
+            mu = {"task": reference_mean(episode), "base": base_mu,
+                  "none": np.zeros(episode.dim)}[centering]
+            assert np.array_equal(view.mu[e], mu), e
+            assert np.array_equal(view.support[e], center_normalize(episode.support_vectors, mu))
+            assert np.array_equal(view.query[e], center_normalize(episode.query_vectors, mu))
+            alone = normalize_chunk([episode], centering, base_mu)
+            for name in ("mu", "support", "query"):
+                assert np.array_equal(getattr(view, name)[e], getattr(alone, name)[0]), name
