@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .episodes import Episode
+from .errors import ConfigError
 from .ostim import softmax
 from .predictions import PredictionSheet
 from .transforms import (NormalizedChunk, center_normalize, check_centering, class_means,
@@ -40,9 +41,9 @@ class BaselineConfig:
     def __post_init__(self) -> None:
         check_centering(self.centering)
         if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+            raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
         if not 0 < self.temperature < math.inf:  # also refuses NaN
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def simpleshot_chunk(view: NormalizedChunk, temperature: float = 10.0) -> PredictionSheet:

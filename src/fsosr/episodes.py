@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import ConfigError, SamplingError
 from .feature_store import FeatureSet
 
 OUTLIER = -1
@@ -30,19 +30,19 @@ class EpisodeSpec:
 
     def __post_init__(self) -> None:
         if self.n_way < 2:
-            raise SamplingError(f"n_way must be >= 2, got {self.n_way}")
+            raise ConfigError(f"n_way must be >= 2, got {self.n_way}")
         if self.n_shot < 1:
-            raise SamplingError(f"n_shot must be >= 1, got {self.n_shot}")
+            raise ConfigError(f"n_shot must be >= 1, got {self.n_shot}")
         if self.n_query_per_class < 1:
-            raise SamplingError(
+            raise ConfigError(
                 f"n_query_per_class must be >= 1, got {self.n_query_per_class}"
             )
         if self.n_open_classes < 1:
-            raise SamplingError(
+            raise ConfigError(
                 f"n_open_classes must be >= 1, got {self.n_open_classes}"
             )
         if not 0 <= self.seed < 2**64:
-            raise SamplingError("seed must fit in an unsigned 64-bit integer")
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
     @property
     def n_queries(self) -> int:

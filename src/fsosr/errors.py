@@ -14,8 +14,9 @@ class FsosrError(Exception):
     exit_code = 1
 
 
-class ConfigError(FsosrError):
-    """Invalid configuration: unknown key, bad value, unsatisfiable request."""
+class ConfigError(FsosrError, ValueError):
+    """Invalid configuration: unknown key, bad value, unsatisfiable request.
+    Also a ValueError, so code catching one from a config class still does."""
 
     exit_code = 2
 

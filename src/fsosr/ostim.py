@@ -46,9 +46,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, DivergenceError
+from .errors import ConfigError, DegenerateFeatureError, DivergenceError
 from .predictions import PredictionSheet
-from .transforms import NormalizedChunk, center_normalize, check_centering, class_means, row_norms
+from .transforms import NormalizedChunk, check_centering, class_means, row_norms
+# Unused; bench/tests/test_bench_tracing.py asserts the tracer patches this binding.
+from .transforms import center_normalize  # noqa: F401
 
 _EPS = 1e-12
 _PLOGP_FLOOR = 1e-30
@@ -75,17 +77,20 @@ class OstimConfig:
     centering: str = "task"
 
     def __post_init__(self) -> None:
+        if self.variant not in tuple(Variant):
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of "
+                              f"{tuple(v.value for v in Variant)}")
         object.__setattr__(self, "variant", Variant(self.variant))
         check_centering(self.centering)
         # Comparisons with NaN are false, so these refuse NaN as well as inf.
         if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+            raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,7 @@ def init_prototypes(
     w = class_means(view.raw_support, view.support_labels)
     dummy = None
     if variant is Variant.EXPLICIT_DUMMY:
-        dummy = -center_normalize(w, view.mu[:, None]).mean(axis=1)
+        dummy = -_directions(w, view.mu)[0].mean(axis=1)
     return PrototypeSet(w, view.mu, variant, dummy)
 
 

@@ -16,7 +16,6 @@ reuses the ``simpleshot`` and ``knn`` reports, running either itself when
 it is not configured. Results are reduced in index order and do not depend
 on the chunk. A failing chunk is replayed one episode at a time, methods in
 config order, to name the first failing (episode, method) in stream order.
-``workers`` is accepted and validated but selects no code path.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
-from .errors import ConfigError, DataError, FsosrError, SamplingError
+from .errors import ConfigError, DataError, FsosrError
 from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_path,
                             load_feature_store)
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
@@ -60,7 +59,6 @@ class RunConfig:
     episode: EpisodeSpec = field(default_factory=EpisodeSpec)
     methods: tuple[str, ...] = ("ostim",)
     n_episodes: int = 600
-    workers: int = 1
     output_dir: str | None = None
     ostim_cfg: ostim.OstimConfig = field(default_factory=ostim.OstimConfig)
     baseline_cfg: baselines.BaselineConfig = field(default_factory=baselines.BaselineConfig)
@@ -75,8 +73,6 @@ class RunConfig:
                 raise ConfigError(f"method {m!r} is listed more than once in methods")
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         support = self.episode.n_way * self.episode.n_shot
         if {"knn", "strong_baseline"} & set(self.methods) and self.baseline_cfg.knn_k > support:
             raise ConfigError(f"baseline.knn_k must be at most the support size {support} "
@@ -152,14 +148,6 @@ def _numbers(value, key: str) -> tuple:
     return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
-def _variant(value, key: str) -> ostim.Variant:
-    """A refinement variant by name, else ConfigError."""
-    try:
-        return ostim.Variant(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
-
-
 # How ``_build`` reads a field's JSON value, by the field's annotation.
 _PARSERS = {
     "int": _integer,
@@ -167,7 +155,6 @@ _PARSERS = {
     "tuple[float, float, float]": _numbers,
     "float | tuple[float, ...]":
         lambda v, key: _numbers(v, key) if isinstance(v, list) else _number(v, key),
-    "Variant": _variant,
 }
 
 
@@ -197,7 +184,7 @@ def _build(cls, section, context: str):
     }
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, SamplingError, ConfigError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {context} config: {exc}") from exc
 
 
@@ -237,12 +224,15 @@ def config_from_dict(doc: dict) -> RunConfig:
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
+    # ``workers`` selects nothing; older configs set it, so it is checked and dropped.
+    workers = _integer(doc.get("workers", 1), "workers")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     return RunConfig(
         store=doc["store"],
         episode=episode,
         methods=tuple(methods),
         n_episodes=_integer(doc.get("n_episodes", 600), "n_episodes"),
-        workers=_integer(doc.get("workers", 1), "workers"),
         output_dir=output_dir,
         ostim_cfg=ostim_cfg,
         baseline_cfg=baseline_cfg,
@@ -346,8 +336,8 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     Returns one RunReport per method and, when ``output_dir`` is set, writes
     ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
     or lies under a file, or where a report is a directory, is refused
-    before the store loads. Output is byte-identical across repeated runs,
-    worker counts and chunk sizes.
+    before the store loads. Output is byte-identical across repeated runs
+    and chunk sizes.
     """
     _check_output_dir(cfg.output_dir, REPORT_FILES)
     if fs is None:

@@ -341,28 +341,27 @@ def test_criterion_8_run_determinism(tmp_path, monkeypatch):
         ostim_cfg=OstimConfig(n_steps=20),
     )
 
-    def report_bytes(name: str, workers: int) -> tuple[bytes, bytes]:
+    def report_bytes(name: str) -> tuple[bytes, bytes]:
         out_dir = tmp_path / name
-        run(replace(base_cfg, output_dir=str(out_dir), workers=workers))
+        run(replace(base_cfg, output_dir=str(out_dir)))
         return (
             (out_dir / "run_report.json").read_bytes(),
             (out_dir / "run_report.csv").read_bytes(),
         )
 
-    reference = report_bytes("r1", 1)
-    identical_reruns = report_bytes("r2", 1) == reference
-    identical_workers = report_bytes("r3", 3) == reference
+    reference = report_bytes("r1")
+    identical_reruns = report_bytes("r2") == reference
     # 7 episodes leave a partial last chunk at every chunk size but 1.
     chunk_sizes = (1, 3, runner_module.CHUNK_SIZE)
     identical_chunks = True
     for chunk in chunk_sizes:
         monkeypatch.setattr(runner_module, "CHUNK_SIZE", chunk)
-        identical_chunks &= report_bytes(f"c{chunk}", 3) == reference
+        identical_chunks &= report_bytes(f"c{chunk}") == reference
     _gate(
         8,
-        "repeated runs, 1-vs-3-worker runs and chunk sizes "
+        "repeated runs and chunk sizes "
         f"{', '.join(map(str, chunk_sizes))} produce byte-identical JSON and CSV reports",
-        identical_reruns and identical_workers and identical_chunks,
+        identical_reruns and identical_chunks,
     )
 
 

@@ -259,5 +259,6 @@ class TestConfig:
         dict(temperature=float("nan")),
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as caught:
             baselines.BaselineConfig(**kwargs)
+        assert isinstance(caught.value, ValueError)

@@ -1,11 +1,15 @@
 """Only ``transforms.normalize_chunk`` turns a list of episodes into (E, ...)
 arrays; every chunk evaluator reads the ``NormalizedChunk`` it returns, and
-the refinement API of ``fsosr.ostim`` takes only chunks."""
+the refinement API of ``fsosr.ostim`` and the package's exports take only
+chunks."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
+
+import fsosr
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "fsosr").glob("*.py"))
@@ -81,3 +85,16 @@ def test_no_public_ostim_function_takes_an_episode():
         or (arg.annotation is not None and "Episode" in ast.unparse(arg.annotation))
     }
     assert not takes_episode
+
+
+def test_no_exported_function_takes_an_episode():
+    functions = [getattr(fsosr, name) for name in fsosr.__all__]
+    functions = [f for f in functions if inspect.isfunction(f)]
+    takes_episode = {
+        (function.__name__, name)
+        for function in functions
+        for name, parameter in inspect.signature(function, eval_str=True).parameters.items()
+        if parameter.annotation is fsosr.Episode
+    }
+    assert not takes_episode
+    assert fsosr.normalize_chunk in functions

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from fsosr import OUTLIER, EpisodeSpec, FeatureSet, SamplingError, sample_episode
+from fsosr import OUTLIER, ConfigError, EpisodeSpec, FeatureSet, SamplingError, sample_episode
 from fsosr.runner import episode_checksum
 
 from conftest import make_feature_set
@@ -30,8 +30,9 @@ class TestSpecValidation:
                    dict(n_open_classes=0), dict(seed=-1)]
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(SamplingError):
+        with pytest.raises(ConfigError) as caught:
             EpisodeSpec(**kwargs)
+        assert isinstance(caught.value, ValueError)
 
 
 class TestProtocol:

@@ -149,10 +149,13 @@ class TestConfig:
         (dict(learning_rate=math.nan), "learning_rate must be finite and > 0, got nan"),
         (dict(temperature=math.inf), "temperature must be finite and > 0, got inf"),
         (dict(temperature=-math.inf), "temperature must be finite and > 0, got -inf"),
+        (dict(variant="softmax"),
+         "unknown variant 'softmax'; expected one of ('implicit', 'closed', 'explicit_dummy')"),
     ])
     def test_rejects_bad_values(self, kwargs, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=re.escape(message)) as caught:
             OstimConfig(**kwargs)
+        assert isinstance(caught.value, ValueError)
 
     def test_accepts_zero_alpha_and_steps(self):
         assert OstimConfig(alpha=0.0, n_steps=0).alpha == 0.0
@@ -466,6 +469,26 @@ class TestRefineBatch:
         assert str(batched.value) == str(alone.value)
         refine(*one_of(ps, view, 0), cfg)
         refine(*one_of(ps, view, 2), cfg)
+
+    def test_a_prototype_at_the_task_mean_is_named_by_every_variant(self, rng):
+        # Episode 1's two class-0 supports lie symmetric about the mean of its
+        # other rows, which is then its task mean too: prototype 0 sits on it.
+        episodes = [make_episode(rng, n_way=3, n_shot=2, dim=6) for _ in range(3)]
+        support = episodes[1].support_vectors.copy()
+        offset = rng.normal(size=6)
+        support[:2] = np.concatenate([support[2:], episodes[1].query_vectors]).mean(axis=0)
+        support[:2] += [offset, -offset]
+        episodes[1] = replace(episodes[1], support_vectors=support)
+        view = normalize_chunk(episodes, "task")
+        cfg = OstimConfig(n_steps=3, learning_rate=0.05)
+        for variant in Variant:
+            with pytest.raises(DegenerateFeatureError) as batched:
+                predicted(view, variant, cfg)
+            with pytest.raises(DegenerateFeatureError) as alone:
+                predicted(episode_view(episodes[1], "task"), variant, cfg)
+            assert str(batched.value) == str(alone.value) == (
+                "prototype 0 coincides with the centering point"
+            ), variant
 
     def test_loss_only_divergence_raises(self, rng):
         # At temperature 1000 the first support row gives its own label

@@ -35,13 +35,13 @@ def test_run_config_parses_and_sets_every_documented_value():
             assert {k: snapshot[key][k] for k in value} == value, key
         elif key in snapshot:
             assert snapshot[key] == value, key
-    assert "workers" not in doc and cfg.workers == 1
+    assert "workers" not in doc
     assert cfg.output_dir == doc["output_dir"]
 
 
 def test_run_config_round_trips_through_the_report_snapshot():
     cfg = runner.config_from_dict(heredocs()["run.json"])
-    doc = {**runner._config_snapshot(cfg), "workers": cfg.workers, "output_dir": cfg.output_dir}
+    doc = {**runner._config_snapshot(cfg), "output_dir": cfg.output_dir}
     assert runner.config_from_dict(doc) == cfg
 
 
@@ -56,6 +56,13 @@ def test_sweep_config_fits_the_val_split_of_the_synth_store():
 def test_method_table_lists_exactly_the_registry():
     methods = README.read_text().split("\n## Methods\n", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` ", methods, re.M) == list(runner.METHODS)
+
+
+def test_methods_paragraph_lists_exactly_the_section_keys():
+    methods = README.read_text().split("\n## Methods\n", 1)[1]
+    for section in ("ostim", "baseline"):
+        keys = re.search(rf"`{section}`\s+(?:holds\s+)?every setting[^(]*\(([^)]*)\)", methods)[1]
+        assert sorted(re.findall(r"`(\w+)`", keys)) == sorted(runner._KEYS[section]), section
 
 
 def test_python_api_example_runs_on_the_synth_store(tmp_path, monkeypatch):

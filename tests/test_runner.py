@@ -85,10 +85,10 @@ def full_document(store_path) -> dict:
 
 
 def round_trip(cfg: RunConfig) -> RunConfig:
-    """``cfg`` parsed back from its report snapshot and the two keys the
+    """``cfg`` parsed back from its report snapshot and the one key the
     snapshot leaves out."""
     snapshot = runner_mod._config_snapshot(cfg)
-    return config_from_dict({**snapshot, "workers": cfg.workers, "output_dir": cfg.output_dir})
+    return config_from_dict({**snapshot, "output_dir": cfg.output_dir})
 
 
 class TestConfigParsing:
@@ -98,6 +98,12 @@ class TestConfigParsing:
         assert cfg.ostim_cfg.learning_rate == 0.01
         assert cfg.baseline_cfg.knn_k == 3
         assert cfg.methods == ("ostim", "knn")
+
+    def test_a_workers_key_is_checked_and_dropped(self, store_path):
+        doc = full_document(store_path)
+        assert doc["workers"] == 2
+        without = {key: value for key, value in doc.items() if key != "workers"}
+        assert config_from_dict(doc) == config_from_dict(without)
 
     def test_method_sections_hold_every_key_of_their_json_section(self, store_path):
         cfg = config_from_dict(full_document(store_path))
@@ -168,6 +174,9 @@ class TestConfigParsing:
             ({"baseline": {"temperature": True}}, "baseline.temperature"),
             ({"baseline": {"variant": "closed"}}, "unknown baseline config keys"),
             ({"methods": ["knn", "ostim", "knn"]}, "method 'knn' is listed more than once"),
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+            ({"workers": "2"}, "workers must be an integer"),
+            ({"workers": 2.5}, "workers must be an integer"),
         ],
     )
     def test_bad_values_are_config_errors_naming_the_key(self, store_path, doc, key):
@@ -213,18 +222,17 @@ class TestRun:
             run(replace(cfg, episode=replace(cfg.episode, seed=100)))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_worker_count_invariance(self, store_path, tmp_path, monkeypatch):
+    def test_chunk_size_invariance(self, store_path, tmp_path, monkeypatch):
         # 7 episodes: a partial last chunk at every chunk size but 1.
-        out_a = tmp_path / "w1"
+        out_a = tmp_path / "reference"
         cfg = tiny_config(store_path, methods=("ostim", "explicit_dummy", "knn"), n_episodes=7)
-        run(replace(cfg, output_dir=str(out_a), workers=1))
+        run(replace(cfg, output_dir=str(out_a)))
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
-            for workers in (1, 3):
-                out_b = tmp_path / f"c{chunk}-w{workers}"
-                run(replace(cfg, output_dir=str(out_b), workers=workers))
-                for name in ("run_report.json", "run_report.csv"):
-                    assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+            out_b = tmp_path / f"c{chunk}"
+            run(replace(cfg, output_dir=str(out_b)))
+            for name in ("run_report.json", "run_report.csv"):
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_paired_episode_stream(self, store_path, tmp_path):
         # different method lists, same episode stream fingerprint
