@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .episodes import Episode
-from .errors import ConfigError
+from .errors import ConfigError, integer, number
 from .ostim import softmax
 from .predictions import PredictionSheet
-from .transforms import (NormalizedChunk, center_normalize, check_centering, class_means,
-                         normalize_chunk)
+from .transforms import NormalizedChunk, check_centering, class_means, normalize_chunk, unit_rows
+# Unused; bench/tests/test_bench_tracing.py asserts the tracer patches this binding.
+from .transforms import center_normalize  # noqa: F401
 
 _EPS64 = np.finfo(np.float64).eps
 _TINY64 = np.finfo(np.float64).smallest_subnormal
@@ -40,9 +41,11 @@ class BaselineConfig:
 
     def __post_init__(self) -> None:
         check_centering(self.centering)
+        object.__setattr__(self, "knn_k", integer(self.knn_k, "knn_k"))
         if self.knn_k < 1:
             raise ConfigError(f"knn_k must be >= 1, got {self.knn_k}")
-        if not 0 < self.temperature < math.inf:  # also refuses NaN
+        # Comparisons with NaN are false, so this refuses NaN as well as inf.
+        if not 0 < number(self.temperature, "temperature", finite=False) < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
@@ -50,12 +53,13 @@ def simpleshot_chunk(view: NormalizedChunk, temperature: float = 10.0) -> Predic
     """Nearest-centroid classification of a chunk, as one (E, n_query, K) sheet.
 
     Class centroids are the per-class means of the normalized support
-    vectors, re-normalized to unit length; probabilities are a softmax over
+    vectors, re-normalized to unit length (a centroid at the origin raises
+    DegenerateFeatureError); probabilities are a softmax over
     temperature-scaled cosine similarities. A sheet has no outlier column,
     so its outlierness score is the negative maximum class probability.
     """
     means = class_means(view.support, view.support_labels)
-    centroids = center_normalize(means, np.zeros(means.shape[-1]))
+    centroids = unit_rows(means, "centroid")[0]
     probs = softmax(temperature * (view.query @ centroids.swapaxes(-1, -2)))
     return PredictionSheet(probs, means.shape[1])
 

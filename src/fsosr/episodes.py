@@ -8,11 +8,11 @@ in any order or grouping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError, SamplingError, integer
 from .feature_store import FeatureSet
 
 OUTLIER = -1
@@ -29,6 +29,8 @@ class EpisodeSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self)):  # every field is a count
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.n_way < 2:
             raise ConfigError(f"n_way must be >= 2, got {self.n_way}")
         if self.n_shot < 1:

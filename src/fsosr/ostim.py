@@ -46,13 +46,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFeatureError, DivergenceError
+from .errors import ConfigError, DivergenceError, integer, number
 from .predictions import PredictionSheet
-from .transforms import NormalizedChunk, check_centering, class_means, row_norms
+from .transforms import NormalizedChunk, check_centering, class_means, unit_rows
 # Unused; bench/tests/test_bench_tracing.py asserts the tracer patches this binding.
 from .transforms import center_normalize  # noqa: F401
 
-_EPS = 1e-12
 _PLOGP_FLOOR = 1e-30
 
 
@@ -82,14 +81,15 @@ class OstimConfig:
                               f"{tuple(v.value for v in Variant)}")
         object.__setattr__(self, "variant", Variant(self.variant))
         check_centering(self.centering)
+        object.__setattr__(self, "n_steps", integer(self.n_steps, "n_steps"))
         # Comparisons with NaN are false, so these refuse NaN as well as inf.
-        if not 0 <= self.alpha < math.inf:
+        if not 0 <= number(self.alpha, "alpha", finite=False) < math.inf:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.n_steps < 0:
             raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
-        if not 0 < self.learning_rate < math.inf:
+        if not 0 < number(self.learning_rate, "learning_rate", finite=False) < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 < self.temperature < math.inf:
+        if not 0 < number(self.temperature, "temperature", finite=False) < math.inf:
             raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
@@ -160,7 +160,7 @@ def init_prototypes(
     w = class_means(view.raw_support, view.support_labels)
     dummy = None
     if variant is Variant.EXPLICIT_DUMMY:
-        dummy = -_directions(w, view.mu)[0].mean(axis=1)
+        dummy = -unit_rows(w - view.mu[:, None], "prototype")[0].mean(axis=1)
     return PrototypeSet(w, view.mu, variant, dummy)
 
 
@@ -194,21 +194,6 @@ def _inputs(ps: PrototypeSet, view: NormalizedChunk) -> _Inputs:
     return _Inputs(rows, n_support, label_index, ps.mu, ps.variant)
 
 
-def _directions(w: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit prototype directions (E, K, D) and radii (E, K) about ``mu``.
-    A radius too large for float64 would turn every direction into zeros,
-    so it raises DivergenceError."""
-    shifted = w - mu[:, None, :]
-    with np.errstate(over="ignore"):  # an overflow raises below, with the run's own message
-        radii = row_norms(shifted)
-    if not radii.max() < np.inf:  # also catches NaN
-        raise DivergenceError("a prototype's distance from the centering point overflows")
-    if radii.min() < _EPS:
-        k = int(np.argmax((radii < _EPS).any(axis=0)))
-        raise DegenerateFeatureError(f"prototype {k} coincides with the centering point")
-    return shifted / radii[..., None], radii
-
-
 def _logits(
     rows: np.ndarray, v: np.ndarray, dummy: np.ndarray | None, variant: Variant,
     temperature: float,
@@ -227,7 +212,8 @@ def _logits(
 
 def logits(ps: PrototypeSet, rows: np.ndarray, temperature: float = 10.0) -> np.ndarray:
     """Logits (E, C, n) of rows (E, n, D), center-normalized at ``ps.mu``."""
-    return _logits(rows, _directions(ps.w, ps.mu)[0], ps.dummy, ps.variant, temperature)
+    v = unit_rows(ps.w - ps.mu[:, None], "prototype")[0]
+    return _logits(rows, v, ps.dummy, ps.variant, temperature)
 
 
 def _loss_terms(probs: np.ndarray, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
@@ -255,7 +241,7 @@ def _forward_and_grad(
     prototype normalization; inputs and the centering vector are constants.
     The logit gradient ``g`` is (E, C, N), as the probabilities are.
     """
-    v, radii = _directions(w, inputs.mu)
+    v, radii = unit_rows(w - inputs.mu[:, None], "prototype")
     probs = softmax(_logits(inputs.rows, v, dummy, inputs.variant, cfg.temperature), axis=1)
     k_way = v.shape[1]
     n_s = inputs.n_support
@@ -281,7 +267,7 @@ def _forward_and_grad(
         v_grad = v_grad - grad[:, k_way:] / k_way
     elif inputs.variant is Variant.EXPLICIT_DUMMY:
         dummy_grad = grad[:, k_way]
-    w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / radii[..., None]
+    w_grad = (v_grad - v * (v_grad * v).sum(axis=-1, keepdims=True)) / radii
     return probs, w_grad, dummy_grad
 
 
@@ -310,9 +296,10 @@ def refine(
 
     Non-finite losses or gradients abort with the step index rather than
     silently propagating NaNs. An episode that fails in a chunk fails alone
-    with the same error; a failure raises the plain error of some failing
-    episode without saying which, so a caller that needs to know refines
-    the episodes one at a time.
+    with the same error. A prototype at its centering point is named with
+    its episode when the chunk holds more than one; any other failure
+    raises the plain error of some failing episode without saying which,
+    so a caller that needs to know refines the episodes one at a time.
     """
     if cfg.n_steps == 0:
         return ps

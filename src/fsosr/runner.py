@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import zlib
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import baselines, ostim
 from .episodes import Episode, EpisodeSpec, sample_episode
-from .errors import ConfigError, DataError, FsosrError
+from .errors import ConfigError, DataError, FsosrError, integer, number
 from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_path,
                             load_feature_store)
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
@@ -71,6 +70,7 @@ class RunConfig:
                 raise ConfigError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
             if self.methods.count(m) > 1:
                 raise ConfigError(f"method {m!r} is listed more than once in methods")
+        object.__setattr__(self, "n_episodes", integer(self.n_episodes, "n_episodes"))
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         support = self.episode.n_way * self.episode.n_shot
@@ -125,36 +125,20 @@ METHODS: dict[str, Method] = {
 }
 
 
-def _integer(value, key: str) -> int:
-    """A count from JSON: an integral number (``3`` or ``3.0``), else ConfigError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, key: str):
-    """A finite JSON number, returned as it is, else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
 def _numbers(value, key: str) -> tuple:
     """A JSON list of finite numbers as a tuple, else ConfigError."""
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+    return tuple(number(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
 # How ``_build`` reads a field's JSON value, by the field's annotation.
 _PARSERS = {
-    "int": _integer,
-    "float": _number,
+    "int": integer,
+    "float": number,
     "tuple[float, float, float]": _numbers,
     "float | tuple[float, ...]":
-        lambda v, key: _numbers(v, key) if isinstance(v, list) else _number(v, key),
+        lambda v, key: _numbers(v, key) if isinstance(v, list) else number(v, key),
 }
 
 
@@ -225,14 +209,14 @@ def config_from_dict(doc: dict) -> RunConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
     # ``workers`` selects nothing; older configs set it, so it is checked and dropped.
-    workers = _integer(doc.get("workers", 1), "workers")
+    workers = integer(doc.get("workers", 1), "workers")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return RunConfig(
         store=doc["store"],
         episode=episode,
         methods=tuple(methods),
-        n_episodes=_integer(doc.get("n_episodes", 600), "n_episodes"),
+        n_episodes=doc.get("n_episodes", 600),
         output_dir=output_dir,
         ostim_cfg=ostim_cfg,
         baseline_cfg=baseline_cfg,
@@ -290,7 +274,7 @@ def evaluate_method(
 
     ``done`` holds the chunk's reports so far and ``views`` the chunk at each
     centering so far, to which a missing one is added. A failure raises the
-    plain error of some failing episode; ``_evaluate_chunk`` finds out which.
+    error of some failing episode; ``_evaluate_chunk`` names it and the method.
     """
     section = getattr(cfg, METHODS[method].section)
     centering = section.centering
@@ -308,8 +292,10 @@ def _evaluate_chunk(
     A failure is located by replaying the chunk one episode at a time,
     methods in config order, each normalizing the episode itself, so a
     vector at a centering point names the first method centered there.
-    Batched results equal one-episode results, so the replay fails where
-    the chunk did; if it does not, the chunk's own error is raised.
+    In a chunk only such a vector, centroid or prototype names its episode;
+    the replay's chunks of one name none, and it prefixes episode and
+    method. Batched results equal one-episode results, so the replay fails
+    where the chunk did; if it does not, the chunk's own error is raised.
     """
     done: dict[str, list[EpisodeReport]] = {}
     views: dict[str, NormalizedChunk] = {}

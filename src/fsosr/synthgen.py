@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer, number
 from .feature_store import FeatureSet
+from .transforms import unit_rows
 
 
 @dataclass(frozen=True)
@@ -29,13 +30,15 @@ class SynthSpec:
     split_fractions: tuple[float, float, float] = (0.4, 0.2, 0.4)
 
     def __post_init__(self) -> None:
+        for name in ("dim", "n_classes", "points_per_class", "seed"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.dim < 1 or self.n_classes < 1 or self.points_per_class < 1:
             raise ConfigError("dim, n_classes and points_per_class must be >= 1")
-        if not self.centroid_radius > 0:
+        if not number(self.centroid_radius, "centroid_radius") > 0:
             raise ConfigError(f"centroid_radius must be > 0, got {self.centroid_radius}")
-        if self.within_std < 0:
+        if number(self.within_std, "within_std") < 0:
             raise ConfigError(f"within_std must be >= 0, got {self.within_std}")
-        fractions = tuple(float(f) for f in self.split_fractions)
+        fractions = tuple(float(number(f, "split_fractions")) for f in self.split_fractions)
         if len(fractions) != 3 or any(f < 0 or f > 1 for f in fractions):
             raise ConfigError("split_fractions must be three values in [0, 1]")
         if abs(sum(fractions) - 1.0) > 1e-9:
@@ -48,6 +51,8 @@ class SynthSpec:
             raise ConfigError(
                 f"global_shift must be scalar or length {self.dim}, got shape {shape}"
             )
+        for value in self.global_shift if shape else (self.global_shift,):
+            number(value, "global_shift")
 
     def shift_vector(self) -> np.ndarray:
         shift = np.asarray(self.global_shift, dtype=np.float64)
@@ -70,8 +75,7 @@ def generate(spec: SynthSpec) -> FeatureSet:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
     shift = spec.shift_vector()
 
-    directions = rng.normal(size=(spec.n_classes, spec.dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions = unit_rows(rng.normal(size=(spec.n_classes, spec.dim)), "direction")[0]
     centroids = shift + spec.centroid_radius * directions
 
     noise = rng.normal(size=(spec.n_classes, spec.points_per_class, spec.dim))

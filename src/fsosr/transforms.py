@@ -1,6 +1,8 @@
 """Center-normalize transform and ``normalize_chunk``, the one place that
 picks a chunk's centering (task mean, base mean or origin) and builds its
-normalized view, the only input of every method."""
+normalized view, the only input of every method. ``unit_rows`` is the one
+projection onto the unit sphere: every normalized vector, centroid and
+prototype goes through it."""
 
 from __future__ import annotations
 
@@ -9,12 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFeatureError
+from .errors import ConfigError, DegenerateFeatureError, DivergenceError
 from .episodes import Episode
 
 CENTERING_KINDS = ("none", "base", "task")
-
-_EPS = 1e-12
 
 
 def check_centering(kind: str) -> None:
@@ -23,30 +23,30 @@ def check_centering(kind: str) -> None:
         raise ConfigError(f"unknown centering {kind!r}; expected one of {CENTERING_KINDS}")
 
 
-def row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Euclidean norms along the last axis of real ``x``, with
-    ``np.linalg.norm``'s bits but without its copy and axis handling."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+def unit_rows(shifted: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A D-vector, (n, D) batch or (E, n, D) chunk of rows ``shifted`` by
+    their centering point, projected onto the unit sphere, and its lengths
+    (last axis kept). A length that overflows float64 or is NaN raises
+    DivergenceError; a row within 1e-12 of its centering point raises
+    DegenerateFeatureError naming it as ``name``, with its row in a batch
+    and its episode in a chunk of several: ``query vector 5 of episode 2``."""
+    with np.errstate(over="ignore"):  # an overflow raises below, with the run's own message
+        lengths = np.sqrt(np.add.reduce(shifted * shifted, axis=-1, keepdims=True))
+    # ``initial`` lets a batch of no rows through; NaN fails the first test.
+    if not lengths.max(initial=0.0) < np.inf:
+        raise DivergenceError(f"a {name}'s distance from the centering point overflows")
+    if lengths.min(initial=np.inf) < 1e-12:
+        index = np.argwhere(lengths < 1e-12)[0][:-1]  # (), (row,) or (episode, row)
+        label = f"{name} {index[-1]}" if len(index) else name
+        if len(index) == 2 and len(shifted) > 1:
+            label += f" of episode {index[0]}"
+        raise DegenerateFeatureError(f"{label} coincides with the centering point")
+    return shifted / lengths, lengths
 
 
 def center_normalize(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Subtract ``mu`` and project onto the unit sphere.
-
-    Accepts a single D-vector or an (N, D) batch. Vectors closer than 1e-12
-    to ``mu`` are rejected rather than silently producing NaNs.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    shifted = z - mu
-    norms = row_norms(shifted, keepdims=True)
-    if np.any(norms < _EPS):
-        if shifted.ndim == 1:
-            raise DegenerateFeatureError("vector coincides with the centering point")
-        i = int(np.argmax(norms.ravel() < _EPS))
-        raise DegenerateFeatureError(
-            f"vector {i} coincides with the centering point"
-        )
-    return shifted / norms
+    """``unit_rows`` of a single D-vector or an (N, D) batch ``z`` less ``mu``."""
+    return unit_rows(np.asarray(z, np.float64) - np.asarray(mu, np.float64), "vector")[0]
 
 
 class NormalizedChunk(NamedTuple):
@@ -87,26 +87,12 @@ def normalize_chunk(
         mu = np.zeros((len(episodes), raw_support.shape[-1]))
     return NormalizedChunk(
         mu,
-        _normalized(raw_support, mu, "support"),
-        _normalized(raw_query, mu, "query"),
+        unit_rows(np.subtract(raw_support, mu[:, None], dtype=np.float64), "support vector")[0],
+        unit_rows(np.subtract(raw_query, mu[:, None], dtype=np.float64), "query vector")[0],
         raw_support,
         np.stack([ep.support_labels for ep in episodes]),
         np.stack([ep.query_truth for ep in episodes]),
     )
-
-
-def _normalized(rows: np.ndarray, mu: np.ndarray, name: str) -> np.ndarray:
-    """``center_normalize`` of (E, n, D) ``rows`` at (E, D) ``mu``; a vector at
-    its centering point is named as the ``name`` row of its episode."""
-    try:
-        return center_normalize(rows, mu[:, None])
-    except DegenerateFeatureError:
-        shifted = np.asarray(rows, np.float64) - mu[:, None]
-        episode, row = np.argwhere(row_norms(shifted) < _EPS)[0]
-        where = f" of episode {episode}" if len(rows) > 1 else ""
-        raise DegenerateFeatureError(
-            f"{name} vector {row}{where} coincides with the centering point"
-        ) from None
 
 
 def class_means(rows: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import errno
 import tracemalloc
 
@@ -89,6 +90,20 @@ def make_episode(
         closed_classes=np.arange(n_way, dtype=np.int64),
         open_classes=np.arange(n_way, n_way + n_open_classes, dtype=np.int64),
     )
+
+
+def with_a_centroid_at_the_task_mean(episode: Episode, rng: np.random.Generator) -> Episode:
+    """``episode`` with its two class-0 supports symmetric about the mean of
+    its other rows, which is then its task mean too: their normalized rows
+    cancel, so class 0's simpleshot centroid lies at the centering point."""
+    rows = np.flatnonzero(episode.support_labels == 0)
+    assert len(rows) == 2
+    others = np.concatenate([np.delete(episode.support_vectors, rows, axis=0),
+                             episode.query_vectors])
+    offset = rng.normal(size=episode.dim)
+    support = episode.support_vectors.copy()
+    support[rows] = others.mean(axis=0) + np.stack([offset, -offset])
+    return dataclasses.replace(episode, support_vectors=support)
 
 
 def episode_view(

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fsosr import ConfigError, baselines
+from fsosr import ConfigError, DegenerateFeatureError, baselines
 from fsosr.baselines import knn_chunk, knn_outlier_score, simpleshot_classify
-from fsosr.transforms import NormalizedChunk, center_normalize
+from fsosr.transforms import NormalizedChunk, center_normalize, normalize_chunk
 
-from conftest import make_episode, properties, traced_peak
+from conftest import make_episode, properties, traced_peak, with_a_centroid_at_the_task_mean
 
 
 def oracle_simpleshot(episode, mu, temperature):
@@ -144,6 +144,17 @@ class TestSimpleshot:
         episode = make_episode(rng)
         sheet = simpleshot_classify(episode, "task")
         assert np.all(np.abs(sheet.probs.sum(axis=1) - 1) <= 1e-9)
+
+    def test_a_centroid_at_the_centering_point_is_named_by_class_and_episode(self, rng):
+        episodes = [make_episode(rng, n_way=3, n_shot=2, dim=6) for _ in range(3)]
+        episodes[1] = with_a_centroid_at_the_task_mean(episodes[1], rng)
+        with pytest.raises(DegenerateFeatureError, match=(
+            r"^centroid 0 of episode 1 coincides with the centering point$"
+        )):
+            baselines.simpleshot_chunk(normalize_chunk(episodes, "task"))
+        with pytest.raises(DegenerateFeatureError,
+                           match=r"^centroid 0 coincides with the centering point$"):
+            simpleshot_classify(episodes[1], "task")
 
     def test_argmax_temperature_invariant(self, rng):
         episode = make_episode(rng, n_way=4, n_shot=1, n_query_per_class=5)

@@ -1,7 +1,9 @@
 """Only ``transforms.normalize_chunk`` turns a list of episodes into (E, ...)
 arrays; every chunk evaluator reads the ``NormalizedChunk`` it returns, and
 the refinement API of ``fsosr.ostim`` and the package's exports take only
-chunks."""
+chunks. Only ``transforms.unit_rows`` constructs a DegenerateFeatureError,
+so every vector, centroid and prototype at its centering point is named by
+one rule."""
 
 from __future__ import annotations
 
@@ -68,6 +70,45 @@ def test_only_normalize_chunk_stacks_episodes():
     for path in SOURCES:
         found |= episode_stacks(path.read_text(), path.name)
     assert found == {("transforms.py", "normalize_chunk")}
+
+
+def error_constructors(source: str, name: str, error: str) -> set[tuple[str, str]]:
+    """(file, function) of every call of the class ``error``, by name or as
+    an attribute, in ``source``."""
+    found = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and error in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.add((name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source, name), "<module>")
+    return found
+
+
+def test_the_guard_flags_constructions_of_the_error_only():
+    source = (
+        "def a(x):\n    raise DegenerateFeatureError(f'{x} coincides')\n"
+        "def b():\n    return errors.DegenerateFeatureError('row 0')\n"
+        "def c():\n    try:\n        a(0)\n    except DegenerateFeatureError:\n        raise\n"
+        "def d():\n    raise DivergenceError('overflows')\n"
+        "error = DegenerateFeatureError('at import')\n"
+    )
+    assert error_constructors(source, "m.py", "DegenerateFeatureError") == {
+        ("m.py", "a"), ("m.py", "b"), ("m.py", "<module>")
+    }
+
+
+def test_only_unit_rows_constructs_a_degenerate_feature_error():
+    found = set()
+    for path in SOURCES:
+        found |= error_constructors(path.read_text(), path.name, "DegenerateFeatureError")
+    assert found == {("transforms.py", "unit_rows")}
 
 
 def test_no_public_ostim_function_takes_an_episode():

@@ -466,7 +466,8 @@ class TestRefineBatch:
         # The failing slice fails alone with the same error; the others do not.
         with pytest.raises(DegenerateFeatureError) as alone:
             refine(*one_of(ps, view, 1), cfg)
-        assert str(batched.value) == str(alone.value)
+        assert str(batched.value) == "prototype 2 of episode 1 coincides with the centering point"
+        assert str(alone.value) == "prototype 2 coincides with the centering point"
         refine(*one_of(ps, view, 0), cfg)
         refine(*one_of(ps, view, 2), cfg)
 
@@ -486,9 +487,10 @@ class TestRefineBatch:
                 predicted(view, variant, cfg)
             with pytest.raises(DegenerateFeatureError) as alone:
                 predicted(episode_view(episodes[1], "task"), variant, cfg)
-            assert str(batched.value) == str(alone.value) == (
-                "prototype 0 coincides with the centering point"
+            assert str(batched.value) == (
+                "prototype 0 of episode 1 coincides with the centering point"
             ), variant
+            assert str(alone.value) == "prototype 0 coincides with the centering point", variant
 
     def test_loss_only_divergence_raises(self, rng):
         # At temperature 1000 the first support row gives its own label

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from fsosr.metrics import aggregate, score_episode
 from fsosr.runner import episode_checksum, load_config
 from fsosr.transforms import CENTERING_KINDS, center_normalize, normalize_chunk
 
-from conftest import episode_view
+from conftest import episode_view, with_a_centroid_at_the_task_mean
 
 CHUNK_SIZES = (1, 3, runner_mod.CHUNK_SIZE)
 
@@ -182,6 +183,22 @@ class TestConfigParsing:
     def test_bad_values_are_config_errors_naming_the_key(self, store_path, doc, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"store": store_path, **doc})
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (EpisodeSpec, dict(n_way=2.5), "n_way must be an integer, got 2.5"),
+        (EpisodeSpec, dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (EpisodeSpec, dict(n_way="3"), "n_way must be an integer, got '3'"),
+        (OstimConfig, dict(n_steps=2.5), "n_steps must be an integer, got 2.5"),
+        (OstimConfig, dict(n_steps=True), "n_steps must be an integer, got True"),
+        (OstimConfig, dict(alpha="1"), "alpha must be a number, got '1'"),
+        (BaselineConfig, dict(knn_k=1.5), "knn_k must be an integer, got 1.5"),
+        (RunConfig, dict(store="x", n_episodes=2.5), "n_episodes must be an integer, got 2.5"),
+        (SynthSpec, dict(dim=2.5, n_classes=4, points_per_class=3, centroid_radius=1.0,
+                         within_std=0.1), "dim must be an integer, got 2.5"),
+    ])
+    def test_config_classes_refuse_a_value_of_the_wrong_type_naming_it(self, cls, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cls(**kwargs)
 
     def test_integral_counts_accepted(self, store_path):
         cfg = config_from_dict({"store": store_path, "n_episodes": 3.0,
@@ -615,6 +632,24 @@ class TestChunkFailures:
         monkeypatch.setattr(ostim_mod, "init_prototypes", poisoned)
         self.expect(monkeypatch, cfg, DegenerateFeatureError,
                     r"^episode 2, method tim_closed: prototype 1 coincides")
+
+    def test_a_centroid_at_the_centering_point_names_episode_and_method(
+        self, store_path, monkeypatch
+    ):
+        spec = EpisodeSpec(n_way=3, n_shot=2, n_query_per_class=3, n_open_classes=2, seed=99)
+        cfg = tiny_config(store_path, episode=spec, methods=("knn", "simpleshot"), n_episodes=6,
+                          baseline_cfg=BaselineConfig(centering="task"))
+        real = runner_mod.sample_episode
+
+        def poisoned(fs, spec, index, split="test"):
+            episode = real(fs, spec, index, split)
+            if index == 4:
+                episode = with_a_centroid_at_the_task_mean(episode, np.random.default_rng(0))
+            return episode
+
+        monkeypatch.setattr(runner_mod, "sample_episode", poisoned)
+        self.expect(monkeypatch, cfg, DegenerateFeatureError, r"^episode 4, method simpleshot: "
+                    r"centroid 0 coincides with the centering point$")
 
     def test_earlier_episode_wins_across_methods(self, store_path, monkeypatch):
         cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fsosr import ConfigError, DegenerateFeatureError, Episode, center_normalize
+from fsosr import ConfigError, DegenerateFeatureError, DivergenceError, Episode, center_normalize
 from fsosr.transforms import CENTERING_KINDS, normalize_chunk
 
 from conftest import make_episode, properties
@@ -33,6 +33,14 @@ class TestCenterNormalize:
         batch = np.array([[1.0, 0.0], [0.5, 0.5], [3.0, 1.0]])
         with pytest.raises(DegenerateFeatureError, match="vector 1"):
             center_normalize(batch, np.array([0.5, 0.5]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [np.full(3, 1e200), np.array([[1.0, 0.0], [1e200, 1e200]])])
+    def test_a_length_that_overflows_is_a_divergence(self, z):
+        # Each entry is finite, but the squared length is not: the row would
+        # come out all zeros. numpy's overflow warning is silenced.
+        with pytest.raises(DivergenceError, match="overflows"):
+            center_normalize(z, np.zeros(z.shape[-1]))
 
     def test_unit_norm_property(self, rng):
         for _ in range(200):
@@ -228,6 +236,7 @@ def chunks(draw) -> tuple[list[Episode], str, np.ndarray | None]:
 class TestProperties:
     @properties
     @given(points())
+    @example((np.empty((0, 3)), np.ones(3)))
     def test_rows_have_unit_norm_and_equal_the_shift_over_its_norm(self, drawn):
         z, mu = drawn
         shifted = z - mu
