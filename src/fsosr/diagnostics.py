@@ -94,10 +94,10 @@ def variance_ratio(vectors, labels) -> float:
 
 
 def _split_arrays(fs: FeatureSet, split: str) -> tuple[np.ndarray, np.ndarray]:
-    mask = np.isin(fs.labels, fs.split_class_ids(split))
-    if not mask.any():
+    rows = fs._split_rows(split)
+    if not rows.size:
         raise DataError(f"split {split!r} holds no vectors")
-    return fs.vectors[mask].astype(np.float64), fs.labels[mask]
+    return fs.vectors[rows].astype(np.float64), fs.labels[rows]
 
 
 def split_diagnostics(fs: FeatureSet, split: str) -> DiagnosticReport:

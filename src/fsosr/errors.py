@@ -2,7 +2,8 @@
 
 ``transforms.unit_rows`` names a vector, centroid or prototype at its
 centering point by its row and, in a chunk of several episodes, its
-episode. Other batched errors carry no position; ``runner`` replays a
+episode; ``transforms.normalize_chunk`` names a non-finite input vector
+the same way. Other batched errors carry no position; ``runner`` replays a
 failing chunk one episode at a time to name the episode and method.
 ``integer`` and ``number`` are the one type rule of config values.
 """

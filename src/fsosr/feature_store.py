@@ -37,6 +37,8 @@ VERSION = 1
 SPLITS = ("base", "val", "test")
 
 _HEADER = struct.Struct("<4sIIQI")
+# Vector components per block of rows that ``base_mean`` copies at a time.
+_BLOCK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,9 @@ class FeatureSet:
     ``split_class_ids`` each split's sorted class ids, and ``base_mean`` the
     mean of the base split. Each is built once, on the first call, not at
     construction or load, and is then kept on the set and shared by every
-    later episode and run drawn from it.
+    later episode and run drawn from it. The base mean reads the base split
+    in fixed blocks of rows, holding one block plus 8 B of row index per
+    base row, not a copy of the split.
     """
 
     vectors: np.ndarray
@@ -111,12 +115,28 @@ class FeatureSet:
         rows.flags.writeable = offsets.flags.writeable = False
         return rows, offsets
 
+    def _split_rows(self, split: str) -> np.ndarray:
+        """Row indices of the split's vectors, ascending."""
+        in_split = np.zeros(self.n_classes, dtype=bool)
+        in_split[self.split_class_ids(split)] = True
+        return np.flatnonzero(in_split[self.labels])
+
     @cached_property
     def _base_mean(self) -> np.ndarray:
-        mask = np.isin(self.labels, self.split_class_ids("base"))
-        if not mask.any():
+        """``vectors[base rows].mean(axis=0, dtype=np.float64)``, bit for bit,
+        from one block of rows at a time. numpy sums a column of two or more
+        row by row, so each block is summed with the running sum as its
+        first row. It sums a lone column pairwise instead, so at D=1 the
+        split is one block, and its copy is half the size of its row index."""
+        rows = self._split_rows("base")
+        if not rows.size:
             raise DataError("no base-split vectors; cannot compute base mean")
-        mean = self.vectors[mask].mean(axis=0, dtype=np.float64)
+        step = rows.size if self.dim == 1 else max(1, _BLOCK_ELEMENTS // self.dim)
+        total = np.add.reduce(self.vectors[rows[:step]], axis=0, dtype=np.float64)
+        for start in range(step, rows.size, step):
+            block = self.vectors[rows[start : start + step]]
+            total = np.add.reduce(np.concatenate((total[None], block)), axis=0)
+        mean = total / rows.size
         mean.flags.writeable = False
         return mean
 

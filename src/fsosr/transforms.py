@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFeatureError, DivergenceError
+from .errors import ConfigError, DataError, DegenerateFeatureError, DivergenceError
 from .episodes import Episode
 
 CENTERING_KINDS = ("none", "base", "task")
@@ -37,11 +37,18 @@ def unit_rows(shifted: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise DivergenceError(f"a {name}'s distance from the centering point overflows")
     if lengths.min(initial=np.inf) < 1e-12:
         index = np.argwhere(lengths < 1e-12)[0][:-1]  # (), (row,) or (episode, row)
-        label = f"{name} {index[-1]}" if len(index) else name
-        if len(index) == 2 and len(shifted) > 1:
-            label += f" of episode {index[0]}"
+        label = _label(name, index, len(shifted) > 1)
         raise DegenerateFeatureError(f"{label} coincides with the centering point")
     return shifted / lengths, lengths
+
+
+def _label(name: str, index, several: bool) -> str:
+    """``name`` at ``index`` ((), (row,) or (episode, row)), with its episode
+    only when the chunk holds ``several``: ``query vector 5 of episode 2``."""
+    label = f"{name} {index[-1]}" if len(index) else name
+    if len(index) == 2 and several:
+        label += f" of episode {index[0]}"
+    return label
 
 
 def center_normalize(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -69,7 +76,10 @@ def normalize_chunk(
     and query rows, ``base`` every episode at the dataset mean ``base_mu``,
     and ``none`` at the origin. A vector at its centering point raises
     DegenerateFeatureError naming its set and its row in the episode,
-    supports first, and the episode when the chunk has more than one."""
+    supports first, and the episode when the chunk has more than one. A NaN
+    or infinite component, which only an ``Episode`` built in Python can
+    hold, raises DataError naming its vector the same way; it is looked
+    for only once a set has failed to normalize."""
     check_centering(centering)
     if base_mu is not None:
         base_mu = np.asarray(base_mu, dtype=np.float64)
@@ -79,16 +89,29 @@ def normalize_chunk(
         raise ConfigError("base centering requires a precomputed mean")
     raw_support = np.stack([ep.support_vectors for ep in episodes])
     raw_query = np.stack([ep.query_vectors for ep in episodes])
-    if centering == "task":
-        mu = np.concatenate([raw_support, raw_query], axis=1).mean(axis=1)
-    elif centering == "base":
-        mu = np.tile(base_mu, (len(episodes), 1))
-    else:
-        mu = np.zeros((len(episodes), raw_support.shape[-1]))
+    sets = ((raw_support, "support vector"), (raw_query, "query vector"))
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # a bad row raises below
+            if centering == "task":
+                mu = np.concatenate([raw_support, raw_query], axis=1).mean(axis=1)
+            elif centering == "base":
+                mu = np.tile(base_mu, (len(episodes), 1))
+            else:
+                mu = np.zeros((len(episodes), raw_support.shape[-1]))
+            support, query = (unit_rows(np.subtract(raw, mu[:, None], dtype=np.float64), name)[0]
+                              for raw, name in sets)
+    except DivergenceError:
+        for raw, name in sets:
+            bad = np.argwhere(~np.isfinite(raw))
+            if len(bad):
+                e, row, j = bad[0]
+                raise DataError(f"{_label(name, (e, row), len(episodes) > 1)} is not finite "
+                                f"(component {j} is {raw[e, row, j]})") from None
+        raise
     return NormalizedChunk(
         mu,
-        unit_rows(np.subtract(raw_support, mu[:, None], dtype=np.float64), "support vector")[0],
-        unit_rows(np.subtract(raw_query, mu[:, None], dtype=np.float64), "query vector")[0],
+        support,
+        query,
         raw_support,
         np.stack([ep.support_labels for ep in episodes]),
         np.stack([ep.query_truth for ep in episodes]),

@@ -22,7 +22,12 @@ from fsosr import (
     sample_episode,
 )
 from fsosr.cli import main
-from fsosr.feature_store import load_feature_store, save_feature_store, sidecar_path
+from fsosr.feature_store import (
+    _BLOCK_ELEMENTS,
+    load_feature_store,
+    save_feature_store,
+    sidecar_path,
+)
 
 from conftest import make_feature_set, properties, traced_peak
 
@@ -162,6 +167,14 @@ class TestClassIndex:
         save_feature_store(self.shuffled_fs(rng), path)
         loaded = load_feature_store(path)
         self.assert_rows_match_label_scan(loaded)
+
+    def test_split_rows_are_the_splits_rows_ascending(self, rng):
+        splits = {0: "base", 1: "val", 2: "base", 3: "test", 4: "base", 5: "val", 6: "base"}
+        fs = self.shuffled_fs(rng)
+        fs = FeatureSet(fs.vectors, fs.labels, fs.class_names, splits)
+        for split in ("base", "val", "test"):
+            rows = fs._split_rows(split)
+            assert np.array_equal(rows, np.flatnonzero(np.isin(fs.labels, fs.split_class_ids(split))))
 
     def test_built_on_first_use_and_shared(self, tmp_path, rng):
         fs = self.shuffled_fs(rng)
@@ -418,6 +431,21 @@ def test_ingest_peak_memory_is_bounded(tmp_path, rng):
     assert np.array_equal(load_feature_store(out).vectors, vectors)
 
 
+def test_base_mean_peak_memory_is_bounded(rng):
+    """The base mean holds a split mask (1 B per row) and the base rows'
+    index (8 B per row), then one block of rows as float32 and, with the
+    running sum on top, as float64: 12 B per block element, bounded here by
+    16. That is not a copy of the base split, whose 5.1 MB float32 size
+    the bound stays far below."""
+    n, dim = 80_000, 32
+    fs = FeatureSet(rng.normal(size=(n, dim)).astype(np.float32), np.arange(n) % 4,
+                    ("a", "b", "c", "d"), {0: "base", 1: "test", 2: "base", 3: "test"})
+    n_base = n // 2
+    bound = n + 8 * n_base + 16 * _BLOCK_ELEMENTS
+    assert 3 * bound < 4 * n_base * dim
+    assert traced_peak(lambda: base_mean(fs)) < bound
+
+
 class TestBaseMean:
     def test_two_point_mean(self):
         fs = FeatureSet(
@@ -462,17 +490,27 @@ class TestBaseMean:
         fs2 = FeatureSet(vectors[perm], labels[perm], ("a", "b"), {0: "base", 1: "base"})
         assert np.allclose(base_mean(fs1), base_mean(fs2), atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [1, 2, 16, 64])
-    def test_equals_the_float64_copy_mean(self, rng, dim):
-        n = 20_001  # longer than numpy's 8192-element cast buffer
-        fs = FeatureSet(
-            vectors=(rng.normal(size=(n, dim)) * 10 + 3).astype(np.float32),
-            labels=rng.integers(0, 3, size=n),
-            class_names=("a", "b", "c"),
-            split_of_class={0: "base", 1: "base", 2: "test"},
-        )
-        mask = fs.labels < 2
-        assert np.array_equal(base_mean(fs), fs.vectors[mask].astype(np.float64).mean(axis=0))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_equals_the_float64_copy_mean(self, rng, dim, extra_rows):
+        """Two blocks of base rows and one row either side (at D=1, whose
+        split is summed whole, as many rows as two blocks hold elements),
+        interleaved at random among as many test rows.
+        Magnitudes span 2^-60..2^60 and 5% of the components are -0.0 (at
+        D>1 a whole column), so a sum in any other order or grouping, or a
+        sign lost from a zero, shows."""
+        n_base = 2 * (_BLOCK_ELEMENTS // dim) + extra_rows
+        labels = np.ones(2 * n_base + 1, dtype=np.int64)
+        labels[rng.choice(labels.size, n_base, replace=False)] = 0
+        magnitudes = np.exp2(rng.uniform(-60, 60, size=(labels.size, dim)))
+        vectors = (rng.choice([-1.0, 1.0], size=magnitudes.shape) * magnitudes).astype(np.float32)
+        vectors[rng.random(vectors.shape) < 0.05] = -0.0
+        if dim > 1:
+            vectors[:, -1] = -0.0
+        fs = FeatureSet(vectors, labels, ("a", "b"), {0: "base", 1: "test"})
+        expected = vectors[labels == 0].mean(axis=0, dtype=np.float64)
+        assert np.array_equal(base_mean(fs), expected)
+        assert np.array_equal(np.signbit(base_mean(fs)), np.signbit(expected))
 
     def test_a_second_call_returns_the_first_result(self, rng):
         fs = FeatureSet(rng.normal(size=(30, 4)).astype(np.float32), np.arange(30) % 3,

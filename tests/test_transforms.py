@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fsosr import ConfigError, DegenerateFeatureError, DivergenceError, Episode, center_normalize
+from fsosr import (
+    ConfigError,
+    DataError,
+    DegenerateFeatureError,
+    DivergenceError,
+    Episode,
+    center_normalize,
+)
 from fsosr.transforms import CENTERING_KINDS, normalize_chunk
 
 from conftest import make_episode, properties
@@ -153,6 +160,36 @@ class TestNormalizeChunk:
         with pytest.raises(DegenerateFeatureError,
                            match=rf"^{kind} vector {row} coincides with the centering point$"):
             normalize_chunk(episodes[episode:episode + 1], "base", mu)
+
+
+    @pytest.mark.parametrize("centering", CENTERING_KINDS)
+    @pytest.mark.parametrize("kind, episode, row, value", [
+        ("support", 1, 0, np.nan), ("query", 2, 7, np.inf), ("query", 0, 3, -np.inf),
+        ("support", 2, 1, -np.inf),
+    ])
+    def test_a_non_finite_vector_is_named_by_set_row_and_episode(
+        self, rng, centering, kind, episode, row, value
+    ):
+        """Task centering spreads the bad component into every row's shift;
+        the error still names the input row, within its set and episode."""
+        episodes = [make_episode(rng, n_way=2, n_shot=1, n_query_per_class=2,
+                                 n_open_classes=3, dim=4) for _ in range(3)]
+        field = f"{kind}_vectors"
+        rows = getattr(episodes[episode], field).copy()
+        rows[row, 2] = value
+        episodes[episode] = replace(episodes[episode], **{field: rows})
+        mu = np.zeros(4)
+        cause = rf"is not finite \(component 2 is {value}\)$"
+        with pytest.raises(DataError, match=rf"^{kind} vector {row} of episode {episode} {cause}"):
+            normalize_chunk(episodes, centering, mu)
+        with pytest.raises(DataError, match=rf"^{kind} vector {row} {cause}"):
+            normalize_chunk(episodes[episode:episode + 1], centering, mu)
+
+    def test_a_finite_vector_whose_length_overflows_is_a_divergence(self, rng):
+        episode = make_episode(rng)
+        episode = replace(episode, query_vectors=episode.query_vectors * 1e300)
+        with pytest.raises(DivergenceError, match="^a query vector's distance .* overflows$"):
+            normalize_chunk([episode], "none")
 
 
 class TestCentering:
