@@ -1,14 +1,7 @@
 """Few-shot open-set recognition toolkit for pre-extracted feature embeddings."""
 
 from .baselines import BaselineConfig, knn_chunk, simpleshot_chunk
-from .diagnostics import (
-    DiagnosticReport,
-    imposture_factor,
-    mean_imposture_factor,
-    per_class_imposture,
-    split_diagnostics,
-    variance_ratio,
-)
+from .diagnostics import DiagnosticReport, diagnose, split_diagnostics
 from .episodes import OUTLIER, Episode, EpisodeSpec, sample_episode
 from .errors import (
     ConfigError,
@@ -86,8 +79,8 @@ __all__ = [
     "center_normalize",
     "closed_set_entropy",
     "config_from_dict",
+    "diagnose",
     "generate",
-    "imposture_factor",
     "ingest_csv",
     "init_prototypes",
     "knn_chunk",
@@ -95,9 +88,7 @@ __all__ = [
     "load_feature_store",
     "logits",
     "loss_and_grad",
-    "mean_imposture_factor",
     "normalize_chunk",
-    "per_class_imposture",
     "precision_at_recall",
     "predict",
     "refine",
@@ -109,5 +100,4 @@ __all__ = [
     "simpleshot_chunk",
     "split_diagnostics",
     "sweep_alpha",
-    "variance_ratio",
 ]

@@ -27,85 +27,50 @@ class DiagnosticReport:
     per_class_if: dict[int, float]
 
 
-def imposture_factor(z, class_vectors, centroid) -> float:
-    """Fraction of the class members strictly farther from ``centroid`` than
-    ``z`` is; ties count as not farther."""
-    class_vectors = np.asarray(class_vectors, dtype=np.float64)
-    if class_vectors.ndim != 2 or class_vectors.shape[0] == 0:
-        raise DataError("class_vectors must be a nonempty (N, D) array")
-    z = np.asarray(z, dtype=np.float64)
-    centroid = np.asarray(centroid, dtype=np.float64)
-    member_dist = np.linalg.norm(class_vectors - centroid, axis=1)
-    z_dist = np.linalg.norm(z - centroid)
-    return float((member_dist > z_dist).mean())
+def diagnose(vectors, labels) -> DiagnosticReport:
+    """MIF, variance ratio and per-class imposture factors of labeled
+    vectors, in one pass over the classes.
 
-
-def _class_ids(labels: np.ndarray) -> np.ndarray:
+    Each class's centroid is the float64 mean of its members. The squared
+    distance of every row to it gives the class's within-class variance
+    (its members' mean) and, as square roots, the distances whose
+    comparison counts imposture: an external point ties a member at equal
+    distance and does not count it as farther. Raises DataError for fewer
+    than two classes or when the class centroids coincide.
+    """
+    vectors = np.asarray(vectors)
+    labels = np.asarray(labels, dtype=np.int64)
     ids = np.unique(labels)
     if ids.size < 2:
         raise DataError(f"need at least 2 classes, got {ids.size}")
-    return ids
-
-
-def per_class_imposture(vectors, labels) -> dict[int, float]:
-    """Mean imposture factor of all external instances against each class."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    out: dict[int, float] = {}
-    for cid in _class_ids(labels):
-        member_mask = labels == cid
-        members = vectors[member_mask]
-        centroid = members.mean(axis=0)
-        member_dist = np.sort(np.linalg.norm(members - centroid, axis=1))
-        external_dist = np.linalg.norm(vectors[~member_mask] - centroid, axis=1)
-        # strictly-farther member count per external point, via binary search
-        farther = member_dist.size - np.searchsorted(
-            member_dist, external_dist, side="right"
-        )
-        out[int(cid)] = float((farther / member_dist.size).mean())
-    return out
-
-
-def mean_imposture_factor(vectors, labels) -> float:
-    """Average of the per-class external imposture factors."""
-    per_class = per_class_imposture(vectors, labels)
-    return float(np.mean(list(per_class.values())))
-
-
-def variance_ratio(vectors, labels) -> float:
-    """Mean within-class variance (trace) over the variance of the class
-    centroids (trace). Raises if the centroids coincide."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    ids = _class_ids(labels)
-    centroids = []
-    within = []
+    diff = np.empty(vectors.shape)
+    centroids, within, per_class = [], [], {}
     for cid in ids:
-        members = vectors[labels == cid]
-        centroid = members.mean(axis=0)
+        member = labels == cid
+        centroid = vectors[member].astype(np.float64).mean(axis=0)
+        np.square(np.subtract(vectors, centroid, out=diff), out=diff)
+        dist = np.add.reduce(diff, axis=1)
         centroids.append(centroid)
-        within.append(((members - centroid) ** 2).sum(axis=1).mean())
+        within.append(dist[member].mean())
+        np.sqrt(dist, out=dist)
+        member_dist = np.sort(dist[member])
+        # strictly-farther member count per external point, via binary search
+        farther = member_dist.size - np.searchsorted(member_dist, dist[~member], side="right")
+        per_class[int(cid)] = float((farther / member_dist.size).mean())
     centroids = np.stack(centroids)
-    grand = centroids.mean(axis=0)
-    between = ((centroids - grand) ** 2).sum(axis=1).mean()
-    if between < 1e-30:
+    between = ((centroids - centroids.mean(axis=0)) ** 2).sum(axis=1).mean()
+    if not between > 0:
         raise DataError("class centroids coincide; variance ratio undefined")
-    return float(np.mean(within) / between)
-
-
-def _split_arrays(fs: FeatureSet, split: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = fs._split_rows(split)
-    if not rows.size:
-        raise DataError(f"split {split!r} holds no vectors")
-    return fs.vectors[rows].astype(np.float64), fs.labels[rows]
+    return DiagnosticReport(
+        mif=float(np.mean(list(per_class.values()))),
+        rho=float(np.mean(within) / between),
+        per_class_if=per_class,
+    )
 
 
 def split_diagnostics(fs: FeatureSet, split: str) -> DiagnosticReport:
-    """MIF, variance ratio, and the per-class table for one split."""
-    vectors, labels = _split_arrays(fs, split)
-    per_class = per_class_imposture(vectors, labels)
-    return DiagnosticReport(
-        mif=float(np.mean(list(per_class.values()))),
-        rho=variance_ratio(vectors, labels),
-        per_class_if=per_class,
-    )
+    """``diagnose`` on one split's vectors."""
+    rows = fs._split_rows(split)
+    if not rows.size:
+        raise DataError(f"split {split!r} holds no vectors")
+    return diagnose(fs.vectors[rows], fs.labels[rows])

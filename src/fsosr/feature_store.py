@@ -164,6 +164,12 @@ def validate_feature_set(fs: FeatureSet) -> None:
     c = len(fs.class_names)
     if c == 0:
         raise DataError("no classes declared")
+    # Names are compared as the sidecar reads them back, as strings.
+    first_with_name: dict[str, int] = {}
+    for cid, name in enumerate(map(str, fs.class_names)):
+        first = first_with_name.setdefault(name, cid)
+        if first != cid:
+            raise DataError(f"classes {first} and {cid} share the name {name!r}")
     finite = np.isfinite(fs.vectors)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]

@@ -53,6 +53,7 @@ from .transforms import NormalizedChunk, check_centering, class_means, unit_rows
 from .transforms import center_normalize  # noqa: F401
 
 _PLOGP_FLOOR = 1e-30
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class Variant(str, Enum):
@@ -253,10 +254,12 @@ def _forward_and_grad(
     g[..., :n_s] /= n_s
 
     # Query rows: the marginal-entropy and conditional-entropy terms. With
-    # s = alpha log p - log p_hat, both are p (E_p[s] - s) / n_query.
+    # s = alpha log p - log p_hat, both are p (E_p[s] - s) / n_query. The
+    # logs are floored at the smallest subnormal, which changes no positive
+    # probability, so a probability that underflows to 0 adds 0, not 0 * inf.
     p_q = probs[..., n_s:]
-    log_p_hat = np.log(np.add.reduce(p_q, axis=2, keepdims=True) / n_q)  # (E, C, 1)
-    s = cfg.alpha * np.log(p_q) - log_p_hat
+    p_hat = np.add.reduce(p_q, axis=2, keepdims=True) / n_q  # (E, C, 1)
+    s = cfg.alpha * np.log(np.maximum(p_q, _TINY)) - np.log(np.maximum(p_hat, _TINY))
     g[..., n_s:] = p_q * (np.add.reduce(p_q * s, axis=1, keepdims=True) - s) / n_q
 
     # One matmul for every logit column's direction; the implicit outlier

@@ -12,13 +12,20 @@ import pytest
 from hypothesis import settings
 
 import fsosr.feature_store
-from fsosr import Episode, FeatureSet, OUTLIER
+from fsosr import Episode, FeatureSet, OUTLIER, SynthSpec
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 
 # The one settings object of every property test: the same examples on
 # every run, no example database, no per-example deadline.
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+# The README quickstart's store.
+QUICKSTART = SynthSpec(
+    dim=16, n_classes=25, points_per_class=40, centroid_radius=1.0,
+    within_std=0.35, seed=3, split_fractions=(0.4, 0.2, 0.4),
+)
 
 
 def traced_peak(call) -> int:

@@ -30,11 +30,11 @@ from fsosr import (
     base_mean,
     center_normalize,
     closed_set_entropy,
+    diagnose,
     generate,
     init_prototypes,
     logits,
     loss_and_grad,
-    mean_imposture_factor,
     precision_at_recall,
     predict,
     refine,
@@ -148,7 +148,7 @@ def test_criterion_1_mif_auroc_duality(rng):
              for _ in range(n_classes)]
         )
         labels = np.repeat(np.arange(n_classes), per_class)
-        mif = mean_imposture_factor(vectors, labels)
+        mif = diagnose(vectors, labels).mif
         per_class_auroc = []
         for k in range(n_classes):
             centroid = vectors[labels == k].mean(axis=0)

@@ -434,10 +434,11 @@ class TestExitCodes:
         assert "baseline.knn_k" in err and "support size 5" in err and "got 10" in err
 
     # ``ostim`` sections whose refinement overflows: a step that throws a
-    # prototype out of float64 range, and logits that do not fit in it.
+    # prototype out of float64 range, and logits that do not fit in it. (At
+    # 1e300 the logits fit: the probabilities are one-hot and refinement runs.)
     OVERFLOWS = {
         "lr": {"lr": 1e160, "n_steps": 5},
-        "temperature": {"n_steps": 3, "temperature": 1e300},
+        "temperature": {"n_steps": 3, "temperature": 1e308},
     }
 
     @staticmethod
@@ -482,6 +483,14 @@ class TestExitCodes:
         assert main(["diagnose", "--store", str(synth_store)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {sidecar_path(synth_store)}: missing sidecar")
+
+    def test_duplicate_class_names_are_3(self, synth_store, capsys):
+        meta = json.loads(sidecar_path(synth_store).read_text())
+        meta["class_names"][3] = meta["class_names"][0]
+        sidecar_path(synth_store).write_text(json.dumps(meta))
+        assert main(["diagnose", "--store", str(synth_store)]) == 3
+        name = meta["class_names"][0]
+        assert f"classes 0 and 3 share the name {name!r}" in capsys.readouterr().err
 
     def test_divergence_exit_code_is_4(self):
         from fsosr import DivergenceError

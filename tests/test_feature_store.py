@@ -70,6 +70,15 @@ class TestValidation:
         with pytest.raises(DataError, match=r"unknown split"):
             small_fs(split_of_class={0: "base", 1: "holdout"})
 
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a", "b"), "classes 0 and 1 share the name 'a'"),
+        (("1", "b", 1), "classes 0 and 2 share the name '1'"),  # as the sidecar reads it
+    ])
+    def test_rejects_duplicate_class_names(self, names, message):
+        with pytest.raises(DataError, match=message):
+            small_fs(labels=np.arange(10) % 3, class_names=names,
+                     split_of_class={0: "base", 1: "test", 2: "test"})
+
     def test_arrays_frozen_after_construction(self):
         fs = small_fs()
         with pytest.raises(ValueError):
@@ -260,6 +269,14 @@ class TestCorruption:
         meta["splits"]["val"] = [0]
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="two splits"):
+            load_feature_store(stored)
+
+    @pytest.mark.parametrize("names", [["cat", "cat"], [1, "1"]])
+    def test_sidecar_duplicate_class_names(self, stored, names):
+        meta = json.loads(sidecar_path(stored).read_text())
+        meta["class_names"] = names
+        sidecar_path(stored).write_text(json.dumps(meta))
+        with pytest.raises(StoreError, match=r"store\.fsos: classes 0 and 1 share the name"):
             load_feature_store(stored)
 
     @staticmethod

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,21 +21,24 @@ from fsosr import (
     ConfigError,
     DegenerateFeatureError,
     DivergenceError,
+    EpisodeSpec,
     OstimConfig,
     PredictionSheet,
     PrototypeSet,
     Variant,
     center_normalize,
     closed_set_entropy,
+    generate,
     init_prototypes,
     logits,
     loss_and_grad,
     predict,
     refine,
+    sample_episode,
 )
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
-from conftest import episode_view, make_episode, properties
+from conftest import QUICKSTART, episode_view, make_episode, properties
 
 def _psi(vec, mu):
     shifted = [v - m for v, m in zip(vec, mu)]
@@ -512,6 +516,22 @@ class TestRefineBatch:
         three = PrototypeSet(np.repeat(ps.w, 3, axis=0), np.zeros((3, 3)), Variant.CLOSED)
         with pytest.raises(DivergenceError, match="step 0"):
             refine(three, normalize_chunk(chunk, "none"), cfg)
+
+    def test_underflowing_query_probabilities_refine(self):
+        # On the README quickstart store at temperature 1000, query
+        # probabilities and column means underflow to 0. Their entropy terms
+        # add 0 to the gradient, not 0 * inf, and numpy warns of nothing.
+        fs = generate(QUICKSTART)
+        view = normalize_chunk([sample_episode(fs, EpisodeSpec(seed=1234), i)
+                                for i in range(4)], "task")
+        cfg = OstimConfig(temperature=1000.0, n_steps=20)
+        for variant in Variant:
+            ps = init_prototypes(view, variant)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                _, w_grad, _ = loss_and_grad(ps, view, cfg)
+            assert np.isfinite(w_grad).all(), variant
+            assert np.isfinite(refine(ps, view, cfg).w).all(), variant
 
     # (n_way, n_shot, n_query_per_class, n_open_classes, dim) of the bench
     # workloads quickstart, large_store and wide_transductive, and D=640.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fsosr import ConfigError, SynthSpec, generate, mean_imposture_factor
+from fsosr import ConfigError, SynthSpec, diagnose, generate
 from fsosr.synthgen import _split_counts
 
 
@@ -53,7 +53,7 @@ class TestGenerate:
         for c in range(8):
             members = fs.vectors[fs.labels == c]
             assert np.all(members == members[0])
-        assert mean_imposture_factor(fs.vectors.astype(np.float64), fs.labels) == 0.0
+        assert diagnose(fs.vectors, fs.labels).mif == 0.0
 
     def test_centroids_on_requested_sphere(self):
         fs = generate(base_spec(within_std=0.0, global_shift=3.0))
@@ -84,7 +84,7 @@ class TestDifficulty:
                 within_std=8.0, seed=seed, split_fractions=(0.0, 0.0, 1.0),
             )
             fs = generate(spec)
-            values.append(mean_imposture_factor(fs.vectors.astype(np.float64), fs.labels))
+            values.append(diagnose(fs.vectors, fs.labels).mif)
         assert 0.35 <= float(np.mean(values)) <= 0.65
 
     def test_mif_monotone_in_within_std(self):
@@ -93,16 +93,16 @@ class TestDifficulty:
         averages = []
         for spread in spreads:
             values = [
-                mean_imposture_factor(
+                diagnose(
                     generate(
                         SynthSpec(
                             dim=4, n_classes=4, points_per_class=30,
                             centroid_radius=1.5, within_std=spread, seed=seed,
                             split_fractions=(0.0, 0.0, 1.0),
                         )
-                    ).vectors.astype(np.float64),
+                    ).vectors,
                     np.repeat(np.arange(4), 30),
-                )
+                ).mif
                 for seed in range(10)
             ]
             averages.append(float(np.mean(values)))
