@@ -50,6 +50,7 @@ class FeatureSet:
     invariants are checked eagerly at construction. Float32 vectors and int64
     labels are not copied: the set holds read-only views of the given arrays,
     sharing the caller's memory (a loaded store's vectors view its file).
+    Class names are kept as the ``str`` of each, as a saved store reads them.
 
     ``class_rows`` and ``class_counts`` read a per-class row index (CSR: the
     rows in stable label order plus per-class offsets),
@@ -71,7 +72,7 @@ class FeatureSet:
         labels = np.ascontiguousarray(self.labels, dtype=np.int64).view()
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "class_names", tuple(map(str, self.class_names)))
         validate_feature_set(self)
         vectors.flags.writeable = False
         labels.flags.writeable = False
@@ -164,9 +165,8 @@ def validate_feature_set(fs: FeatureSet) -> None:
     c = len(fs.class_names)
     if c == 0:
         raise DataError("no classes declared")
-    # Names are compared as the sidecar reads them back, as strings.
     first_with_name: dict[str, int] = {}
-    for cid, name in enumerate(map(str, fs.class_names)):
+    for cid, name in enumerate(fs.class_names):
         first = first_with_name.setdefault(name, cid)
         if first != cid:
             raise DataError(f"classes {first} and {cid} share the name {name!r}")
@@ -343,7 +343,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         return FeatureSet(
             vectors=records["vec"],
             labels=records["label"],
-            class_names=tuple(str(name) for name in class_names),
+            class_names=class_names,
             split_of_class=split_of_class,
         )
     except DataError as exc:

@@ -144,7 +144,10 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax along ``axis``: ``exp(x - max) / sum``."""
     logits = np.asarray(logits, dtype=np.float64)
-    e = np.exp(logits - np.max(logits, axis=axis, keepdims=True))
+    # A shift can overflow only to -inf, whose exp is the exact 0 it stands for.
+    with np.errstate(over="ignore"):
+        shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    e = np.exp(shifted)
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 

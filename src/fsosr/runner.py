@@ -7,23 +7,32 @@ method section (``OstimConfig``, ``BaselineConfig``) holds all of its
 settings, centering and ``variant`` included, and ``_KEYS`` declares their
 JSON keys once, for parsing and the report snapshot. ``METHODS`` maps each
 method name to the ``RunConfig`` field of its section and to its chunk
-evaluator ``evaluate(section, view, done)``. The loop walks the stream in
-chunks of ``CHUNK_SIZE`` episodes, stacks and normalizes each chunk once per
-centering in use into a ``NormalizedChunk`` ``view``, all an evaluator
-reads, and runs the methods in ``METHODS`` order: each chunk's one sheet or
-score array is scored by one ``score_chunk`` call. ``strong_baseline``
-reuses the ``simpleshot`` and ``knn`` reports, running either itself when
-it is not configured. Results are reduced in index order and do not depend
-on the chunk. A failing chunk is replayed one episode at a time, methods in
-config order, to name the first failing (episode, method) in stream order.
+evaluator ``evaluate(section, view, done)``. The stream is cut into chunks
+of ``CHUNK_SIZE`` episodes and the work into units: a chunk with one
+``ostim``-section method, or with all of its ``baseline``-section methods,
+so ``strong_baseline`` reuses the ``simpleshot`` and ``knn`` reports. A
+worker stacks and normalizes a chunk once per centering in use into a
+``NormalizedChunk`` ``view``, all an evaluator reads, and shares it among
+its units of that chunk; each chunk's one sheet or score array is scored
+by one ``score_chunk`` call. Units run in up to one process per CPU of the
+affinity mask: this process and children forked from it, each taking every
+``jobs``-th unit. Results are reduced in unit order and depend neither on
+the chunk nor on the process count. A failing chunk is evaluated again in
+this process and replayed one episode at a time, methods in config order,
+to name the first failing (episode, method) in stream order.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
+import os
+import pickle
+import signal
 import zlib
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -45,6 +54,9 @@ CHUNK_SIZE = 16
 # The files ``run`` and ``fsosr sweep`` write into ``output_dir``.
 REPORT_FILES = ("run_report.json", "run_report.csv")
 SWEEP_FILE = "sweep.json"
+
+# prctl(2)'s option to signal a process when its parent ends (Linux).
+_PR_SET_PDEATHSIG = 1
 
 # A method section of the run config.
 Section = ostim.OstimConfig | baselines.BaselineConfig
@@ -316,14 +328,136 @@ def _evaluate_chunk(
         raise
 
 
-def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> dict[str, RunReport]:
+class _Unit(NamedTuple):
+    """A chunk, named by its first episode, with one group of its methods."""
+
+    start: int
+    methods: tuple[str, ...]  # in ``METHODS`` order
+    first: bool  # the chunk's first unit, whose worker checksums its episodes
+
+
+def _units(cfg: RunConfig) -> list[_Unit]:
+    """Every chunk with each ``ostim``-section method alone and with its
+    ``baseline``-section methods together, chunk by chunk."""
+    groups: dict[str, list[str]] = {}
+    for method in (m for m in METHODS if m in cfg.methods):
+        key = "baseline" if METHODS[method].section == "baseline_cfg" else method
+        groups.setdefault(key, []).append(method)
+    return [
+        _Unit(start, tuple(group), g == 0)
+        for start in range(0, cfg.n_episodes, CHUNK_SIZE)
+        for g, group in enumerate(groups.values())
+    ]
+
+
+def _sample_chunk(fs: FeatureSet, cfg: RunConfig, start: int, split: str) -> list[Episode]:
+    indices = range(start, min(start + CHUNK_SIZE, cfg.n_episodes))
+    return [sample_episode(fs, cfg.episode, i, split=split) for i in indices]
+
+
+def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
+                    base_mu: np.ndarray | None) -> tuple[list, tuple[int, str] | None]:
+    """Evaluate the ``(index, unit)`` pairs ``units`` in order, up to the
+    first that fails.
+
+    Returns ``(index, reports by method, episode CRCs)`` for each unit
+    evaluated, and ``(index, error)`` of the failing one or None. A chunk
+    is sampled once for consecutive units of it, which share its views.
+    """
+    results: list = []
+    chunk = None
+    for index, unit in units:
+        try:
+            if unit.start != chunk:
+                chunk, done, views = unit.start, {}, {}
+                episodes = _sample_chunk(fs, cfg, unit.start, split)
+            for method in unit.methods:
+                done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views)
+        except Exception as exc:  # the caller evaluates the chunk again to raise it
+            return results, (index, f"{type(exc).__name__}: {exc}")
+        crcs = [episode_checksum(episode) for episode in episodes] if unit.first else []
+        results.append((index, {m: done[m] for m in unit.methods}, crcs))
+    return results, None
+
+
+def _job_count(jobs: int | None, n_units: int) -> int:
+    """``jobs``, by default the CPUs of the affinity mask, capped at
+    ``n_units``; 1 where processes cannot be forked or the mask is unknown."""
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(jobs or len(os.sched_getaffinity(0)), n_units)
+
+
+def _end_with(parent: int) -> None:
+    """Have the kernel kill this forked child when ``parent`` ends, where
+    prctl(2) exists, and end it now if ``parent`` already has; a parent
+    killed outright then leaves no worker running."""
+    with suppress(AttributeError):  # no prctl: it ends on writing to a closed pipe
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _in_workers(work: Callable[[int], object], jobs: int) -> list:
+    """``[work(j) for j in range(jobs)]``: ``work(0)`` in this process and
+    each other call in a forked child, which pickles its result to a pipe
+    and leaves by ``os._exit``. Every child is reaped on every exit path;
+    one that ends without sending its result is an FsosrError naming how
+    it ended."""
+    children: list = []  # (pid, read end of its pipe), not yet reaped
+    parent = os.getpid()
+    try:
+        for j in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _end_with(parent)
+                    with os.fdopen(write_fd, "wb") as out:
+                        pickle.dump(work(j), out, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [work(0)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise FsosrError(f"worker process {pid} {how} before sending its results")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test",
+        jobs: int | None = None) -> dict[str, RunReport]:
     """Evaluate every configured method on the shared episode stream.
 
     Returns one RunReport per method and, when ``output_dir`` is set, writes
     ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
     or lies under a file, or where a report is a directory, is refused
-    before the store loads. Output is byte-identical across repeated runs
-    and chunk sizes.
+    before the store loads. The units run in ``jobs`` processes, by default
+    one per CPU of the affinity mask, never more than there are units; the
+    children are forked from this one and share its store. Output is
+    byte-identical across repeated runs, chunk sizes and process counts,
+    and so is the error of a failing run.
     """
     _check_output_dir(cfg.output_dir, REPORT_FILES)
     if fs is None:
@@ -331,15 +465,27 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test") -> di
     needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
     base_mu = base_mean(fs) if needs_base_mu else None
 
+    units = _units(cfg)
+    jobs = _job_count(jobs, len(units))
+    indexed = list(enumerate(units))
+    outcomes = _in_workers(
+        lambda j: _evaluate_units(indexed[j::jobs], fs, cfg, split, base_mu), jobs
+    )
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        index, error = min(failures)
+        start = units[index].start
+        _evaluate_chunk(_sample_chunk(fs, cfg, start, split), start, cfg, base_mu)
+        raise FsosrError(f"episodes from {start}: a worker process failed with {error}, "
+                         "but the chunk evaluated again in this process did not")
+
     per_method: dict[str, list[EpisodeReport]] = {method: [] for method in cfg.methods}
     stream_crc = 0
-    for start in range(0, cfg.n_episodes, CHUNK_SIZE):
-        indices = range(start, min(start + CHUNK_SIZE, cfg.n_episodes))
-        episodes = [sample_episode(fs, cfg.episode, i, split=split) for i in indices]
-        for method, reports in _evaluate_chunk(episodes, start, cfg, base_mu).items():
-            per_method[method] += reports
-        for episode in episodes:
-            checksum = episode_checksum(episode)
+    for _, reports, crcs in sorted((r for results, _ in outcomes for r in results),
+                                   key=lambda result: result[0]):
+        for method, method_reports in reports.items():
+            per_method[method] += method_reports
+        for checksum in crcs:
             stream_crc = zlib.crc32(checksum.to_bytes(4, "little"), stream_crc)
 
     snapshot = _config_snapshot(cfg)

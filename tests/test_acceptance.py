@@ -341,9 +341,9 @@ def test_criterion_8_run_determinism(tmp_path, monkeypatch):
         ostim_cfg=OstimConfig(n_steps=20),
     )
 
-    def report_bytes(name: str) -> tuple[bytes, bytes]:
+    def report_bytes(name: str, jobs: int | None = None) -> tuple[bytes, bytes]:
         out_dir = tmp_path / name
-        run(replace(base_cfg, output_dir=str(out_dir)))
+        run(replace(base_cfg, output_dir=str(out_dir)), jobs=jobs)
         return (
             (out_dir / "run_report.json").read_bytes(),
             (out_dir / "run_report.csv").read_bytes(),
@@ -356,11 +356,13 @@ def test_criterion_8_run_determinism(tmp_path, monkeypatch):
     identical_chunks = True
     for chunk in chunk_sizes:
         monkeypatch.setattr(runner_module, "CHUNK_SIZE", chunk)
-        identical_chunks &= report_bytes(f"c{chunk}") == reference
+        for jobs in (1, 2):
+            identical_chunks &= report_bytes(f"c{chunk}-j{jobs}", jobs) == reference
     _gate(
         8,
-        "repeated runs and chunk sizes "
-        f"{', '.join(map(str, chunk_sizes))} produce byte-identical JSON and CSV reports",
+        "repeated runs, chunk sizes "
+        f"{', '.join(map(str, chunk_sizes))} and process counts 1 and 2 produce "
+        "byte-identical JSON and CSV reports",
         identical_reruns and identical_chunks,
     )
 

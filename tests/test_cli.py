@@ -473,6 +473,28 @@ class TestExitCodes:
         assert done.stderr.startswith("error: episode 0, method ostim: "), done.stderr
         assert done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["ostim", "tim_closed", "explicit_dummy"])
+    def test_logits_whose_shift_overflows_run_with_an_empty_stderr(self, tmp_path, method):
+        # At temperature 1e308 the logits fit in float64 but their softmax
+        # shift does not, which must not print a numpy RuntimeWarning.
+        spec = tmp_path / "synth.json"
+        spec.write_text(json.dumps({"dim": 5, "n_classes": 12, "points_per_class": 10,
+                                    "seed": 1, "centroid_radius": 1.0, "within_std": 0.3}))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"store": str(tmp_path / "store.fsos"), "n_episodes": 3,
+                                      "episodes": {"n_way": 3, "n_query_per_class": 5,
+                                                   "n_open_classes": 2},
+                                      "methods": [method],
+                                      "ostim": {"n_steps": 0, "temperature": 1e308}}))
+        src = str(Path(fsosr.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for command in (["synth", "--spec", str(spec), "--out", str(tmp_path / "store.fsos")],
+                        ["run", "--config", str(config)]):
+            done = subprocess.run([sys.executable, "-m", "fsosr.cli", *command],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+
     def test_missing_store_is_3_starting_with_its_path(self, tmp_path, capsys):
         store = tmp_path / "missing.fsos"
         assert main(["diagnose", "--store", str(store)]) == 3

@@ -108,6 +108,12 @@ class TestRoundTrip:
         assert loaded.class_names == fs.class_names
         assert loaded.split_of_class == fs.split_of_class
 
+    def test_class_names_are_strings_before_and_after_a_round_trip(self, tmp_path):
+        fs = small_fs(class_names=(7, "b"))
+        assert fs.class_names == ("7", "b")
+        save_feature_store(fs, tmp_path / "s.fsos")
+        assert load_feature_store(tmp_path / "s.fsos").class_names == fs.class_names
+
     def test_shapes_preserved(self, tmp_path):
         fs = small_fs()
         path = tmp_path / "s.fsos"

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ import fsosr.runner as runner_mod
 from fsosr import (
     ConfigError,
     DataError,
+    FsosrError,
     DegenerateFeatureError,
     DivergenceError,
     Episode,
@@ -270,6 +277,17 @@ class TestRun:
         assert episode_checksum(a) != episode_checksum(b)
         assert episode_checksum(a) == episode_checksum(sample_episode(fs, spec, 0))
 
+    @pytest.mark.parametrize("method", ["ostim", "tim_closed", "explicit_dummy"])
+    def test_logits_whose_shift_overflows_predict_without_a_warning(self, method):
+        # At temperature 1e308 the logits fit in float64 but their softmax
+        # shift does not; pytest raises a RuntimeWarning as an error.
+        fs = generate(SynthSpec(dim=5, n_classes=12, points_per_class=10, seed=1,
+                                centroid_radius=1.0, within_std=0.3))
+        cfg = RunConfig(store="", methods=(method,), n_episodes=3,
+                        episode=EpisodeSpec(n_way=3, n_query_per_class=5, n_open_classes=2),
+                        ostim_cfg=OstimConfig(n_steps=0, temperature=1e308))
+        assert run(cfg, fs=fs)[method].n_episodes == 3
+
     def test_detector_method_has_no_acc(self, store_path, tmp_path):
         out = tmp_path / "knn"
         reports = run(tiny_config(store_path, methods=("knn",), output_dir=str(out)))
@@ -292,7 +310,7 @@ class TestRun:
 
         monkeypatch.setattr(runner_mod, "METHODS",
                             {name: spy(name, m) for name, m in runner_mod.METHODS.items()})
-        run(cfg)
+        run(cfg, jobs=1)  # the spy sees only this process
         transductive = ("ostim", "tim_closed", "explicit_dummy")
         assert seen.keys() == set(cfg.methods)
         for name, section in seen.items():
@@ -435,7 +453,7 @@ class TestStrongBaseline:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
             for log in calls.values():
                 log.clear()
-            run(cfg, fs=fs)
+            run(cfg, fs=fs, jobs=1)  # the spies see only this process
             assert calls == {"simpleshot_chunk": stream, "knn_chunk": stream}
 
 
@@ -593,13 +611,19 @@ def knn_fails_at(monkeypatch, cfg: RunConfig, index: int) -> None:
 
 class TestChunkFailures:
     """A failure inside a chunk is reported as the first failing
-    (episode, method) of the stream, whatever the chunk size."""
+    (episode, method) of the stream, whatever the chunk size and the
+    process count."""
+
+    @pytest.fixture(autouse=True, params=(1, 2), ids=lambda jobs: f"jobs{jobs}")
+    def jobs(self, request):
+        self.jobs = request.param
 
     def expect(self, monkeypatch, cfg, error, message):
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
             with pytest.raises(error, match=message):
-                run(cfg)
+                run(cfg, jobs=self.jobs)
+            assert_no_child_left()
 
     def test_divergence_in_later_slice(self, store_path, monkeypatch):
         cfg = tiny_config(store_path, methods=("ostim",), n_episodes=6)
@@ -675,6 +699,153 @@ class TestChunkFailures:
         knn_fails_at(monkeypatch, cfg, 1)
         self.expect(monkeypatch, cfg, DivergenceError,
                     r"^episode 1, method ostim: non-finite loss or gradient at step 6$")
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def acting(action, here: bool = False):
+    """An ``evaluate_method`` that calls ``action()`` in this process if
+    ``here``, else in every other one, then evaluates as the real one does."""
+    parent, real = os.getpid(), runner_mod.evaluate_method
+
+    def evaluate_method(*args):
+        if (os.getpid() == parent) == here:
+            action()
+        return real(*args)
+
+    return evaluate_method
+
+
+# The method mixes of the benchmark's workloads.
+BENCH_METHODS = {
+    "quickstart": ("ostim", "tim_closed", "simpleshot", "knn", "strong_baseline"),
+    "large_store": ("simpleshot", "knn", "strong_baseline"),
+    "wide_transductive": ("ostim", "explicit_dummy", "tim_closed"),
+}
+
+
+class TestJobs:
+    """Units run in forked worker processes; nothing they return depends on
+    how many, and none outlives a run."""
+
+    @pytest.mark.parametrize("methods", BENCH_METHODS.values(), ids=BENCH_METHODS.keys())
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES, ids=lambda chunk: f"chunk{chunk}")
+    def test_reports_are_byte_identical_across_process_counts(
+        self, store_path, tmp_path, monkeypatch, methods, chunk
+    ):
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+        cfg = tiny_config(store_path, methods=methods, n_episodes=7)
+        outputs = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            run(replace(cfg, output_dir=str(out)), jobs=jobs)
+            assert_no_child_left()
+            outputs[jobs] = [(out / name).read_bytes() for name in runner_mod.REPORT_FILES]
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    def test_units_pair_each_chunk_with_each_refinement_and_the_baselines(self, store_path,
+                                                                          monkeypatch):
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
+        cfg = tiny_config(store_path, methods=("strong_baseline", "tim_closed", "knn", "ostim"),
+                          n_episodes=4)
+        assert [tuple(unit) for unit in runner_mod._units(cfg)] == [
+            (0, ("ostim",), True), (0, ("tim_closed",), False),
+            (0, ("knn", "strong_baseline"), False),
+            (3, ("ostim",), True), (3, ("tim_closed",), False),
+            (3, ("knn", "strong_baseline"), False),
+        ]
+
+    def test_job_count(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert runner_mod._job_count(None, 64) == min(cpus, 64)
+        assert runner_mod._job_count(None, 1) == 1
+        assert runner_mod._job_count(5, 3) == 3
+        with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+            runner_mod._job_count(0, 3)
+        monkeypatch.delattr(os, "fork")
+        assert runner_mod._job_count(4, 8) == 1
+
+    def test_a_mask_of_one_cpu_forks_nothing(self, store_path, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = tiny_config(store_path, methods=BENCH_METHODS["quickstart"])
+        assert run(cfg) == run(cfg, jobs=1)
+
+    def test_no_child_outlives_a_run(self, store_path):
+        run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]), jobs=2)
+        assert_no_child_left()
+
+    def test_no_child_outlives_an_interrupt_in_this_process(self, store_path, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner_mod, "evaluate_method", acting(interrupt, here=True))
+        with pytest.raises(KeyboardInterrupt):
+            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"], n_episodes=40),
+                jobs=3)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+    def test_no_child_outlives_a_killed_run(self, store_path):
+        # A run of many minutes in a fresh interpreter, killed outright once
+        # its one worker is forked: the worker must end with it.
+        script = (
+            "import sys; from fsosr import EpisodeSpec, OstimConfig, RunConfig, run; "
+            f"run(RunConfig(store={store_path!r}, methods=('ostim', 'tim_closed'), "
+            "n_episodes=10_000, ostim_cfg=OstimConfig(n_steps=1000), "
+            "episode=EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, n_open_classes=2)), "
+            "jobs=2)"
+        )
+        src = str(Path(runner_mod.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+        deadline = time.monotonic() + 60
+        while not (worker := children.read_text().split()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        parent.kill()
+        parent.wait()
+        assert worker, "no worker was forked"
+
+        def running() -> bool:  # an ended worker is gone, or a zombie until reaped
+            try:
+                stat = Path(f"/proc/{worker[0]}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        deadline = time.monotonic() + 10
+        while running():
+            assert time.monotonic() < deadline, "the worker outlived its killed run"
+            time.sleep(0.01)
+
+    @pytest.mark.parametrize("action, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "signal"])
+    def test_a_worker_that_ends_without_results_is_named(self, store_path, monkeypatch,
+                                                         action, how):
+        monkeypatch.setattr(runner_mod, "evaluate_method", acting(action))
+        with pytest.raises(FsosrError, match=rf"^worker process \d+ {how} before sending"):
+            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]), jobs=2)
+        assert_no_child_left()
+
+    def test_a_failure_only_in_a_worker_names_its_error(self, store_path, monkeypatch):
+        def fail():
+            raise ValueError("only in a worker")
+
+        monkeypatch.setattr(runner_mod, "evaluate_method", acting(fail))
+        with pytest.raises(FsosrError, match=r"^episodes from 0: a worker process failed with "
+                                             r"ValueError: only in a worker, but"):
+            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]), jobs=2)
+        assert_no_child_left()
 
 
 class TestSweep:

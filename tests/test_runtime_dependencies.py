@@ -35,3 +35,11 @@ def test_the_package_declares_only_numpy():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_sources_import_no_process_pool():
+    # Workers are forked by ``runner`` itself: a pool's helper processes,
+    # such as multiprocessing's resource tracker, can outlive a run.
+    for path in SOURCES:
+        pools = absolute_imports(path) & {"multiprocessing", "concurrent"}
+        assert not pools, f"{path.name} imports {sorted(pools)}"
