@@ -15,11 +15,13 @@ worker stacks and normalizes a chunk once per centering in use into a
 ``NormalizedChunk`` ``view``, all an evaluator reads, and shares it among
 its units of that chunk; each chunk's one sheet or score array is scored
 by one ``score_chunk`` call. Units run in up to one process per CPU of the
-affinity mask: this process and children forked from it, each taking every
-``jobs``-th unit. Results are reduced in unit order and depend neither on
-the chunk nor on the process count. A failing chunk is evaluated again in
-this process and replayed one episode at a time, methods in config order,
-to name the first failing (episode, method) in stream order.
+affinity mask: this process and children forked from it, each of n
+taking every n-th unit. Results are reduced in unit order and depend
+neither on the chunk nor on the process count. A failing unit stops every
+worker before its next later unit; the earliest failing chunk is then
+evaluated again in this process and replayed one episode at a time,
+methods in config order, to name the first failing (episode, method) in
+stream order.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
+import mmap
 import os
 import pickle
 import signal
+import struct
 import zlib
 from collections.abc import Callable
 from contextlib import suppress
@@ -356,9 +360,15 @@ def _sample_chunk(fs: FeatureSet, cfg: RunConfig, start: int, split: str) -> lis
 
 
 def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
-                    base_mu: np.ndarray | None) -> tuple[list, tuple[int, str] | None]:
+                    base_mu: np.ndarray | None, failed: mmap.mmap,
+                    worker: int) -> tuple[list, tuple[int, str] | None]:
     """Evaluate the ``(index, unit)`` pairs ``units`` in order, up to the
-    first that fails.
+    first that fails or the first after a unit that failed in any worker.
+
+    ``failed`` holds one int64 per worker, shared across the fork: the
+    index of its failing unit, else the unit count. Slot ``worker`` is this
+    worker's. Every unit before the earliest failure is still evaluated, so
+    the run names the same failure, and none after it is begun.
 
     Returns ``(index, reports by method, episode CRCs)`` for each unit
     evaluated, and ``(index, error)`` of the failing one or None. A chunk
@@ -366,7 +376,10 @@ def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
     """
     results: list = []
     chunk = None
+    jobs = len(failed) // 8
     for index, unit in units:
+        if index > min(struct.unpack_from(f"{jobs}q", failed)):
+            break
         try:
             if unit.start != chunk:
                 chunk, done, views = unit.start, {}, {}
@@ -374,32 +387,29 @@ def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
             for method in unit.methods:
                 done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views)
         except Exception as exc:  # the caller evaluates the chunk again to raise it
+            struct.pack_into("q", failed, 8 * worker, index)
             return results, (index, f"{type(exc).__name__}: {exc}")
         crcs = [episode_checksum(episode) for episode in episodes] if unit.first else []
         results.append((index, {m: done[m] for m in unit.methods}, crcs))
     return results, None
 
 
-def _job_count(jobs: int | None, n_units: int) -> int:
-    """``jobs``, by default the CPUs of the affinity mask, capped at
-    ``n_units``; 1 where processes cannot be forked or the mask is unknown."""
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+def _job_count(n_units: int) -> int:
+    """The CPUs of the affinity mask, capped at ``n_units``; 1 where
+    processes cannot be forked or the mask is unknown."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(jobs or len(os.sched_getaffinity(0)), n_units)
+    return min(len(os.sched_getaffinity(0)), n_units)
 
 
-def _end_with(parent: int) -> None:
-    """Have the kernel kill this forked child when ``parent`` ends, where
-    prctl(2) exists, and end it now if ``parent`` already has; a parent
-    killed outright then leaves no worker running."""
-    with suppress(AttributeError):  # no prctl: it ends on writing to a closed pipe
+def _prctl():
+    """prctl(2) of the C library, or None where it has none."""
+    try:
         prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:
-        os._exit(1)
+    except AttributeError:
+        return None
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    return prctl
 
 
 def _in_workers(work: Callable[[int], object], jobs: int) -> list:
@@ -410,6 +420,8 @@ def _in_workers(work: Callable[[int], object], jobs: int) -> list:
     it ended."""
     children: list = []  # (pid, read end of its pipe), not yet reaped
     parent = os.getpid()
+    # Resolved before forking: a child only makes the call.
+    prctl = _prctl() if jobs > 1 else None
     try:
         for j in range(1, jobs):
             read_fd, write_fd = os.pipe()
@@ -417,7 +429,13 @@ def _in_workers(work: Callable[[int], object], jobs: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    _end_with(parent)
+                    # The kernel kills this child when the run's process
+                    # ends, so a run killed outright leaves no worker; without
+                    # prctl it ends on writing to the closed pipe.
+                    if prctl is not None:
+                        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                    if os.getppid() != parent:  # it ended before the call
+                        os._exit(1)
                     with os.fdopen(write_fd, "wb") as out:
                         pickle.dump(work(j), out, pickle.HIGHEST_PROTOCOL)
                     status = 0
@@ -446,16 +464,17 @@ def _in_workers(work: Callable[[int], object], jobs: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test",
-        jobs: int | None = None) -> dict[str, RunReport]:
+def run(cfg: RunConfig, fs: FeatureSet | None = None,
+        split: str = "test") -> dict[str, RunReport]:
     """Evaluate every configured method on the shared episode stream.
 
     Returns one RunReport per method and, when ``output_dir`` is set, writes
     ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
     or lies under a file, or where a report is a directory, is refused
-    before the store loads. The units run in ``jobs`` processes, by default
-    one per CPU of the affinity mask, never more than there are units; the
-    children are forked from this one and share its store. Output is
+    before the store loads. The units run in one process per CPU of the
+    affinity mask, never more than there are units; the children are
+    forked from this one and share its store, and a failing unit stops
+    every worker before its next unit after it. Output is
     byte-identical across repeated runs, chunk sizes and process counts,
     and so is the error of a failing run.
     """
@@ -466,11 +485,13 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None, split: str = "test",
     base_mu = base_mean(fs) if needs_base_mu else None
 
     units = _units(cfg)
-    jobs = _job_count(jobs, len(units))
+    jobs = _job_count(len(units))
     indexed = list(enumerate(units))
-    outcomes = _in_workers(
-        lambda j: _evaluate_units(indexed[j::jobs], fs, cfg, split, base_mu), jobs
-    )
+    with mmap.mmap(-1, 8 * jobs) as failed:  # anonymous and shared with the forks
+        struct.pack_into(f"{jobs}q", failed, 0, *[len(units)] * jobs)
+        outcomes = _in_workers(
+            lambda j: _evaluate_units(indexed[j::jobs], fs, cfg, split, base_mu, failed, j), jobs
+        )
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         index, error = min(failures)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import dataclasses
 import errno
+import os
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,11 @@ QUICKSTART = SynthSpec(
     dim=16, n_classes=25, points_per_class=40, centroid_radius=1.0,
     within_std=0.35, seed=3, split_fractions=(0.4, 0.2, 0.4),
 )
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Give runs an affinity mask of ``n`` CPUs, so they use up to ``n`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def traced_peak(call) -> int:

@@ -46,7 +46,7 @@ from fsosr import (
 from fsosr.baselines import knn_chunk, simpleshot_chunk
 from fsosr.transforms import normalize_chunk
 
-from conftest import episode_view, make_episode
+from conftest import episode_view, make_episode, set_cpus
 from test_metrics import oracle_aupr, oracle_auroc, oracle_prec_at_recall
 from test_ostim import fd_gradients, max_rel_err, random_state
 
@@ -341,9 +341,9 @@ def test_criterion_8_run_determinism(tmp_path, monkeypatch):
         ostim_cfg=OstimConfig(n_steps=20),
     )
 
-    def report_bytes(name: str, jobs: int | None = None) -> tuple[bytes, bytes]:
+    def report_bytes(name: str) -> tuple[bytes, bytes]:
         out_dir = tmp_path / name
-        run(replace(base_cfg, output_dir=str(out_dir)), jobs=jobs)
+        run(replace(base_cfg, output_dir=str(out_dir)))
         return (
             (out_dir / "run_report.json").read_bytes(),
             (out_dir / "run_report.csv").read_bytes(),
@@ -357,7 +357,8 @@ def test_criterion_8_run_determinism(tmp_path, monkeypatch):
     for chunk in chunk_sizes:
         monkeypatch.setattr(runner_module, "CHUNK_SIZE", chunk)
         for jobs in (1, 2):
-            identical_chunks &= report_bytes(f"c{chunk}-j{jobs}", jobs) == reference
+            set_cpus(monkeypatch, jobs)
+            identical_chunks &= report_bytes(f"c{chunk}-j{jobs}") == reference
     _gate(
         8,
         "repeated runs, chunk sizes "

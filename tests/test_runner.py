@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from fsosr.metrics import aggregate, score_episode
 from fsosr.runner import episode_checksum, load_config
 from fsosr.transforms import CENTERING_KINDS, center_normalize, normalize_chunk
 
-from conftest import episode_view, with_a_centroid_at_the_task_mean
+from conftest import episode_view, set_cpus, with_a_centroid_at_the_task_mean
 
 CHUNK_SIZES = (1, 3, runner_mod.CHUNK_SIZE)
 
@@ -310,7 +311,8 @@ class TestRun:
 
         monkeypatch.setattr(runner_mod, "METHODS",
                             {name: spy(name, m) for name, m in runner_mod.METHODS.items()})
-        run(cfg, jobs=1)  # the spy sees only this process
+        set_cpus(monkeypatch, 1)  # the spy sees only this process
+        run(cfg)
         transductive = ("ostim", "tim_closed", "explicit_dummy")
         assert seen.keys() == set(cfg.methods)
         for name, section in seen.items():
@@ -449,11 +451,12 @@ class TestStrongBaseline:
 
         monkeypatch.setattr(baselines_mod, "simpleshot_chunk", simpleshot_chunk)
         monkeypatch.setattr(baselines_mod, "knn_chunk", knn_chunk)
+        set_cpus(monkeypatch, 1)  # the spies see only this process
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
             for log in calls.values():
                 log.clear()
-            run(cfg, fs=fs, jobs=1)  # the spies see only this process
+            run(cfg, fs=fs)
             assert calls == {"simpleshot_chunk": stream, "knn_chunk": stream}
 
 
@@ -615,14 +618,14 @@ class TestChunkFailures:
     process count."""
 
     @pytest.fixture(autouse=True, params=(1, 2), ids=lambda jobs: f"jobs{jobs}")
-    def jobs(self, request):
-        self.jobs = request.param
+    def jobs(self, request, monkeypatch):
+        set_cpus(monkeypatch, request.param)
 
     def expect(self, monkeypatch, cfg, error, message):
         for chunk in CHUNK_SIZES:
             monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
             with pytest.raises(error, match=message):
-                run(cfg, jobs=self.jobs)
+                run(cfg)
             assert_no_child_left()
 
     def test_divergence_in_later_slice(self, store_path, monkeypatch):
@@ -740,8 +743,9 @@ class TestJobs:
         cfg = tiny_config(store_path, methods=methods, n_episodes=7)
         outputs = {}
         for jobs in (1, 2, 3):
+            set_cpus(monkeypatch, jobs)
             out = tmp_path / f"jobs{jobs}"
-            run(replace(cfg, output_dir=str(out)), jobs=jobs)
+            run(replace(cfg, output_dir=str(out)))
             assert_no_child_left()
             outputs[jobs] = [(out / name).read_bytes() for name in runner_mod.REPORT_FILES]
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
@@ -760,25 +764,28 @@ class TestJobs:
 
     def test_job_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        assert runner_mod._job_count(None, 64) == min(cpus, 64)
-        assert runner_mod._job_count(None, 1) == 1
-        assert runner_mod._job_count(5, 3) == 3
-        with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
-            runner_mod._job_count(0, 3)
+        assert runner_mod._job_count(64) == min(cpus, 64)
+        assert runner_mod._job_count(1) == 1
+        set_cpus(monkeypatch, 5)
+        assert runner_mod._job_count(3) == 3
+        assert runner_mod._job_count(8) == 5
         monkeypatch.delattr(os, "fork")
-        assert runner_mod._job_count(4, 8) == 1
+        assert runner_mod._job_count(8) == 1
 
     def test_a_mask_of_one_cpu_forks_nothing(self, store_path, monkeypatch):
         def fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", fork)
         cfg = tiny_config(store_path, methods=BENCH_METHODS["quickstart"])
-        assert run(cfg) == run(cfg, jobs=1)
+        set_cpus(monkeypatch, 2)
+        forked = run(cfg)
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", fork)
+        assert run(cfg) == forked
 
-    def test_no_child_outlives_a_run(self, store_path):
-        run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]), jobs=2)
+    def test_no_child_outlives_a_run(self, store_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]))
         assert_no_child_left()
 
     def test_no_child_outlives_an_interrupt_in_this_process(self, store_path, monkeypatch):
@@ -786,9 +793,9 @@ class TestJobs:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(runner_mod, "evaluate_method", acting(interrupt, here=True))
+        set_cpus(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
-            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"], n_episodes=40),
-                jobs=3)
+            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"], n_episodes=40))
         assert_no_child_left()
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
@@ -796,11 +803,11 @@ class TestJobs:
         # A run of many minutes in a fresh interpreter, killed outright once
         # its one worker is forked: the worker must end with it.
         script = (
-            "import sys; from fsosr import EpisodeSpec, OstimConfig, RunConfig, run; "
+            "import os; from fsosr import EpisodeSpec, OstimConfig, RunConfig, run; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
             f"run(RunConfig(store={store_path!r}, methods=('ostim', 'tim_closed'), "
             "n_episodes=10_000, ostim_cfg=OstimConfig(n_steps=1000), "
-            "episode=EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, n_open_classes=2)), "
-            "jobs=2)"
+            "episode=EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, n_open_classes=2)))"
         )
         src = str(Path(runner_mod.__file__).resolve().parent.parent)
         env = {**os.environ,
@@ -822,9 +829,13 @@ class TestJobs:
             return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
         deadline = time.monotonic() + 10
-        while running():
-            assert time.monotonic() < deadline, "the worker outlived its killed run"
-            time.sleep(0.01)
+        try:
+            while running():
+                assert time.monotonic() < deadline, "the worker outlived its killed run"
+                time.sleep(0.01)
+        finally:  # a worker that outlived it would run for many minutes
+            with suppress(ProcessLookupError):
+                os.kill(int(worker[0]), signal.SIGKILL)
 
     @pytest.mark.parametrize("action, how", [
         (lambda: os._exit(3), "exited with status 3"),
@@ -833,8 +844,9 @@ class TestJobs:
     def test_a_worker_that_ends_without_results_is_named(self, store_path, monkeypatch,
                                                          action, how):
         monkeypatch.setattr(runner_mod, "evaluate_method", acting(action))
+        set_cpus(monkeypatch, 2)
         with pytest.raises(FsosrError, match=rf"^worker process \d+ {how} before sending"):
-            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]), jobs=2)
+            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]))
         assert_no_child_left()
 
     def test_a_failure_only_in_a_worker_names_its_error(self, store_path, monkeypatch):
@@ -842,10 +854,37 @@ class TestJobs:
             raise ValueError("only in a worker")
 
         monkeypatch.setattr(runner_mod, "evaluate_method", acting(fail))
+        set_cpus(monkeypatch, 2)
         with pytest.raises(FsosrError, match=r"^episodes from 0: a worker process failed with "
                                              r"ValueError: only in a worker, but"):
-            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]), jobs=2)
+            run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]))
         assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", ["knn", "ostim"])
+    def test_a_failure_stops_the_other_worker(self, store_path, tmp_path, monkeypatch,
+                                              failing):
+        # At chunk size 1, worker 0 (this process) takes every ostim unit and
+        # worker 1 every knn unit. The other method logs each call and takes
+        # 50 ms, so a worker that went on past the failure would log 40.
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 1)
+        set_cpus(monkeypatch, 2)
+        log, real = tmp_path / "calls", runner_mod.evaluate_method
+        log.touch()
+
+        def evaluate_method(method, *args):
+            if method == failing:
+                raise ValueError("fails at once")
+            with log.open("a") as fh:
+                fh.write(".")
+            time.sleep(0.05)
+            return real(method, *args)
+
+        monkeypatch.setattr(runner_mod, "evaluate_method", evaluate_method)
+        with pytest.raises(DataError, match=rf"^episode 0, method {failing}: fails at once$"):
+            run(tiny_config(store_path, methods=("ostim", "knn"), n_episodes=40))
+        assert_no_child_left()
+        # A unit or two before the failure is seen, and the in-process replay.
+        assert len(log.read_text()) <= 5
 
 
 class TestSweep:
