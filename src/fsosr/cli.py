@@ -117,7 +117,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"aupr={row['aupr']:.4f} prec_at_90={row['prec_at_90']:.4f}"
         )
     print(f"best alpha: {best:g}")
-    if cfg.output_dir:
+    if cfg.output_dir is not None:
         with atomic_write(Path(cfg.output_dir) / runner.SWEEP_FILE, "w") as fh:
             fh.write(json.dumps({"param": args.param, "best": best, "table": table},
                                 indent=2, sort_keys=True))

@@ -18,10 +18,10 @@ by one ``score_chunk`` call. Units run in up to one process per CPU of the
 affinity mask: this process and children forked from it, each of n
 taking every n-th unit. Results are reduced in unit order and depend
 neither on the chunk nor on the process count. A failing unit stops every
-worker before its next later unit; the earliest failing chunk is then
-evaluated again in this process and replayed one episode at a time,
-methods in config order, to name the first failing (episode, method) in
-stream order.
+worker before its next later unit, and the worker that hit it replays its
+chunk one episode at a time, methods in config order, to name the first
+failing (episode, method) in stream order; nothing is evaluated twice.
+The run raises the failure of the earliest unit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import struct
 import zlib
 from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -148,18 +148,40 @@ def _numbers(value, key: str) -> tuple:
     return tuple(number(v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
-# How ``_build`` reads a field's JSON value, by the field's annotation.
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _names(value, key: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of method names, got {value!r}")
+    return tuple(value)
+
+
+# How ``_build`` reads a field's JSON value, by the field's annotation; a
+# section is read by ``_build`` under its JSON key.
 _PARSERS = {
     "int": integer,
     "float": number,
+    "str": _string,
+    "str | None": lambda v, key: v if v is None else _string(v, key),
+    "tuple[str, ...]": _names,
     "tuple[float, float, float]": _numbers,
     "float | tuple[float, ...]":
         lambda v, key: _numbers(v, key) if isinstance(v, list) else number(v, key),
+    "EpisodeSpec": lambda v, key: _build(EpisodeSpec, v, key),
+    "ostim.OstimConfig": lambda v, key: _build(ostim.OstimConfig, v, key),
+    "baselines.BaselineConfig": lambda v, key: _build(baselines.BaselineConfig, v, key),
 }
 
 
-# Each section's JSON keys and the dataclass fields they set.
+# Each document's JSON keys and the dataclass fields they set.
 _KEYS = {
+    "run": {"store": "store", "episodes": "episode", "methods": "methods",
+            "n_episodes": "n_episodes", "output_dir": "output_dir",
+            "ostim": "ostim_cfg", "baseline": "baseline_cfg"},
     "episodes": {f.name: f.name for f in fields(EpisodeSpec)},
     "synth": {f.name: f.name for f in fields(SynthSpec)},
     "ostim": {"alpha": "alpha", "n_steps": "n_steps", "lr": "learning_rate",
@@ -168,23 +190,30 @@ _KEYS = {
 }
 
 
-def _build(cls, section, context: str):
-    """``cls`` from the JSON object of section ``context``, its ``_KEYS`` read by ``_PARSERS``."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{context} config must be a JSON object, got {section!r}")
-    fields_map = _KEYS[context]
-    unknown = set(section) - set(fields_map)
+def _build(cls, doc, context: str):
+    """``cls`` from the JSON document ``context``, its ``_KEYS`` read by
+    ``_PARSERS``. Messages name a section's keys ``context.key`` and the
+    run document's keys as they are."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} config must be a JSON object, got {doc!r}")
+    top = context == "run"
+    keys = _KEYS[context]
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {context} config keys: {sorted(unknown)}")
-    kinds = {f.name: f.type for f in fields(cls)}
-    kwargs = {
-        attr: _PARSERS.get(kinds[attr], lambda v, _: v)(section[key], f"{context}.{key}")
-        for key, attr in fields_map.items()
-        if key in section
-    }
+        raise ConfigError(f"unknown {'' if top else context + ' '}config keys: {sorted(unknown)}")
+    attrs = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, attr in keys.items():
+        name = key if top else f"{context}.{key}"
+        if key in doc:
+            kwargs[attr] = _PARSERS.get(attrs[attr].type, lambda v, _: v)(doc[key], name)
+        elif attrs[attr].default is attrs[attr].default_factory is MISSING:
+            raise ConfigError(f"config is missing the required key {name!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
+        if top:
+            raise
         raise ConfigError(f"bad {context} config: {exc}") from exc
 
 
@@ -200,43 +229,13 @@ def synth_spec_from_dict(section) -> SynthSpec:
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Parse and validate the JSON run-config document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a JSON object")
-    known = {
-        "store", "episodes", "methods", "n_episodes", "workers", "output_dir",
-        "ostim", "baseline",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "store" not in doc:
-        raise ConfigError("config is missing the 'store' path")
-
-    episode = episode_spec_from_dict(doc.get("episodes", {}))
-    ostim_cfg = _build(ostim.OstimConfig, doc.get("ostim", {}), "ostim")
-    baseline_cfg = _build(baselines.BaselineConfig, doc.get("baseline", {}), "baseline")
-
-    methods = doc.get("methods", ["ostim"])
-    if not isinstance(methods, list):
-        raise ConfigError("methods must be a list of method names")
-    if not isinstance(doc["store"], str):
-        raise ConfigError(f"store must be a path string, got {doc['store']!r}")
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a path string, got {output_dir!r}")
-    # ``workers`` selects nothing; older configs set it, so it is checked and dropped.
-    workers = integer(doc.get("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return RunConfig(
-        store=doc["store"],
-        episode=episode,
-        methods=tuple(methods),
-        n_episodes=doc.get("n_episodes", 600),
-        output_dir=output_dir,
-        ostim_cfg=ostim_cfg,
-        baseline_cfg=baseline_cfg,
-    )
+    if isinstance(doc, dict) and "workers" in doc:
+        # ``workers`` selects nothing; older configs set it, so it is checked and dropped.
+        workers = integer(doc["workers"], "workers")
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
+        doc = {key: value for key, value in doc.items() if key != "workers"}
+    return _build(RunConfig, doc, "run")
 
 
 def read_json(path: str | Path, what: str = "config") -> dict:
@@ -258,17 +257,17 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:
-    def section(obj, context: str) -> dict:
-        return {key: getattr(obj, attr) for key, attr in _KEYS[context].items()}
+    """The run document that ``config_from_dict`` reads back as ``cfg``,
+    every key set but ``output_dir``."""
+    def document(obj, context: str) -> dict:
+        doc = {}
+        for key, attr in _KEYS[context].items():
+            value = getattr(obj, attr)
+            doc[key] = (document(value, key) if is_dataclass(value)
+                        else list(value) if isinstance(value, tuple) else value)
+        return doc
 
-    return {
-        "store": cfg.store,
-        "episodes": section(cfg.episode, "episodes"),
-        "methods": list(cfg.methods),
-        "n_episodes": cfg.n_episodes,
-        "ostim": section(cfg.ostim_cfg, "ostim"),
-        "baseline": section(cfg.baseline_cfg, "baseline"),
-    }
+    return {key: value for key, value in document(cfg, "run").items() if key != "output_dir"}
 
 
 def episode_checksum(episode: Episode) -> int:
@@ -290,7 +289,7 @@ def evaluate_method(
 
     ``done`` holds the chunk's reports so far and ``views`` the chunk at each
     centering so far, to which a missing one is added. A failure raises the
-    error of some failing episode; ``_evaluate_chunk`` names it and the method.
+    error of some failing episode; ``_replay`` names it and the method.
     """
     section = getattr(cfg, METHODS[method].section)
     centering = section.centering
@@ -299,37 +298,28 @@ def evaluate_method(
     return METHODS[method].evaluate(section, views[centering], done)
 
 
-def _evaluate_chunk(
-    episodes: list[Episode], start: int, cfg: RunConfig, base_mu: np.ndarray | None
-) -> dict[str, list[EpisodeReport]]:
-    """Every method on one chunk, or the first failing (episode, method) in
-    stream order raised as ``episode i, method m: ...``.
+def _replay(episodes: list[Episode], start: int, cfg: RunConfig,
+            base_mu: np.ndarray | None) -> Exception | None:
+    """The first failing (episode, method) of the chunk from episode
+    ``start`` in stream order, as ``episode i, method m: ...``, or None.
 
-    A failure is located by replaying the chunk one episode at a time,
-    methods in config order, each normalizing the episode itself, so a
-    vector at a centering point names the first method centered there.
-    In a chunk only such a vector, centroid or prototype names its episode;
-    the replay's chunks of one name none, and it prefixes episode and
-    method. Batched results equal one-episode results, so the replay fails
-    where the chunk did; if it does not, the chunk's own error is raised.
+    The chunk is replayed one episode at a time, methods in config order,
+    each normalizing the episode itself, so a vector at a centering point
+    names the first method centered there. In a chunk only such a vector,
+    centroid or prototype names its episode; the replay's chunks of one
+    name none, and it prefixes episode and method. Batched results equal
+    one-episode results, so the replay fails where the chunk did.
     """
-    done: dict[str, list[EpisodeReport]] = {}
-    views: dict[str, NormalizedChunk] = {}
-    try:
-        for method in (m for m in METHODS if m in cfg.methods):
-            done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views)
-        return done
-    except (FsosrError, ValueError):
-        for offset, episode in enumerate(episodes):
-            for method in cfg.methods:
-                try:
-                    evaluate_method(method, [episode], cfg, base_mu, {}, {})
-                except (FsosrError, ValueError) as exc:
-                    message = f"episode {start + offset}, method {method}: {exc}"
-                    if isinstance(exc, FsosrError):
-                        raise type(exc)(message) from exc
-                    raise DataError(message) from exc
-        raise
+    for offset, episode in enumerate(episodes):
+        for method in cfg.methods:
+            try:
+                evaluate_method(method, [episode], cfg, base_mu, {}, {})
+            except (FsosrError, ValueError) as exc:
+                kind = type(exc) if isinstance(exc, FsosrError) else DataError
+                named = kind(f"episode {start + offset}, method {method}: {exc}")
+                named.__cause__ = exc
+                return named
+    return None
 
 
 class _Unit(NamedTuple):
@@ -361,7 +351,7 @@ def _sample_chunk(fs: FeatureSet, cfg: RunConfig, start: int, split: str) -> lis
 
 def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
                     base_mu: np.ndarray | None, failed: mmap.mmap,
-                    worker: int) -> tuple[list, tuple[int, str] | None]:
+                    worker: int) -> tuple[list, tuple[int, Exception] | None]:
     """Evaluate the ``(index, unit)`` pairs ``units`` in order, up to the
     first that fails or the first after a unit that failed in any worker.
 
@@ -373,22 +363,26 @@ def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
     Returns ``(index, reports by method, episode CRCs)`` for each unit
     evaluated, and ``(index, error)`` of the failing one or None. A chunk
     is sampled once for consecutive units of it, which share its views.
+    A failure in a sampled chunk is named by ``_replay``; the unit's own
+    error stands where the replay finds none, and a sampling error as it is.
     """
     results: list = []
-    chunk = None
+    chunk, episodes = None, []
     jobs = len(failed) // 8
     for index, unit in units:
         if index > min(struct.unpack_from(f"{jobs}q", failed)):
             break
         try:
             if unit.start != chunk:
-                chunk, done, views = unit.start, {}, {}
+                chunk, done, views, episodes = unit.start, {}, {}, []  # [] until sampled
                 episodes = _sample_chunk(fs, cfg, unit.start, split)
             for method in unit.methods:
                 done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views)
-        except Exception as exc:  # the caller evaluates the chunk again to raise it
+        except Exception as exc:
             struct.pack_into("q", failed, 8 * worker, index)
-            return results, (index, f"{type(exc).__name__}: {exc}")
+            if episodes and isinstance(exc, (FsosrError, ValueError)):
+                exc = _replay(episodes, unit.start, cfg, base_mu) or exc
+            return results, (index, exc)
         crcs = [episode_checksum(episode) for episode in episodes] if unit.first else []
         results.append((index, {m: done[m] for m in unit.methods}, crcs))
     return results, None
@@ -415,9 +409,9 @@ def _prctl():
 def _in_workers(work: Callable[[int], object], jobs: int) -> list:
     """``[work(j) for j in range(jobs)]``: ``work(0)`` in this process and
     each other call in a forked child, which pickles its result to a pipe
-    and leaves by ``os._exit``. Every child is reaped on every exit path;
-    one that ends without sending its result is an FsosrError naming how
-    it ended."""
+    and leaves by ``os._exit``; a failure it named travels in that result.
+    Every child is reaped on every exit path; one that ends without sending
+    its result is an FsosrError naming how it ended."""
     children: list = []  # (pid, read end of its pipe), not yet reaped
     parent = os.getpid()
     # Resolved before forking: a child only makes the call.
@@ -431,7 +425,11 @@ def _in_workers(work: Callable[[int], object], jobs: int) -> list:
                 try:
                     # The kernel kills this child when the run's process
                     # ends, so a run killed outright leaves no worker; without
-                    # prctl it ends on writing to the closed pipe.
+                    # prctl it ends on writing to the closed pipe, whose
+                    # read ends only the run's process holds.
+                    os.close(read_fd)
+                    for _, pipe in children:
+                        pipe.close()
                     if prctl is not None:
                         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
                     if os.getppid() != parent:  # it ended before the call
@@ -473,8 +471,9 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None,
     or lies under a file, or where a report is a directory, is refused
     before the store loads. The units run in one process per CPU of the
     affinity mask, never more than there are units; the children are
-    forked from this one and share its store, and a failing unit stops
-    every worker before its next unit after it. Output is
+    forked from this one and share its store. A failing unit stops every
+    worker before its next unit after it, and its own worker names the
+    failure; the earliest unit's is raised. Output is
     byte-identical across repeated runs, chunk sizes and process counts,
     and so is the error of a failing run.
     """
@@ -494,11 +493,7 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None,
         )
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
-        index, error = min(failures)
-        start = units[index].start
-        _evaluate_chunk(_sample_chunk(fs, cfg, start, split), start, cfg, base_mu)
-        raise FsosrError(f"episodes from {start}: a worker process failed with {error}, "
-                         "but the chunk evaluated again in this process did not")
+        raise min(failures, key=lambda failure: failure[0])[1]
 
     per_method: dict[str, list[EpisodeReport]] = {method: [] for method in cfg.methods}
     stream_crc = 0

@@ -129,6 +129,22 @@ def test_sweep_leaves_the_run_reports_in_its_output_dir_as_they_were(synth_store
     assert after == before
 
 
+def test_an_empty_output_dir_is_the_working_directory(synth_store, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "store": str(synth_store), "n_episodes": 2, "ostim": {"n_steps": 5}, "output_dir": "",
+        "episodes": {"n_way": 2, "n_shot": 1, "n_query_per_class": 2, "n_open_classes": 1},
+    }))
+    assert main(["run", "--config", str(config)]) == 0
+    assert main(["sweep", "--config", str(config), "--param", "ostim.alpha",
+                 "--grid", "0.5,1.0"]) == 0
+    assert sorted(p.name for p in work.iterdir()) == [
+        "run_report.csv", "run_report.json", "sweep.json"]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep --param ostim.alpha --grid 0.5,1.0"])
 @pytest.mark.parametrize("output_dir", ["notadir", "notadir/sub"])
 def test_output_dir_under_a_file_is_2_before_the_store_loads(

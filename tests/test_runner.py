@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
@@ -138,8 +139,13 @@ class TestConfigParsing:
                 config_from_dict({**doc, "baseline": {"knn_k": 7}})
 
     def test_missing_store(self):
-        with pytest.raises(ConfigError, match="store"):
+        with pytest.raises(ConfigError, match="^config is missing the required key 'store'$"):
             config_from_dict({"methods": ["knn"]})
+
+    def test_a_synth_spec_names_a_missing_key_by_its_json_key(self):
+        doc = {"n_classes": 4, "points_per_class": 3, "centroid_radius": 1.0, "within_std": 0.1}
+        with pytest.raises(ConfigError, match="^config is missing the required key 'synth.dim'$"):
+            runner_mod.synth_spec_from_dict(doc)
 
     def test_unknown_top_level_key(self, store_path):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -179,6 +185,8 @@ class TestConfigParsing:
             ({"methods": ["ostim", []]}, "unknown method"),
             ({"output_dir": 3}, "output_dir"),
             ({"store": None}, "store"),
+            ({"methods": "knn"}, "^methods must be a list of method names, got 'knn'$"),
+            ({"ostim": {"centering": 5}}, "^ostim.centering must be a string, got 5$"),
             ({"ostim": {"alpha": "abc"}}, "ostim.alpha"),
             ({"baseline": {"temperature": True}}, "baseline.temperature"),
             ({"baseline": {"variant": "closed"}}, "unknown baseline config keys"),
@@ -376,6 +384,25 @@ class TestRun:
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
         with pytest.raises(ValueError, match="^batch-only failure$"):
             run(tiny_config(store_path, methods=("ostim",), n_episodes=3))
+
+    def test_a_failing_chunk_is_evaluated_once(self, store_path, monkeypatch):
+        # Each method sees the whole chunk once; only the replay that names
+        # the failure evaluates single episodes.
+        cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=3)
+        knn_fails_at(monkeypatch, cfg, 1)
+        calls, real = Counter(), runner_mod.evaluate_method
+
+        def evaluate_method(method, episodes, *args):
+            if len(episodes) > 1:
+                calls[method] += 1
+            return real(method, episodes, *args)
+
+        monkeypatch.setattr(runner_mod, "evaluate_method", evaluate_method)
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
+        set_cpus(monkeypatch, 1)  # the spy sees only this process
+        with pytest.raises(DataError, match=r"^episode 1, method knn: poisoned knn$"):
+            run(cfg)
+        assert calls == {"ostim": 1, "knn": 1}
 
     def test_scoring_failure_in_one_episode_of_a_chunk_names_it(self, store_path, monkeypatch):
         # The whole chunk is scored at once; the replay names the episode.
@@ -617,7 +644,7 @@ class TestChunkFailures:
     (episode, method) of the stream, whatever the chunk size and the
     process count."""
 
-    @pytest.fixture(autouse=True, params=(1, 2), ids=lambda jobs: f"jobs{jobs}")
+    @pytest.fixture(autouse=True, params=(1, 2, 3), ids=lambda jobs: f"jobs{jobs}")
     def jobs(self, request, monkeypatch):
         set_cpus(monkeypatch, request.param)
 
@@ -696,6 +723,14 @@ class TestChunkFailures:
         knn_fails_at(monkeypatch, cfg, 2)
         self.expect(monkeypatch, cfg, DataError, r"^episode 2, method knn: poisoned knn$")
 
+    def test_earliest_failure_wins_across_three_groups(self, store_path, monkeypatch):
+        # At 3 processes and chunk size 16, each group has its own worker,
+        # and all three fail.
+        cfg = tiny_config(store_path, methods=("ostim", "tim_closed", "knn"), n_episodes=6)
+        diverge_at(monkeypatch, cfg, {4: 2})
+        knn_fails_at(monkeypatch, cfg, 2)
+        self.expect(monkeypatch, cfg, DataError, r"^episode 2, method knn: poisoned knn$")
+
     def test_earlier_method_wins_on_the_same_episode(self, store_path, monkeypatch):
         cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)
         diverge_at(monkeypatch, cfg, {1: 6, 3: 0})
@@ -707,6 +742,46 @@ class TestChunkFailures:
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_the_worker_ends_with_its_killed_run(code: str, within: float) -> None:
+    """Run ``code`` in a fresh interpreter with a 2-CPU mask, kill it outright
+    once it has forked its one worker, and assert that the worker ends
+    within ``within`` seconds. The worker is SIGKILLed in any case."""
+    script = (
+        "import os; import fsosr.runner as runner; "
+        "from fsosr import EpisodeSpec, OstimConfig, RunConfig, run; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        "SPEC = EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, n_open_classes=2); "
+        + code
+    )
+    src = str(Path(runner_mod.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+    deadline = time.monotonic() + 60
+    while not (worker := children.read_text().split()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    parent.kill()
+    parent.wait()
+    assert worker, "no worker was forked"
+
+    def running() -> bool:  # an ended worker is gone, or a zombie until reaped
+        try:
+            stat = Path(f"/proc/{worker[0]}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + within
+    try:
+        while running():
+            assert time.monotonic() < deadline, "the worker outlived its killed run"
+            time.sleep(0.01)
+    finally:  # a worker that outlived it would run on or block for good
+        with suppress(ProcessLookupError):
+            os.kill(int(worker[0]), signal.SIGKILL)
 
 
 def acting(action, here: bool = False):
@@ -800,42 +875,24 @@ class TestJobs:
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
     def test_no_child_outlives_a_killed_run(self, store_path):
-        # A run of many minutes in a fresh interpreter, killed outright once
-        # its one worker is forked: the worker must end with it.
-        script = (
-            "import os; from fsosr import EpisodeSpec, OstimConfig, RunConfig, run; "
-            "os.sched_getaffinity = lambda pid: {0, 1}; "
+        # A run of many minutes, killed outright once its one worker is
+        # forked: the kernel kills the worker with it.
+        assert_the_worker_ends_with_its_killed_run(
             f"run(RunConfig(store={store_path!r}, methods=('ostim', 'tim_closed'), "
-            "n_episodes=10_000, ostim_cfg=OstimConfig(n_steps=1000), "
-            "episode=EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, n_open_classes=2)))"
+            "n_episodes=10_000, ostim_cfg=OstimConfig(n_steps=1000), episode=SPEC))",
+            within=10,
         )
-        src = str(Path(runner_mod.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
-        children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
-        deadline = time.monotonic() + 60
-        while not (worker := children.read_text().split()) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        parent.kill()
-        parent.wait()
-        assert worker, "no worker was forked"
 
-        def running() -> bool:  # an ended worker is gone, or a zombie until reaped
-            try:
-                stat = Path(f"/proc/{worker[0]}/stat").read_text()
-            except FileNotFoundError:
-                return False
-            return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-        deadline = time.monotonic() + 10
-        try:
-            while running():
-                assert time.monotonic() < deadline, "the worker outlived its killed run"
-                time.sleep(0.01)
-        finally:  # a worker that outlived it would run for many minutes
-            with suppress(ProcessLookupError):
-                os.kill(int(worker[0]), signal.SIGKILL)
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+    def test_without_prctl_a_worker_ends_on_writing_to_its_killed_run(self, store_path):
+        # The worker finishes its share and then writes results larger than
+        # a pipe buffer (64 KiB); with no read end left open it ends there.
+        assert_the_worker_ends_with_its_killed_run(
+            "runner._prctl = lambda: None; "
+            f"run(RunConfig(store={store_path!r}, methods=('ostim', 'tim_closed'), "
+            "n_episodes=6_000, ostim_cfg=OstimConfig(n_steps=0), episode=SPEC))",
+            within=30,
+        )
 
     @pytest.mark.parametrize("action, how", [
         (lambda: os._exit(3), "exited with status 3"),
@@ -853,10 +910,10 @@ class TestJobs:
         def fail():
             raise ValueError("only in a worker")
 
+        # The worker holds the tim_closed unit and its replay fails first on ostim.
         monkeypatch.setattr(runner_mod, "evaluate_method", acting(fail))
         set_cpus(monkeypatch, 2)
-        with pytest.raises(FsosrError, match=r"^episodes from 0: a worker process failed with "
-                                             r"ValueError: only in a worker, but"):
+        with pytest.raises(DataError, match=r"^episode 0, method ostim: only in a worker$"):
             run(tiny_config(store_path, methods=BENCH_METHODS["quickstart"]))
         assert_no_child_left()
 
@@ -883,7 +940,7 @@ class TestJobs:
         with pytest.raises(DataError, match=rf"^episode 0, method {failing}: fails at once$"):
             run(tiny_config(store_path, methods=("ostim", "knn"), n_episodes=40))
         assert_no_child_left()
-        # A unit or two before the failure is seen, and the in-process replay.
+        # A unit or two before the failure is seen, and the failing worker's replay.
         assert len(log.read_text()) <= 5
 
 
