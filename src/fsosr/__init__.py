@@ -24,9 +24,6 @@ from .metrics import (
     MetricSummary,
     RunReport,
     aggregate,
-    auroc,
-    aupr,
-    precision_at_recall,
     score_chunk,
     score_episode,
 )
@@ -35,7 +32,6 @@ from .ostim import (
     OstimConfig,
     PrototypeSet,
     Variant,
-    closed_set_entropy,
     init_prototypes,
     logits,
     loss_and_grad,
@@ -73,11 +69,8 @@ __all__ = [
     "SynthSpec",
     "Variant",
     "aggregate",
-    "auroc",
-    "aupr",
     "base_mean",
     "center_normalize",
-    "closed_set_entropy",
     "config_from_dict",
     "diagnose",
     "generate",
@@ -89,7 +82,6 @@ __all__ = [
     "logits",
     "loss_and_grad",
     "normalize_chunk",
-    "precision_at_recall",
     "predict",
     "refine",
     "run",

@@ -66,8 +66,8 @@ def simpleshot_chunk(view: NormalizedChunk, temperature: float = 10.0) -> Predic
 
 def knn_chunk(view: NormalizedChunk, k: int = 1) -> np.ndarray:
     """(E, n_query): mean distance from each query to its k nearest support
-    vectors, as given in ``view``. Higher means more outlying. ``k`` is
-    checked by callers.
+    vectors, as given in ``view``. Higher means more outlying. ``k`` must be
+    in [1, n_support].
 
     Each score equals the difference-form oracle bit for bit: the k smallest
     of ``np.square(q - s).sum(-1)`` over the supports ``s``, square-rooted,
@@ -110,6 +110,8 @@ def knn_chunk(view: NormalizedChunk, k: int = 1) -> np.ndarray:
     query, support = view.query, view.support
     n_episodes, n_query, dim = query.shape
     n_support = support.shape[1]
+    if not 1 <= k <= n_support:
+        raise ValueError(f"k must be in [1, {n_support}], got {k}")
     n_rows = n_episodes * n_query
     q_sq = np.einsum("eqd,eqd->eq", query, query)
     s_sq = np.einsum("esd,esd->es", support, support)
@@ -156,7 +158,4 @@ def knn_outlier_score(
     episode: Episode, centering: str, base_mu: np.ndarray | None = None, k: int = 1
 ) -> np.ndarray:
     """``knn_chunk`` of one episode, normalized at ``centering``."""
-    n_support = episode.support_vectors.shape[0]
-    if not 1 <= k <= n_support:
-        raise ValueError(f"k must be in [1, {n_support}], got {k}")
     return knn_chunk(normalize_chunk([episode], centering, base_mu), k)[0]

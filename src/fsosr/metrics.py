@@ -1,4 +1,4 @@
-"""Episode scoring: closed-set accuracy, AUROC, AUPR, precision at fixed
+"""Episode scoring: closed-set accuracy, AUROC, AUPR, precision at 90%
 recall, and aggregation across episodes.
 
 Outliers are the positive class everywhere, so a random detector scores
@@ -9,11 +9,11 @@ pair. All three detection metrics read the cumulative counts at the block
 ends.
 
 ``score_chunk`` scores E episodes from (E, n) arrays: it ranks every row
-with one argsort and reads all rows' block ends at once, and the one-episode
-functions are its E=1 case. The bits match a loop over the episodes because
-every count is an integer, AUROC divides one integer pair count per row,
-Prec@90 takes a maximum, and AUPR adds each row's terms one after another
-in sweep order, with exact zeros between them.
+with one argsort and reads all rows' block ends at once, and
+``score_episode`` is its E=1 case. The bits match a loop over the episodes
+because every count is an integer, AUROC divides one integer pair count per
+row, Prec@90 takes a maximum, and AUPR adds each row's terms one after
+another in sweep order, with exact zeros between them.
 """
 
 from __future__ import annotations
@@ -120,16 +120,16 @@ def _auroc(r: _Ranked) -> np.ndarray:
     return np.add.reduceat(pairs, r.starts) / (2 * n_out * n_in)
 
 
-def _pr_curve(r: _Ranked, metric: str):
-    """Precision, recall and the recall at the previous block end, at each block end."""
-    if not r.n_out.all():
-        raise ValueError(f"{metric} needs at least one outlier")
+def _pr_curve(r: _Ranked):
+    """Precision, recall and the recall at the previous block end, at each
+    block end. Every row has an outlier: ``score_chunk`` runs ``_auroc``
+    first, which refuses a row without one."""
     n_out = r.n_out[r.rows]
     return r.out / r.seen, r.out / n_out, r.prev_out / n_out
 
 
 def _aupr(r: _Ranked) -> np.ndarray:
-    precision, recall, prev_recall = _pr_curve(r, "aupr")
+    precision, recall, prev_recall = _pr_curve(r)
     # Each row's terms in sweep order, exact zeros between them, summed one
     # after another: the same sequential sum, term for term, as a loop.
     terms = np.zeros((r.n_out.size, r.n))
@@ -137,37 +137,10 @@ def _aupr(r: _Ranked) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _precision_at(r: _Ranked, target_recall: float) -> np.ndarray:
-    precision, recall, _ = _pr_curve(r, "precision_at_recall")
-    if not 0.0 < target_recall <= 1.0:
-        raise ValueError(f"target_recall must be in (0, 1], got {target_recall}")
-    return np.maximum.reduceat(np.where(recall >= target_recall, precision, -1.0), r.starts)
-
-
-def _ranked_row(scores, is_outlier) -> _Ranked:
-    """One row of scores as the E=1 case of ``_ranked``."""
-    scores = np.asarray(scores, dtype=np.float64)
-    is_outlier = np.asarray(is_outlier, dtype=bool)
-    if scores.ndim != 1 or scores.shape != is_outlier.shape:
-        raise ValueError("scores and is_outlier must be 1-D arrays of equal length")
-    return _ranked(scores[None], is_outlier[None])
-
-
-def auroc(scores, is_outlier) -> float:
-    """Probability that a random outlier outscores a random inlier, ties
-    counted half (the Mann-Whitney statistic)."""
-    return float(_auroc(_ranked_row(scores, is_outlier))[0])
-
-
-def aupr(scores, is_outlier) -> float:
-    """Area under the precision-recall curve by step interpolation
-    (average precision). Outliers are the positive class."""
-    return float(_aupr(_ranked_row(scores, is_outlier))[0])
-
-
-def precision_at_recall(scores, is_outlier, target_recall: float = 0.9) -> float:
-    """Best precision among operating points reaching the target recall."""
-    return float(_precision_at(_ranked_row(scores, is_outlier), target_recall)[0])
+def _prec_at_90(r: _Ranked) -> np.ndarray:
+    """The best precision among the block ends that reach 0.9 recall."""
+    precision, recall, _ = _pr_curve(r)
+    return np.maximum.reduceat(np.where(recall >= 0.9, precision, -1.0), r.starts)
 
 
 def score_chunk(
@@ -194,7 +167,7 @@ def score_chunk(
     return [
         EpisodeReport(acc=a, auroc=u, aupr=p, prec_at_90=q)
         for a, u, p, q in zip(
-            acc, _auroc(r).tolist(), _aupr(r).tolist(), _precision_at(r, 0.9).tolist()
+            acc, _auroc(r).tolist(), _aupr(r).tolist(), _prec_at_90(r).tolist()
         )
     ]
 
@@ -207,7 +180,7 @@ def score_episode(
     truth = np.asarray(truth, dtype=np.int64)
     scores = np.asarray(outlier_scores, dtype=np.float64)
     if scores.ndim != 1 or scores.shape != truth.shape:
-        raise ValueError("scores and is_outlier must be 1-D arrays of equal length")
+        raise ValueError("truth and outlier_scores must be 1-D arrays of equal length")
     return score_chunk(
         truth[None], scores[None], None if closed_pred is None else np.asarray(closed_pred)[None]
     )[0]

@@ -52,7 +52,6 @@ from .transforms import NormalizedChunk, check_centering, class_means, unit_rows
 # Unused; bench/tests/test_bench_tracing.py asserts the tracer patches this binding.
 from .transforms import center_normalize  # noqa: F401
 
-_PLOGP_FLOOR = 1e-30
 _TINY = np.finfo(np.float64).smallest_subnormal
 
 
@@ -138,7 +137,9 @@ class LossBreakdown:
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
-    return np.where(p > _PLOGP_FLOOR, p * np.log(np.maximum(p, _PLOGP_FLOOR)), 0.0)
+    """``p log p``, with the log floored at the smallest subnormal as the
+    gradient's logs are, so ``p = 0`` gives 0 and every ``p > 0`` its value."""
+    return p * np.log(np.maximum(p, _TINY))
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -220,20 +221,6 @@ def logits(ps: PrototypeSet, rows: np.ndarray, temperature: float = 10.0) -> np.
     return _logits(rows, v, ps.dummy, ps.variant, temperature)
 
 
-def _loss_terms(probs: np.ndarray, inputs: _Inputs, alpha: float) -> list[LossBreakdown]:
-    """One breakdown per episode."""
-    p_query = probs[..., inputs.n_support:]
-    n_query = p_query.shape[2]
-    ce = -np.log(probs.take(inputs.label_index)).mean(axis=-1)
-    marginal = -_xlogx(np.add.reduce(p_query, axis=2) / n_query).sum(axis=-1)
-    conditional = -_xlogx(p_query).sum(axis=(1, 2)) / n_query
-    total = ce - marginal + alpha * conditional
-    return [
-        LossBreakdown(float(c), float(m), float(h), float(t))
-        for c, m, h, t in zip(ce, marginal, conditional, total)
-    ]
-
-
 def _forward_and_grad(
     inputs: _Inputs, w: np.ndarray, dummy: np.ndarray | None, cfg: OstimConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -289,16 +276,24 @@ def loss_and_grad(
     """
     inputs = _inputs(ps, view)
     probs, w_grad, dummy_grad = _forward_and_grad(inputs, ps.w, ps.dummy, cfg)
-    return _loss_terms(probs, inputs, cfg.alpha), w_grad, dummy_grad
+    p_query = probs[..., inputs.n_support:]
+    n_query = p_query.shape[2]
+    ce = -np.log(probs.take(inputs.label_index)).mean(axis=-1)
+    marginal = -_xlogx(np.add.reduce(p_query, axis=2) / n_query).sum(axis=-1)
+    conditional = -_xlogx(p_query).sum(axis=(1, 2)) / n_query
+    total = ce - marginal + cfg.alpha * conditional
+    breakdowns = [
+        LossBreakdown(float(c), float(m), float(h), float(t))
+        for c, m, h, t in zip(ce, marginal, conditional, total)
+    ]
+    return breakdowns, w_grad, dummy_grad
 
 
-def refine(
-    ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig,
-    traces: list[list[LossBreakdown]] | None = None,
-) -> PrototypeSet:
+def refine(ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig) -> PrototypeSet:
     """Run ``cfg.n_steps`` full-batch gradient-descent steps on every episode
-    of the chunk at once; when ``traces`` is given, its list e gets episode
-    e's loss breakdown at each step, before that step's update.
+    of the chunk at once. Refining t steps and then s more gives the bits of
+    t + s steps, so the loss at step t is ``loss_and_grad`` on the state
+    refined for t steps.
 
     Non-finite losses or gradients abort with the step index rather than
     silently propagating NaNs. An episode that fails in a chunk fails alone
@@ -323,9 +318,6 @@ def refine(
             if not ((probs.take(inputs.label_index) > 0).all()
                     and all(np.isfinite(g).all() for g in grads)):
                 raise DivergenceError(f"non-finite loss or gradient at step {step}")
-            if traces is not None:
-                for trace, breakdown in zip(traces, _loss_terms(probs, inputs, cfg.alpha)):
-                    trace.append(breakdown)
             w = w - cfg.learning_rate * w_grad
             if dummy_grad is not None:
                 dummy = dummy - cfg.learning_rate * dummy_grad
@@ -341,12 +333,3 @@ def predict(ps: PrototypeSet, view: NormalizedChunk, cfg: OstimConfig) -> Predic
     closed-set probability."""
     probs = softmax(logits(ps, view.query, cfg.temperature), axis=1).swapaxes(1, 2)
     return PredictionSheet(probs, ps.n_way)
-
-
-def closed_set_entropy(sheet: PredictionSheet) -> np.ndarray:
-    """Entropy of each query's distribution renormalized over the closed
-    classes only, for an (n, C) or (E, n, C) sheet. A diagnostic: it is not
-    any variant's outlierness score."""
-    head = sheet.probs[..., : sheet.n_closed]
-    head = head / head.sum(axis=-1, keepdims=True)
-    return -_xlogx(head).sum(axis=-1)

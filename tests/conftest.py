@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 import fsosr.feature_store
-from fsosr import Episode, FeatureSet, OUTLIER, SynthSpec
+from fsosr import Episode, EpisodeReport, FeatureSet, OUTLIER, SynthSpec, score_episode
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 
@@ -32,6 +32,13 @@ QUICKSTART = SynthSpec(
 def set_cpus(monkeypatch, n: int) -> None:
     """Give runs an affinity mask of ``n`` CPUs, so they use up to ``n`` processes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def detector_report(scores, is_outlier) -> EpisodeReport:
+    """``score_episode``'s report of a detector-only episode whose outliers
+    are flagged by ``is_outlier`` and whose inliers are class 0."""
+    truth = np.where(np.asarray(is_outlier, dtype=bool), OUTLIER, 0)
+    return score_episode(truth, np.asarray(scores, dtype=np.float64))
 
 
 def traced_peak(call) -> int:

@@ -6,12 +6,13 @@ C runs from 5 to 21. D takes 16, 64 and 640 (640 for the implicit and
 explicit_dummy variants), E takes 1 and 4, and centering, learning rate and
 shot count alternate. ``build`` makes each case's chunk, its initial
 ``PrototypeSet`` and its config from the case's own seed, and ``outputs``
-refines the chunk in one ``refine`` call; the test imports both, so the
-file holds only outputs: for every case ``w`` (E, K, D), ``dummy`` (E, D)
-for the explicit_dummy variant, and the ``refine`` trace of the first
-episode as a (steps, 4) array of ce, marginal entropy, conditional entropy
-and total. ``build_info`` records the numpy version and BLAS library that
-wrote the file, since a matmul's bits depend on them.
+refines the chunk one step at a time; the test imports both, so the file
+holds only outputs: for every case ``w`` (E, K, D), ``dummy`` (E, D) for the
+explicit_dummy variant, and the first episode's loss trace as a (steps, 4)
+array of ce, marginal entropy, conditional entropy and total. Trace entry t
+is ``loss_and_grad`` on the state refined for t steps, so the trace ends
+before the last step's update. ``build_info`` records the numpy version and
+BLAS library that wrote the file, since a matmul's bits depend on them.
 
 Run from the repository root, on the commit whose bits are the reference:
 
@@ -20,13 +21,16 @@ Run from the repository root, on the commit whose bits are the reference:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from fsosr import Episode, OstimConfig, PrototypeSet, Variant, init_prototypes, refine
+from fsosr import (
+    Episode, OstimConfig, PrototypeSet, Variant, init_prototypes, loss_and_grad, refine,
+)
 from fsosr.transforms import NormalizedChunk, normalize_chunk
 
 GOLDEN = Path(__file__).with_name("refine_golden.npz")
@@ -99,17 +103,17 @@ def build(case: Case, seed: int) -> tuple[PrototypeSet, NormalizedChunk, OstimCo
 
 def outputs(case: Case, seed: int) -> dict[str, np.ndarray]:
     """The case's refined ``w``, ``dummy`` (explicit_dummy only) and the
-    first episode's loss trace, all from one ``refine`` of its chunk."""
+    first episode's loss trace, from ``cfg.n_steps`` one-step ``refine``
+    calls of its chunk, which give the bits of one call."""
     ps, view, cfg = build(case, seed)
-    traces = [[] for _ in range(case.n_episodes)]
-    refined = refine(ps, view, cfg, traces)
-    out = {
-        "w": refined.w,
-        "trace": np.array([[b.ce, b.marginal_entropy, b.conditional_entropy, b.total]
-                           for b in traces[0]]),
-    }
+    step, trace = replace(cfg, n_steps=1), []
+    for _ in range(cfg.n_steps):
+        b = loss_and_grad(ps, view, cfg)[0][0]
+        trace.append([b.ce, b.marginal_entropy, b.conditional_entropy, b.total])
+        ps = refine(ps, view, step)
+    out = {"w": ps.w, "trace": np.array(trace)}
     if case.variant is Variant.EXPLICIT_DUMMY:
-        out["dummy"] = refined.dummy
+        out["dummy"] = ps.dummy
     return out
 
 

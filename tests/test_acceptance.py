@@ -22,28 +22,27 @@ from fsosr import (
     OUTLIER,
     EpisodeSpec,
     OstimConfig,
+    PredictionSheet,
     RunConfig,
     SynthSpec,
     Variant,
-    auroc,
-    aupr,
     base_mean,
     center_normalize,
-    closed_set_entropy,
     diagnose,
     generate,
     init_prototypes,
     logits,
     loss_and_grad,
-    precision_at_recall,
     predict,
     refine,
     run,
     sample_episode,
     save_feature_store,
     score_chunk,
+    score_episode,
 )
 from fsosr.baselines import knn_chunk, simpleshot_chunk
+from fsosr.ostim import _xlogx
 from fsosr.transforms import normalize_chunk
 
 from conftest import episode_view, make_episode, set_cpus
@@ -84,6 +83,15 @@ def _trend_chunks(fs, spec: EpisodeSpec):
 def _scored(sheet, view):
     """One report per episode of the chunk ``view``."""
     return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
+
+
+def closed_set_entropy(sheet):
+    """Entropy of each query's distribution renormalized over the closed
+    classes only, for an (n, C) or (E, n, C) sheet: criterion 6's
+    diagnostic, not any variant's outlierness score."""
+    head = sheet.probs[..., : sheet.n_closed]
+    head = head / head.sum(axis=-1, keepdims=True)
+    return -_xlogx(head).sum(axis=-1)
 
 
 def _refined(view, variant, cfg):
@@ -149,11 +157,13 @@ def test_criterion_1_mif_auroc_duality(rng):
         )
         labels = np.repeat(np.arange(n_classes), per_class)
         mif = diagnose(vectors, labels).mif
-        per_class_auroc = []
+        distances = []
         for k in range(n_classes):
             centroid = vectors[labels == k].mean(axis=0)
-            distances = np.linalg.norm(vectors - centroid, axis=1)
-            per_class_auroc.append(auroc(distances, labels != k))
+            distances.append(np.linalg.norm(vectors - centroid, axis=1))
+        # Row k scores class k's centroid detector; the other classes are its outliers.
+        truth = np.where(labels != np.arange(n_classes)[:, None], OUTLIER, 0)
+        per_class_auroc = [report.auroc for report in score_chunk(truth, distances)]
         worst = max(worst, abs(mif - (1.0 - float(np.mean(per_class_auroc)))))
     elapsed = time.monotonic() - t0
     _gate(
@@ -231,25 +241,28 @@ def test_criterion_4_metric_oracles(rng):
         labels = rng.random(n) < float(rng.uniform(0.2, 0.8))
         if not labels.any():
             continue
-        if not labels.all():
-            if auroc(scores, labels) != oracle_auroc(scores, labels):
+        truth = np.where(labels, OUTLIER, 0)
+        if labels.all():
+            # score_episode needs an inlier. One ranked below every score
+            # ends the sweep at recall 1 already reached: it adds an exact
+            # zero to the AUPR, and its precision is below the 1.0 that
+            # every operating point of an all-outlier set has.
+            report = score_episode(np.append(truth, 0), np.append(scores, scores.min() - 1.0))
+        else:
+            report = score_episode(truth, scores)
+            if report.auroc != oracle_auroc(scores, labels):
                 mismatches += 1
-        if aupr(scores, labels) != oracle_aupr(scores, labels):
+        if report.aupr != oracle_aupr(scores, labels):
             mismatches += 1
-        if precision_at_recall(scores, labels, 0.9) != oracle_prec_at_recall(
-            scores, labels, 0.9
-        ):
+        if report.prec_at_90 != oracle_prec_at_recall(scores, labels, 0.9):
             mismatches += 1
         checked += 1
 
     big = np.random.default_rng(7)
     big_scores = big.normal(size=10_000)
     big_labels = np.arange(10_000) % 2 == 0
-    baselines = (
-        auroc(big_scores, big_labels),
-        aupr(big_scores, big_labels),
-        precision_at_recall(big_scores, big_labels, 0.9),
-    )
+    big_report = score_episode(np.where(big_labels, OUTLIER, 0), big_scores)
+    baselines = (big_report.auroc, big_report.aupr, big_report.prec_at_90)
     near_half = all(abs(b - 0.5) <= 0.02 for b in baselines)
     _gate(
         4,
@@ -288,6 +301,40 @@ def test_criterion_6_entropy_shift_directions(store_a_run):
         f"inliers {r['ent_in_init']:.4f} -> {r['ent_in_final']:.4f} (must decrease)",
         outliers_up and inliers_down,
     )
+
+
+class TestClosedSetEntropy:
+    """Criterion 6's diagnostic against direct sums."""
+
+    def test_uniform_and_one_hot(self):
+        head = np.full((2, 4), 0.25)
+        sheet = PredictionSheet(np.hstack([head * 0.8, np.full((2, 1), 0.2)]), 4)
+        assert np.allclose(closed_set_entropy(sheet), math.log(4), atol=1e-12)
+        one_hot = np.zeros((2, 5))
+        one_hot[:, 0] = 0.9
+        one_hot[:, 4] = 0.1
+        assert np.allclose(closed_set_entropy(PredictionSheet(one_hot, 4)), 0.0, atol=1e-12)
+
+    def test_matches_direct_sum(self, rng):
+        ps, view = random_state(rng, make_episode(rng), Variant.IMPLICIT)
+        sheet = predict(ps, view, OstimConfig())
+        ent = closed_set_entropy(sheet)
+        assert ent.shape == (1, sheet.n_queries)
+        for i in range(sheet.n_queries):
+            head = sheet.probs[0, i, : sheet.n_closed]
+            head = [p / head.sum() for p in head]
+            expected = -sum(p * math.log(p) for p in head if p > 0)
+            assert abs(ent[0, i] - expected) <= 1e-10
+
+    @pytest.mark.parametrize("outlier_column", (0, 1))
+    def test_a_chunk_sheet_equals_it_row_by_row(self, rng, outlier_column):
+        probs = rng.dirichlet(np.ones(4 + outlier_column), size=(5, 7))
+        probs[2, 3] = np.eye(4 + outlier_column)[1]  # a one-hot row: its entropy is 0
+        chunk = closed_set_entropy(PredictionSheet(probs, 4))
+        assert chunk.shape == (5, 7)
+        for e in range(5):
+            assert np.array_equal(chunk[e], closed_set_entropy(PredictionSheet(probs[e], 4)))
+        assert chunk[2, 3] == 0.0
 
 
 def test_criterion_7_ablation_trends():

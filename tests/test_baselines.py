@@ -227,6 +227,14 @@ class TestKnn:
         with pytest.raises(ValueError, match=r"k must be"):
             knn_outlier_score(episode, "none", k=3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [0, -1, 7])
+    def test_chunk_refuses_k_out_of_range(self, rng, k):
+        view = normalize_chunk([make_episode(rng), make_episode(rng)], "none")
+        assert view.support.shape[1] == 6
+        with pytest.raises(ValueError, match=rf"^k must be in \[1, 6\], got {k}$"):
+            knn_chunk(view, k)
+
     def test_support_permutation_invariant(self, rng):
         episode = make_episode(rng, n_way=3, n_shot=3)
         perm = rng.permutation(9)

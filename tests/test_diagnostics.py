@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fsosr import DataError, FeatureSet, auroc, diagnose, generate, split_diagnostics
+from fsosr import DataError, FeatureSet, diagnose, generate, split_diagnostics
 
-from conftest import QUICKSTART, make_feature_set, properties, traced_peak
+from conftest import QUICKSTART, detector_report, make_feature_set, properties, traced_peak
 
 def reference_per_class_imposture(vectors, labels) -> dict[int, float]:
     """The imposture pass ``diagnose`` replaced, as it was: a float64 copy,
@@ -81,7 +81,7 @@ def centroid_detector_auroc(vectors, labels):
     for k in classes:
         centroid = vectors[labels == k].mean(axis=0)
         scores = np.linalg.norm(vectors - centroid, axis=1)
-        values.append(auroc(scores, labels != k))
+        values.append(detector_report(scores, labels != k).auroc)
     return float(np.mean(values))
 
 
@@ -149,7 +149,7 @@ class TestImpostureFactor:
         z = np.array([4.0, 0.0])
         assert self.factor(members, z) == 0.4
         distances = np.linalg.norm(np.concatenate([members, [z]]) - [3.0, 0.0], axis=1)
-        assert 1.0 - auroc(distances, np.arange(6) == 5) == pytest.approx(0.6)
+        assert 1.0 - detector_report(distances, np.arange(6) == 5).auroc == pytest.approx(0.6)
 
 
 class TestMeanImpostureFactor:

@@ -14,14 +14,11 @@ from fsosr import (
     EpisodeReport,
     PredictionSheet,
     aggregate,
-    auroc,
-    aupr,
-    precision_at_recall,
     score_chunk,
     score_episode,
 )
 
-from conftest import properties
+from conftest import detector_report, properties
 
 
 def oracle_auroc(scores, is_outlier):
@@ -118,22 +115,22 @@ class TestAuroc:
     def test_perfect_separation(self):
         scores = np.array([0.1, 0.2, 0.9, 0.8])
         labels = np.array([False, False, True, True])
-        assert auroc(scores, labels) == 1.0
+        assert detector_report(scores, labels).auroc == 1.0
 
     def test_all_ties_is_half(self):
         scores = np.full(10, 3.25)
         labels = np.array([True] * 4 + [False] * 6)
-        assert auroc(scores, labels) == 0.5
+        assert detector_report(scores, labels).auroc == 0.5
 
     def test_hand_case(self):
         scores = [3, 1, 2, 5, 4, 0]
         labels = [True, False, True, True, False, False]
-        assert auroc(scores, labels) == oracle_auroc(scores, labels) == 7 / 9
+        assert detector_report(scores, labels).auroc == oracle_auroc(scores, labels) == 7 / 9
 
     def test_tie_hand_case(self):
         scores = [1.0, 1.0, 2.0, 0.0]
         labels = [True, False, True, False]
-        assert auroc(scores, labels) == 0.875
+        assert detector_report(scores, labels).auroc == 0.875
 
     def test_matches_pair_count_oracle_exactly(self, rng):
         for _ in range(60):
@@ -142,77 +139,74 @@ class TestAuroc:
             labels = rng.random(n) < 0.5
             if labels.all() or not labels.any():
                 continue
-            assert auroc(scores, labels) == oracle_auroc(scores, labels)
+            assert detector_report(scores, labels).auroc == oracle_auroc(scores, labels)
 
     def test_single_class_raises(self):
-        with pytest.raises(ValueError):
-            auroc(np.array([1.0, 2.0]), np.array([True, True]))
+        with pytest.raises(ValueError, match="^auroc needs at least one inlier and one outlier$"):
+            detector_report(np.array([1.0, 2.0]), np.array([True, True]))
 
 
 class TestAupr:
     def test_perfect_separation(self):
         scores = np.array([0.1, 0.2, 0.9, 0.8])
         labels = np.array([False, False, True, True])
-        assert aupr(scores, labels) == 1.0
+        assert detector_report(scores, labels).aupr == 1.0
 
     def test_hand_case(self):
         scores = [5, 4, 3, 2, 1]
         labels = [True, False, True, False, False]
-        got = aupr(scores, labels)
+        got = detector_report(scores, labels).aupr
         assert got == oracle_aupr(scores, labels)
         assert np.isclose(got, 5 / 6, atol=1e-15)
 
     def test_constant_scores_give_outlier_proportion(self):
         scores = np.zeros(8)
         labels = np.array([True] * 3 + [False] * 5)
-        assert aupr(scores, labels) == 3 / 8
+        assert detector_report(scores, labels).aupr == 3 / 8
 
     def test_matches_sweep_oracle_exactly(self, rng):
         for _ in range(60):
             n = int(rng.integers(3, 40))
             scores = rng.integers(0, 5, size=n).astype(np.float64)
             labels = rng.random(n) < 0.4
-            if not labels.any():
+            if labels.all() or not labels.any():
                 continue
-            assert aupr(scores, labels) == oracle_aupr(scores, labels)
+            assert detector_report(scores, labels).aupr == oracle_aupr(scores, labels)
 
     def test_zero_outliers_raises(self):
-        with pytest.raises(ValueError):
-            aupr(np.array([1.0, 2.0]), np.array([False, False]))
+        # score_episode scores AUROC first, which refuses the episode.
+        with pytest.raises(ValueError, match="^auroc needs at least one inlier and one outlier$"):
+            detector_report(np.array([1.0, 2.0]), np.array([False, False]))
 
 
 class TestPrecAtRecall:
     def test_perfect_separation(self):
         scores = np.array([0.1, 0.2, 0.9, 0.8])
         labels = np.array([False, False, True, True])
-        assert precision_at_recall(scores, labels) == 1.0
+        assert detector_report(scores, labels).prec_at_90 == 1.0
 
     def test_hand_case(self):
         scores = [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]
         labels = [True, False, True, True, False, True, False, False, False, False]
-        got = precision_at_recall(scores, labels, 0.9)
+        got = detector_report(scores, labels).prec_at_90
         assert got == oracle_prec_at_recall(scores, labels, 0.9)
         assert np.isclose(got, 4 / 6, atol=1e-15)
 
     def test_constant_scores_give_outlier_proportion(self):
         scores = np.ones(10)
         labels = np.array([True] * 5 + [False] * 5)
-        assert precision_at_recall(scores, labels) == 0.5
+        assert detector_report(scores, labels).prec_at_90 == 0.5
 
     def test_matches_sweep_oracle_exactly(self, rng):
         for _ in range(60):
             n = int(rng.integers(3, 40))
             scores = rng.integers(0, 5, size=n).astype(np.float64)
             labels = rng.random(n) < 0.4
-            if not labels.any():
+            if labels.all() or not labels.any():
                 continue
-            assert precision_at_recall(scores, labels, 0.9) == oracle_prec_at_recall(
+            assert detector_report(scores, labels).prec_at_90 == oracle_prec_at_recall(
                 scores, labels, 0.9
             )
-
-    def test_bad_target_raises(self):
-        with pytest.raises(ValueError):
-            precision_at_recall(np.ones(3), np.array([True, False, True]), 0.0)
 
 
 class TestScoreInvariances:
@@ -223,7 +217,8 @@ class TestScoreInvariances:
             labels = rng.random(n) < 0.5
             if labels.all() or not labels.any():
                 continue
-            assert abs(auroc(-scores, labels) - (1 - auroc(scores, labels))) <= 1e-15
+            flipped = detector_report(-scores, labels).auroc
+            assert abs(flipped - (1 - detector_report(scores, labels).auroc)) <= 1e-15
 
     def test_monotone_transform_invariance(self, rng):
         for _ in range(20):
@@ -232,12 +227,8 @@ class TestScoreInvariances:
             labels = rng.random(n) < 0.5
             if labels.all() or not labels.any():
                 continue
-            transformed = np.exp(scores)
-            assert auroc(scores, labels) == auroc(transformed, labels)
-            assert aupr(scores, labels) == aupr(transformed, labels)
-            assert precision_at_recall(scores, labels) == precision_at_recall(
-                transformed, labels
-            )
+            report = detector_report(scores, labels)
+            assert report == detector_report(np.exp(scores), labels)
 
     def test_all_metrics_in_unit_interval(self, rng):
         for _ in range(50):
@@ -246,11 +237,8 @@ class TestScoreInvariances:
             labels = rng.random(n) < 0.5
             if labels.all() or not labels.any():
                 continue
-            for value in (
-                auroc(scores, labels),
-                aupr(scores, labels),
-                precision_at_recall(scores, labels),
-            ):
+            report = detector_report(scores, labels)
+            for value in (report.auroc, report.aupr, report.prec_at_90):
                 assert 0.0 <= value <= 1.0
 
 
@@ -348,21 +336,12 @@ def tie_heavy_queries(draw, n: int | None = None) -> tuple[list[float], list[boo
 
 class TestOracleProperties:
     @properties
-    @given(tie_heavy_queries(), st.sampled_from([0.9, 1.0]) | st.floats(1e-9, 1.0))
-    def test_every_metric_equals_its_oracle(self, queries, target):
-        assert auroc(*queries) == oracle_auroc(*queries)
-        assert aupr(*queries) == oracle_aupr(*queries)
-        assert precision_at_recall(*queries, target) == oracle_prec_at_recall(*queries, target)
-
-    @properties
     @given(tie_heavy_queries())
-    def test_score_episode_equals_the_standalone_metrics(self, queries):
-        scores, is_outlier = queries
-        truth = np.where(is_outlier, OUTLIER, 0)
-        report = score_episode(truth, np.array(scores), np.zeros(len(scores), dtype=np.int64))
-        assert report.auroc == auroc(scores, is_outlier)
-        assert report.aupr == aupr(scores, is_outlier)
-        assert report.prec_at_90 == precision_at_recall(scores, is_outlier, 0.9)
+    def test_every_metric_equals_its_oracle(self, queries):
+        report = detector_report(*queries)
+        assert report.auroc == oracle_auroc(*queries)
+        assert report.aupr == oracle_aupr(*queries)
+        assert report.prec_at_90 == oracle_prec_at_recall(*queries, 0.9)
 
 
 @st.composite
@@ -428,5 +407,7 @@ class TestScoreChunk:
             score_chunk(np.zeros((2, 3)), np.zeros((2, 4)))
         with pytest.raises(ValueError, match="2-D arrays of equal shape"):
             score_chunk(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        with pytest.raises(
+            ValueError, match="^truth and outlier_scores must be 1-D arrays of equal length$"
+        ):
             score_episode(np.zeros(3), np.zeros(4))

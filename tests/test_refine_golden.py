@@ -1,5 +1,6 @@
 """The refinement kernel against the refined prototypes, dummy vectors and
-loss traces stored in ``tests/data/refine_golden.npz``, bit for bit.
+loss traces stored in ``tests/data/refine_golden.npz``, bit for bit. A
+trace is ``loss_and_grad`` on the state refined for each step count.
 
 ``tests/data/make_refine_golden.py`` builds every case from its seed and
 wrote the file; see CHANGES.md for the commit whose bits it holds. A
