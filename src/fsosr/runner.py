@@ -8,42 +8,40 @@ settings, centering and ``variant`` included, and ``_KEYS`` declares their
 JSON keys once, for parsing and the report snapshot. ``METHODS`` maps each
 method name to the ``RunConfig`` field of its section and to its chunk
 evaluator ``evaluate(section, view, done)``. The stream is cut into chunks
-of ``CHUNK_SIZE`` episodes and the work into units: a chunk with one
-``ostim``-section method, or with all of its ``baseline``-section methods,
-so ``strong_baseline`` reuses the ``simpleshot`` and ``knn`` reports. A
-worker stacks and normalizes a chunk once per centering in use into a
-``NormalizedChunk`` ``view``, all an evaluator reads, and shares it among
-its units of that chunk; each chunk's one sheet or score array is scored
-by one ``score_chunk`` call. Units run in up to one process per CPU of the
-affinity mask: this process and children forked from it, each of n
-taking every n-th unit. Results are reduced in unit order and depend
-neither on the chunk nor on the process count. A failing unit stops every
-worker before its next later unit, and the worker that hit it replays its
-chunk one episode at a time, methods in config order, to name the first
-failing (episode, method) in stream order; nothing is evaluated twice.
-The run raises the failure of the earliest unit.
+of ``CHUNK_SIZE`` episodes and the work into units: an episode range of a
+chunk with one ``ostim``-section method, or with all of its
+``baseline``-section methods, so ``strong_baseline`` reuses the
+``simpleshot`` and ``knn`` reports. ``_plan`` deals the units to up to one
+process per CPU of the affinity mask (this process and children forked
+from it, see ``workers``) from the config and the store's dimension alone.
+A worker stacks and normalizes a chunk once per centering in use into a
+``NormalizedChunk`` ``view`` and serves each of its ranges of that chunk
+from it; each range's one sheet or score array is scored by one
+``score_chunk`` call. Every operation is per episode, so results depend
+neither on the plan nor on the chunk size. Results are reduced in the
+canonical unit order (chunk, group, range start). A failing unit stops
+every worker before its next later unit, and the worker that hit it
+replays the unit's whole chunk one episode at a time, methods in config
+order, to name the first failing (episode, method) in stream order;
+nothing is evaluated twice. The run raises the failure of the earliest
+unit.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import mmap
-import os
-import pickle
-import signal
 import struct
 import zlib
 from collections.abc import Callable
-from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import baselines, ostim
+from . import baselines, ostim, workers
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, integer, number
 from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_path,
@@ -59,8 +57,13 @@ CHUNK_SIZE = 16
 REPORT_FILES = ("run_report.json", "run_report.csv")
 SWEEP_FILE = "sweep.json"
 
-# prctl(2)'s option to signal a process when its parent ends (Linux).
-_PR_SET_PDEATHSIG = 1
+# The fixed cost of one refinement step of a chunk, in the units of its
+# per-episode cost (logit columns x rows x D): the dispatch of the step's
+# numpy calls, paid once per chunk whatever its size. Timed refinement puts
+# it at about 82,000 for 5-way 1-shot D=16 chunks (18 ms against 3.3 ms per
+# episode of 14,880) and 125,000 for 20-way 5-shot D=64 ones. It decides
+# when cutting a chunk's refinement in two pays for the second fixed cost.
+_STEP_COST = 100_000
 
 # A method section of the run config.
 Section = ostim.OstimConfig | baselines.BaselineConfig
@@ -98,20 +101,21 @@ class RunConfig:
 class Method(NamedTuple):
     section: str  # the RunConfig field holding its section ("ostim_cfg" or "baseline_cfg")
     evaluate: Callable[[Section, NormalizedChunk, dict], list[EpisodeReport]]
+    variant: ostim.Variant | None = None  # a refinement's own; None for its section's
 
 
 def _scored(sheet, view: NormalizedChunk) -> list[EpisodeReport]:
     return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
 
 
-def _refined(variant: ostim.Variant | None):
+def _refinement(variant: ostim.Variant | None) -> Method:
     """Refine the chunk with ``variant``, or with the section's own when it is None."""
 
     def evaluate(ocfg, view, done):
         ps = ostim.init_prototypes(view, variant or ocfg.variant)
         return _scored(ostim.predict(ostim.refine(ps, view, ocfg), view, ocfg), view)
 
-    return evaluate
+    return Method("ostim_cfg", evaluate, variant)
 
 
 def _simpleshot(bcfg, view, done):
@@ -132,9 +136,9 @@ def _strong_baseline(bcfg, view, done):
 
 
 METHODS: dict[str, Method] = {
-    "ostim": Method("ostim_cfg", _refined(None)),
-    "tim_closed": Method("ostim_cfg", _refined(ostim.Variant.CLOSED)),
-    "explicit_dummy": Method("ostim_cfg", _refined(ostim.Variant.EXPLICIT_DUMMY)),
+    "ostim": _refinement(None),
+    "tim_closed": _refinement(ostim.Variant.CLOSED),
+    "explicit_dummy": _refinement(ostim.Variant.EXPLICIT_DUMMY),
     "simpleshot": Method("baseline_cfg", _simpleshot),
     "knn": Method("baseline_cfg", _knn),
     "strong_baseline": Method("baseline_cfg", _strong_baseline),
@@ -284,18 +288,22 @@ def episode_checksum(episode: Episode) -> int:
 def evaluate_method(
     method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None,
     done: dict[str, list[EpisodeReport]], views: dict[str, NormalizedChunk],
+    span: slice = slice(None),
 ) -> list[EpisodeReport]:
-    """Score one method on a chunk of same-shape episodes, in order.
+    """Score one method on the episodes ``span`` of a chunk of same-shape
+    episodes, in order.
 
-    ``done`` holds the chunk's reports so far and ``views`` the chunk at each
-    centering so far, to which a missing one is added. A failure raises the
-    error of some failing episode; ``_replay`` names it and the method.
+    ``done`` holds the unit's reports so far and ``views`` the whole chunk
+    at each centering so far, to which a missing one is added; the method
+    reads ``span`` of it. A failure raises the error of some failing
+    episode of the chunk; ``_replay`` names it and the method.
     """
     section = getattr(cfg, METHODS[method].section)
     centering = section.centering
     if centering not in views:
         views[centering] = normalize_chunk(episodes, centering, base_mu)
-    return METHODS[method].evaluate(section, views[centering], done)
+    view = NormalizedChunk(*(part[span] for part in views[centering]))
+    return METHODS[method].evaluate(section, view, done)
 
 
 def _replay(episodes: list[Episode], start: int, cfg: RunConfig,
@@ -323,25 +331,79 @@ def _replay(episodes: list[Episode], start: int, cfg: RunConfig,
 
 
 class _Unit(NamedTuple):
-    """A chunk, named by its first episode, with one group of its methods."""
+    """Episodes ``[start, stop)`` of the chunk that begins at episode
+    ``chunk``, with group ``group`` of its methods. Units sort in the
+    canonical order: chunk, group, range start."""
 
+    chunk: int
+    group: int
     start: int
+    stop: int
     methods: tuple[str, ...]  # in ``METHODS`` order
-    first: bool  # the chunk's first unit, whose worker checksums its episodes
 
 
-def _units(cfg: RunConfig) -> list[_Unit]:
-    """Every chunk with each ``ostim``-section method alone and with its
-    ``baseline``-section methods together, chunk by chunk."""
+def _cost(cfg: RunConfig, unit: _Unit, dim: int) -> int:
+    """``unit``'s estimated cost. A refinement takes ``n_steps`` steps, and
+    one more for its initial prototypes and prediction, each ``_STEP_COST``
+    plus logit columns x rows x D per episode; the baselines take one
+    class-by-row table of K x rows x D per episode."""
+    spec = cfg.episode
+    rows = spec.n_way * spec.n_shot + (spec.n_way + spec.n_open_classes) * spec.n_query_per_class
+    episodes = unit.stop - unit.start
+    method = METHODS[unit.methods[0]]
+    if method.section == "baseline_cfg":
+        return episodes * spec.n_way * rows * dim
+    columns = spec.n_way + ((method.variant or cfg.ostim_cfg.variant) is not ostim.Variant.CLOSED)
+    return (cfg.ostim_cfg.n_steps + 1) * (_STEP_COST + episodes * columns * rows * dim)
+
+
+def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
+    """The run's units dealt to up to ``jobs`` workers: each busy worker's
+    ``(index, unit)`` pairs in canonical order, ``index`` being the unit's
+    rank in that order. Only ``cfg`` and the store's ``dim`` decide it.
+
+    Every chunk holds each ``ostim``-section method alone and its
+    ``baseline``-section methods together. These are dealt by ``_cost``,
+    longest first and ties in canonical order, each to the least-loaded
+    worker (the first such). A refinement is cut instead into two episode
+    ranges, dealt to the two least-loaded workers, where that lowers the
+    estimated makespan: the largest load, or if more, the total spread
+    evenly, the work still to deal included. Each part pays the fixed step
+    cost again, so while other work can fill the workers nothing is cut.
+    """
     groups: dict[str, list[str]] = {}
     for method in (m for m in METHODS if m in cfg.methods):
         key = "baseline" if METHODS[method].section == "baseline_cfg" else method
         groups.setdefault(key, []).append(method)
-    return [
-        _Unit(start, tuple(group), g == 0)
-        for start in range(0, cfg.n_episodes, CHUNK_SIZE)
+    whole = [
+        _Unit(chunk, g, chunk, min(chunk + CHUNK_SIZE, cfg.n_episodes), tuple(group))
+        for chunk in range(0, cfg.n_episodes, CHUNK_SIZE)
         for g, group in enumerate(groups.values())
     ]
+
+    def cost(unit: _Unit) -> int:
+        return _cost(cfg, unit, dim)
+
+    left = sum(map(cost, whole))
+    loads, shares = [0] * jobs, [[] for _ in range(jobs)]
+    for unit in sorted(whole, key=cost, reverse=True):  # stable: ties stay in canonical order
+        left -= cost(unit)
+        targets = sorted(range(jobs), key=loads.__getitem__)[:2]  # the least loaded, stably
+        options = [(unit,)]
+        if METHODS[unit.methods[0]].section == "ostim_cfg" and jobs > 1:
+            options += [(unit._replace(stop=cut), unit._replace(start=cut))
+                        for cut in range(unit.start + 1, unit.stop)]
+        top, total = max(loads), sum(loads) + left
+
+        def makespan(parts: tuple[_Unit, ...]) -> float:
+            placed = [loads[w] + cost(part) for w, part in zip(targets, parts)]
+            return max(top, *placed, (total + sum(map(cost, parts))) / jobs)
+
+        for w, part in zip(targets, min(options, key=makespan)):
+            loads[w] += cost(part)
+            shares[w].append(part)
+    rank = {unit: i for i, unit in enumerate(sorted(u for share in shares for u in share))}
+    return [[(rank[unit], unit) for unit in sorted(share)] for share in shares if share]
 
 
 def _sample_chunk(fs: FeatureSet, cfg: RunConfig, start: int, split: str) -> list[Episode]:
@@ -361,10 +423,13 @@ def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
     the run names the same failure, and none after it is begun.
 
     Returns ``(index, reports by method, episode CRCs)`` for each unit
-    evaluated, and ``(index, error)`` of the failing one or None. A chunk
-    is sampled once for consecutive units of it, which share its views.
-    A failure in a sampled chunk is named by ``_replay``; the unit's own
-    error stands where the replay finds none, and a sampling error as it is.
+    evaluated, the CRCs of its range for a unit of the chunk's first group
+    and none for the others, and ``(index, error)`` of the failing one or
+    None. A chunk is sampled and normalized once for consecutive units of
+    it. A failure in a sampled chunk is named by ``_replay`` of the whole
+    chunk, so each failing unit of a chunk names the chunk's first failing
+    episode, whatever its range; the unit's own error stands where the
+    replay finds none, and a sampling error as it is.
     """
     results: list = []
     chunk, episodes = None, []
@@ -372,94 +437,22 @@ def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
     for index, unit in units:
         if index > min(struct.unpack_from(f"{jobs}q", failed)):
             break
+        span = slice(unit.start - unit.chunk, unit.stop - unit.chunk)
+        done: dict[str, list[EpisodeReport]] = {}
         try:
-            if unit.start != chunk:
-                chunk, done, views, episodes = unit.start, {}, {}, []  # [] until sampled
-                episodes = _sample_chunk(fs, cfg, unit.start, split)
+            if unit.chunk != chunk:
+                chunk, views, episodes = unit.chunk, {}, []  # [] until sampled
+                episodes = _sample_chunk(fs, cfg, unit.chunk, split)
             for method in unit.methods:
-                done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views)
+                done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views, span)
         except Exception as exc:
             struct.pack_into("q", failed, 8 * worker, index)
             if episodes and isinstance(exc, (FsosrError, ValueError)):
-                exc = _replay(episodes, unit.start, cfg, base_mu) or exc
+                exc = _replay(episodes, unit.chunk, cfg, base_mu) or exc
             return results, (index, exc)
-        crcs = [episode_checksum(episode) for episode in episodes] if unit.first else []
-        results.append((index, {m: done[m] for m in unit.methods}, crcs))
+        crcs = [episode_checksum(episode) for episode in episodes[span]] if unit.group == 0 else []
+        results.append((index, done, crcs))
     return results, None
-
-
-def _job_count(n_units: int) -> int:
-    """The CPUs of the affinity mask, capped at ``n_units``; 1 where
-    processes cannot be forked or the mask is unknown."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_units)
-
-
-def _prctl():
-    """prctl(2) of the C library, or None where it has none."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except AttributeError:
-        return None
-    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-    return prctl
-
-
-def _in_workers(work: Callable[[int], object], jobs: int) -> list:
-    """``[work(j) for j in range(jobs)]``: ``work(0)`` in this process and
-    each other call in a forked child, which pickles its result to a pipe
-    and leaves by ``os._exit``; a failure it named travels in that result.
-    Every child is reaped on every exit path; one that ends without sending
-    its result is an FsosrError naming how it ended."""
-    children: list = []  # (pid, read end of its pipe), not yet reaped
-    parent = os.getpid()
-    # Resolved before forking: a child only makes the call.
-    prctl = _prctl() if jobs > 1 else None
-    try:
-        for j in range(1, jobs):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    # The kernel kills this child when the run's process
-                    # ends, so a run killed outright leaves no worker; without
-                    # prctl it ends on writing to the closed pipe, whose
-                    # read ends only the run's process holds.
-                    os.close(read_fd)
-                    for _, pipe in children:
-                        pipe.close()
-                    if prctl is not None:
-                        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-                    if os.getppid() != parent:  # it ended before the call
-                        os._exit(1)
-                    with os.fdopen(write_fd, "wb") as out:
-                        pickle.dump(work(j), out, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [work(0)]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise FsosrError(f"worker process {pid} {how} before sending its results")
-            results.append(pickle.loads(data))
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
 
 
 def run(cfg: RunConfig, fs: FeatureSet | None = None,
@@ -469,13 +462,13 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None,
     Returns one RunReport per method and, when ``output_dir`` is set, writes
     ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
     or lies under a file, or where a report is a directory, is refused
-    before the store loads. The units run in one process per CPU of the
-    affinity mask, never more than there are units; the children are
-    forked from this one and share its store. A failing unit stops every
-    worker before its next unit after it, and its own worker names the
-    failure; the earliest unit's is raised. Output is
-    byte-identical across repeated runs, chunk sizes and process counts,
-    and so is the error of a failing run.
+    before the store loads. The units run as ``_plan`` deals them, in up
+    to one process per CPU of the affinity mask; the children are forked
+    from this one and share its store. A failing unit stops every worker
+    before its next unit after it, and its own worker names the failure;
+    the earliest unit's is raised. Output is byte-identical across
+    repeated runs, chunk sizes and process counts, and so is the error of
+    a failing run.
     """
     _check_output_dir(cfg.output_dir, REPORT_FILES)
     if fs is None:
@@ -483,13 +476,12 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None,
     needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
     base_mu = base_mean(fs) if needs_base_mu else None
 
-    units = _units(cfg)
-    jobs = _job_count(len(units))
-    indexed = list(enumerate(units))
+    shares = _plan(cfg, fs.dim, workers.job_count())
+    jobs = len(shares)
     with mmap.mmap(-1, 8 * jobs) as failed:  # anonymous and shared with the forks
-        struct.pack_into(f"{jobs}q", failed, 0, *[len(units)] * jobs)
-        outcomes = _in_workers(
-            lambda j: _evaluate_units(indexed[j::jobs], fs, cfg, split, base_mu, failed, j), jobs
+        struct.pack_into(f"{jobs}q", failed, 0, *[sum(map(len, shares))] * jobs)
+        outcomes = workers.in_workers(
+            lambda j: _evaluate_units(shares[j], fs, cfg, split, base_mu, failed, j), jobs
         )
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import importlib.util
 import json
 import os
 import re
@@ -18,8 +20,10 @@ import numpy as np
 import pytest
 
 import fsosr.baselines as baselines_mod
+import fsosr.cli as cli
 import fsosr.ostim as ostim_mod
 import fsosr.runner as runner_mod
+import fsosr.workers as workers_mod
 from fsosr import (
     ConfigError,
     DataError,
@@ -45,7 +49,8 @@ from fsosr.episodes import sample_episode
 from fsosr.feature_store import base_mean
 from fsosr.metrics import aggregate, score_episode
 from fsosr.runner import episode_checksum, load_config
-from fsosr.transforms import CENTERING_KINDS, center_normalize, normalize_chunk
+from fsosr.transforms import (CENTERING_KINDS, NormalizedChunk, center_normalize,
+                              normalize_chunk)
 
 from conftest import episode_view, set_cpus, with_a_centroid_at_the_task_mean
 
@@ -527,6 +532,26 @@ class TestChunkPath:
             assert np.array_equal(probs, simpleshot_classify(episode, centering, mu, 7.5).probs)
             assert np.array_equal(score, knn_outlier_score(episode, centering, mu, 2))
 
+    def test_a_range_of_a_normalized_chunk_equals_the_range_normalized_alone(self):
+        # What a cut unit reads: a slice of its chunk's view, starting inside
+        # the chunk's arrays, at D=64, the width of the wide bench stores.
+        fs = generate(SynthSpec(dim=64, n_classes=12, points_per_class=20, centroid_radius=1.0,
+                                within_std=0.3, seed=2, split_fractions=(0.25, 0.25, 0.5)))
+        spec = EpisodeSpec(n_way=4, n_shot=2, n_query_per_class=3, n_open_classes=2, seed=5)
+        episodes = [sample_episode(fs, spec, i) for i in range(5)]
+        view = normalize_chunk(episodes, "task")
+        ocfg = OstimConfig(n_steps=5, learning_rate=0.05)
+        for start, stop in ((0, 3), (1, 2), (1, 4), (3, 5)):
+            part = NormalizedChunk(*(array[start:stop] for array in view))
+            alone = normalize_chunk(episodes[start:stop], "task")
+            for variant in Variant:
+                assert np.array_equal(refined_sheet(part, variant, ocfg).probs,
+                                      refined_sheet(alone, variant, ocfg).probs)
+            assert np.array_equal(baselines_mod.simpleshot_chunk(part, 7.5).probs,
+                                  baselines_mod.simpleshot_chunk(alone, 7.5).probs)
+            assert np.array_equal(baselines_mod.knn_chunk(part, 2),
+                                  baselines_mod.knn_chunk(alone, 2))
+
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_every_method_of_a_chunk_equals_its_episodes_scored_alone(
         self, store_path, monkeypatch, chunk
@@ -647,6 +672,7 @@ class TestChunkFailures:
     @pytest.fixture(autouse=True, params=(1, 2, 3), ids=lambda jobs: f"jobs{jobs}")
     def jobs(self, request, monkeypatch):
         set_cpus(monkeypatch, request.param)
+        return request.param
 
     def expect(self, monkeypatch, cfg, error, message):
         for chunk in CHUNK_SIZES:
@@ -705,8 +731,18 @@ class TestChunkFailures:
         self.expect(monkeypatch, cfg, DegenerateFeatureError, r"^episode 4, method simpleshot: "
                     r"centroid 0 coincides with the centering point$")
 
-    def test_earlier_episode_wins_across_methods(self, store_path, monkeypatch):
+    def test_earlier_episode_wins_across_methods(self, store_path, monkeypatch, jobs):
+        # At chunk size 16 and 2 or 3 processes, ostim's refinement is cut
+        # into [0, 3) and [3, 6), both ranked before knn's unit. The later
+        # range fails at episode 4, knn at episode 2: its worker replays the
+        # whole chunk, so episode 2 is named, not the range's own episode 4.
         cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=6)
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 16)
+        units = sorted(unit for share in runner_mod._plan(cfg, 6, jobs) for _, unit in share)
+        assert [(unit.methods, unit.start, unit.stop) for unit in units] == (
+            [(("ostim",), 0, 6), (("knn",), 0, 6)] if jobs == 1
+            else [(("ostim",), 0, 3), (("ostim",), 3, 6), (("knn",), 0, 6)]
+        )
         diverge_at(monkeypatch, cfg, {4: 2})
         knn_fails_at(monkeypatch, cfg, 2)
         self.expect(monkeypatch, cfg, DataError, r"^episode 2, method knn: poisoned knn$")
@@ -739,6 +775,7 @@ class TestChunkFailures:
                     r"^episode 1, method ostim: non-finite loss or gradient at step 6$")
 
 
+
 def assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -749,7 +786,7 @@ def assert_the_worker_ends_with_its_killed_run(code: str, within: float) -> None
     once it has forked its one worker, and assert that the worker ends
     within ``within`` seconds. The worker is SIGKILLed in any case."""
     script = (
-        "import os; import fsosr.runner as runner; "
+        "import os; import fsosr.workers as workers; "
         "from fsosr import EpisodeSpec, OstimConfig, RunConfig, run; "
         "os.sched_getaffinity = lambda pid: {0, 1}; "
         "SPEC = EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, n_open_classes=2); "
@@ -830,22 +867,70 @@ class TestJobs:
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 3)
         cfg = tiny_config(store_path, methods=("strong_baseline", "tim_closed", "knn", "ostim"),
                           n_episodes=4)
-        assert [tuple(unit) for unit in runner_mod._units(cfg)] == [
-            (0, ("ostim",), True), (0, ("tim_closed",), False),
-            (0, ("knn", "strong_baseline"), False),
-            (3, ("ostim",), True), (3, ("tim_closed",), False),
-            (3, ("knn", "strong_baseline"), False),
+        (share,) = runner_mod._plan(cfg, 6, 1)
+        assert [(index, tuple(unit)) for index, unit in share] == [
+            (0, (0, 0, 0, 3, ("ostim",))), (1, (0, 1, 0, 3, ("tim_closed",))),
+            (2, (0, 2, 0, 3, ("knn", "strong_baseline"))),
+            (3, (3, 0, 3, 4, ("ostim",))), (4, (3, 1, 3, 4, ("tim_closed",))),
+            (5, (3, 2, 3, 4, ("knn", "strong_baseline"))),
         ]
 
     def test_job_count(self, monkeypatch):
-        cpus = len(os.sched_getaffinity(0))
-        assert runner_mod._job_count(64) == min(cpus, 64)
-        assert runner_mod._job_count(1) == 1
+        assert workers_mod.job_count() == len(os.sched_getaffinity(0))
         set_cpus(monkeypatch, 5)
-        assert runner_mod._job_count(3) == 3
-        assert runner_mod._job_count(8) == 5
+        assert workers_mod.job_count() == 5
         monkeypatch.delattr(os, "fork")
-        assert runner_mod._job_count(8) == 1
+        assert workers_mod.job_count() == 1
+
+    def test_reports_are_byte_identical_when_the_plan_cuts_a_unit(
+        self, store_path, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config(store_path, methods=("ostim", "knn", "strong_baseline"), n_episodes=7)
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 16)
+        for jobs in (2, 3):  # the refinement is cut in two, so this test covers cut units
+            ranges = [(unit.start, unit.stop) for share in runner_mod._plan(cfg, 6, jobs)
+                      for _, unit in share if unit.methods == ("ostim",)]
+            assert sorted(ranges) == [(0, 3), (3, 7)]
+        outputs = set()
+        for chunk in CHUNK_SIZES:
+            monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+            for jobs in (1, 2, 3):
+                set_cpus(monkeypatch, jobs)
+                out = tmp_path / f"chunk{chunk}-jobs{jobs}"
+                run(replace(cfg, output_dir=str(out)))
+                assert_no_child_left()
+                outputs.add(tuple((out / name).read_bytes() for name in runner_mod.REPORT_FILES))
+        assert len(outputs) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="reads /proc")
+    @pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+    def test_a_worker_that_cannot_start_is_named_and_leaves_no_pipe_or_child(
+        self, store_path, tmp_path, monkeypatch, capsys, call, code
+    ):
+        real, calls = getattr(os, call), []
+
+        def second_call_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(code, os.strerror(code))
+            return real()
+
+        cfg = tiny_config(store_path, methods=BENCH_METHODS["quickstart"])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(runner_mod._config_snapshot(cfg)))
+        assert len(runner_mod._plan(cfg, 6, 3)) == 3  # so the run starts two workers
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, call, second_call_fails)
+        message = f"cannot start a worker process: [Errno {code}] {os.strerror(code)}"
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(FsosrError, match=f"^{re.escape(message)}$"):
+            run(cfg)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()
+        calls.clear()
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert_no_child_left()
 
     def test_a_mask_of_one_cpu_forks_nothing(self, store_path, monkeypatch):
         def fork():
@@ -888,7 +973,7 @@ class TestJobs:
         # The worker finishes its share and then writes results larger than
         # a pipe buffer (64 KiB); with no read end left open it ends there.
         assert_the_worker_ends_with_its_killed_run(
-            "runner._prctl = lambda: None; "
+            "workers._prctl = lambda: None; "
             f"run(RunConfig(store={store_path!r}, methods=('ostim', 'tim_closed'), "
             "n_episodes=6_000, ostim_cfg=OstimConfig(n_steps=0), episode=SPEC))",
             within=30,
@@ -920,9 +1005,10 @@ class TestJobs:
     @pytest.mark.parametrize("failing", ["knn", "ostim"])
     def test_a_failure_stops_the_other_worker(self, store_path, tmp_path, monkeypatch,
                                               failing):
-        # At chunk size 1, worker 0 (this process) takes every ostim unit and
-        # worker 1 every knn unit. The other method logs each call and takes
-        # 50 ms, so a worker that went on past the failure would log 40.
+        # At chunk size 1, worker 0 (this process) takes the ostim and knn
+        # units of every even chunk and worker 1 those of every odd one. The
+        # other method logs each call and takes 50 ms, so a worker that went
+        # on past the failure would log 20.
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 1)
         set_cpus(monkeypatch, 2)
         log, real = tmp_path / "calls", runner_mod.evaluate_method
@@ -943,6 +1029,96 @@ class TestJobs:
         # A unit or two before the failure is seen, and the failing worker's replay.
         assert len(log.read_text()) <= 5
 
+
+
+def bench_workloads() -> dict:
+    """``WORKLOADS`` of the benchmark's ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = bench_workloads()
+
+
+def bench_plan(name: str, jobs: int, n_episodes: int | None = None):
+    """``_plan`` of the benchmark workload ``name``'s calls at ``jobs`` workers."""
+    workload = BENCH_WORKLOADS[name]
+    cfg = config_from_dict(workload.config_doc(Path("unused.fsos"), 1, Path("unused")))
+    if n_episodes is not None:
+        cfg = replace(cfg, n_episodes=n_episodes)
+    return runner_mod._plan(cfg, workload.synth["dim"], jobs)
+
+
+def dealt(shares) -> list[list[tuple]]:
+    """Each share's units as (first method, start, stop)."""
+    return [[(unit.methods[0], unit.start, unit.stop) for _, unit in share] for share in shares]
+
+
+class TestPlan:
+    """``_plan`` deals the units by their estimated cost, from the config and
+    the store's dimension alone, and cuts a refinement only where that
+    evens the load."""
+
+    def test_wide_transductive_gives_each_of_two_workers_three_episode_refinements(self):
+        shares = bench_plan("wide_transductive", 2)
+        assert dealt(shares) == [
+            [("ostim", 0, 2), ("tim_closed", 0, 1)],
+            [("tim_closed", 1, 2), ("explicit_dummy", 0, 2)],
+        ]
+        assert [index for share in shares for index, _ in share] == [0, 1, 2, 3]
+
+    def test_quickstart_cuts_nothing_at_two_workers(self):
+        assert dealt(bench_plan("quickstart", 2)) == [
+            [("ostim", 0, 4)], [("tim_closed", 0, 4), ("simpleshot", 0, 4)],
+        ]
+
+    def test_large_store_cuts_nothing_and_deals_52_and_48_episodes(self):
+        shares = dealt(bench_plan("large_store", 2))
+        assert [[start for _, start, _ in share] for share in shares] == [[0, 32, 64, 96],
+                                                                        [16, 48, 80]]
+        assert [sum(stop - start for _, start, stop in share) for share in shares] == [52, 48]
+
+    def test_the_plan_repeats_and_reads_no_clock(self, monkeypatch):
+        def plans():
+            return {(name, jobs): bench_plan(name, jobs)
+                    for name in BENCH_WORKLOADS for jobs in (1, 2, 3, 8)}
+
+        first = plans()
+
+        def clock():
+            raise AssertionError("the plan read a clock")
+
+        for name in ("perf_counter", "monotonic", "time"):
+            monkeypatch.setattr(time, name, clock)
+        assert plans() == first
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3, 5))
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES, ids=lambda chunk: f"chunk{chunk}")
+    def test_every_episode_of_every_group_is_dealt_once(self, monkeypatch, jobs, chunk):
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+        for name in BENCH_WORKLOADS:
+            for n_episodes in (1, 2, 7, 37):
+                shares = bench_plan(name, jobs, n_episodes)
+                assert 1 <= len(shares) <= jobs and all(shares)
+                pairs = sorted(pair for share in shares for pair in share)
+                assert [index for index, _ in pairs] == list(range(len(pairs)))
+                units = [unit for _, unit in pairs]
+                assert units == sorted(units)
+                assert all(share == sorted(share) for share in shares)
+                tiles: dict = {}
+                for unit in units:
+                    assert unit.start < unit.stop
+                    tiles.setdefault((unit.chunk, unit.group, unit.methods), []).append(unit)
+                chunks = range(0, n_episodes, chunk)
+                assert {key[0] for key in tiles} == set(chunks)
+                assert len(tiles) == len(chunks) * len({key[1:] for key in tiles})
+                for (start, _, _), ranges in tiles.items():
+                    assert [r.start for r in ranges] == [start] + [r.stop for r in ranges[:-1]]
+                    assert ranges[-1].stop == min(start + chunk, n_episodes)
 
 class TestSweep:
     def test_single_value_grid(self, store_path):

@@ -38,7 +38,7 @@ def test_the_package_declares_only_numpy():
 
 
 def test_sources_import_no_process_pool():
-    # Workers are forked by ``runner`` itself: a pool's helper processes,
+    # Workers are forked by ``fsosr.workers`` itself: a pool's helper processes,
     # such as multiprocessing's resource tracker, can outlive a run.
     for path in SOURCES:
         pools = absolute_imports(path) & {"multiprocessing", "concurrent"}
