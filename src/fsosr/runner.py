@@ -58,11 +58,11 @@ REPORT_FILES = ("run_report.json", "run_report.csv")
 SWEEP_FILE = "sweep.json"
 
 # The fixed cost of one refinement step of a chunk, in the units of its
-# per-episode cost (logit columns x rows x D): the dispatch of the step's
-# numpy calls, paid once per chunk whatever its size. Timed refinement puts
-# it at about 82,000 for 5-way 1-shot D=16 chunks (18 ms against 3.3 ms per
-# episode of 14,880) and 125,000 for 20-way 5-shot D=64 ones. It decides
-# when cutting a chunk's refinement in two pays for the second fixed cost.
+# per-episode cost (K x rows x D): the dispatch of the step's numpy calls,
+# paid once per chunk whatever its size. Timed refinement puts it at about
+# 68,000 for 5-way 1-shot D=16 chunks (18 ms against 3.3 ms per episode of
+# 12,400) and 119,000 for 20-way 5-shot D=64 ones. It decides when cutting
+# a chunk's refinement in two pays for the second fixed cost.
 _STEP_COST = 100_000
 
 # A method section of the run config.
@@ -101,21 +101,20 @@ class RunConfig:
 class Method(NamedTuple):
     section: str  # the RunConfig field holding its section ("ostim_cfg" or "baseline_cfg")
     evaluate: Callable[[Section, NormalizedChunk, dict], list[EpisodeReport]]
-    variant: ostim.Variant | None = None  # a refinement's own; None for its section's
 
 
 def _scored(sheet, view: NormalizedChunk) -> list[EpisodeReport]:
     return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
 
 
-def _refinement(variant: ostim.Variant | None) -> Method:
+def _refined(variant: ostim.Variant | None):
     """Refine the chunk with ``variant``, or with the section's own when it is None."""
 
     def evaluate(ocfg, view, done):
         ps = ostim.init_prototypes(view, variant or ocfg.variant)
         return _scored(ostim.predict(ostim.refine(ps, view, ocfg), view, ocfg), view)
 
-    return Method("ostim_cfg", evaluate, variant)
+    return evaluate
 
 
 def _simpleshot(bcfg, view, done):
@@ -136,9 +135,9 @@ def _strong_baseline(bcfg, view, done):
 
 
 METHODS: dict[str, Method] = {
-    "ostim": _refinement(None),
-    "tim_closed": _refinement(ostim.Variant.CLOSED),
-    "explicit_dummy": _refinement(ostim.Variant.EXPLICIT_DUMMY),
+    "ostim": Method("ostim_cfg", _refined(None)),
+    "tim_closed": Method("ostim_cfg", _refined(ostim.Variant.CLOSED)),
+    "explicit_dummy": Method("ostim_cfg", _refined(ostim.Variant.EXPLICIT_DUMMY)),
     "simpleshot": Method("baseline_cfg", _simpleshot),
     "knn": Method("baseline_cfg", _knn),
     "strong_baseline": Method("baseline_cfg", _strong_baseline),
@@ -342,19 +341,19 @@ class _Unit(NamedTuple):
     methods: tuple[str, ...]  # in ``METHODS`` order
 
 
-def _cost(cfg: RunConfig, unit: _Unit, dim: int) -> int:
-    """``unit``'s estimated cost. A refinement takes ``n_steps`` steps, and
-    one more for its initial prototypes and prediction, each ``_STEP_COST``
-    plus logit columns x rows x D per episode; the baselines take one
-    class-by-row table of K x rows x D per episode."""
+def _cost(cfg: RunConfig, methods: tuple[str, ...], dim: int) -> tuple[int, int]:
+    """The estimated fixed cost and cost per episode of a unit of
+    ``methods``. A refinement takes ``n_steps`` steps, and one more for its
+    initial prototypes and prediction, each ``_STEP_COST`` plus a
+    class-by-row table of K x rows x D per episode; the baselines take one
+    such table per episode."""
     spec = cfg.episode
     rows = spec.n_way * spec.n_shot + (spec.n_way + spec.n_open_classes) * spec.n_query_per_class
-    episodes = unit.stop - unit.start
-    method = METHODS[unit.methods[0]]
-    if method.section == "baseline_cfg":
-        return episodes * spec.n_way * rows * dim
-    columns = spec.n_way + ((method.variant or cfg.ostim_cfg.variant) is not ostim.Variant.CLOSED)
-    return (cfg.ostim_cfg.n_steps + 1) * (_STEP_COST + episodes * columns * rows * dim)
+    table = spec.n_way * rows * dim
+    if METHODS[methods[0]].section == "baseline_cfg":
+        return 0, table
+    steps = cfg.ostim_cfg.n_steps + 1
+    return steps * _STEP_COST, steps * table
 
 
 def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
@@ -368,13 +367,17 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
     worker (the first such). A refinement is cut instead into two episode
     ranges, dealt to the two least-loaded workers, where that lowers the
     estimated makespan: the largest load, or if more, the total spread
-    evenly, the work still to deal included. Each part pays the fixed step
-    cost again, so while other work can fill the workers nothing is cut.
+    evenly, the work still to deal included. Costs are linear in the
+    episodes, so the cut that evens those two workers' loads, rounded
+    either way, is the only one worth trying. Each part pays the fixed
+    step cost again, so while other work can fill the workers nothing is
+    cut.
     """
     groups: dict[str, list[str]] = {}
     for method in (m for m in METHODS if m in cfg.methods):
         key = "baseline" if METHODS[method].section == "baseline_cfg" else method
         groups.setdefault(key, []).append(method)
+    costs = {tuple(group): _cost(cfg, tuple(group), dim) for group in groups.values()}
     whole = [
         _Unit(chunk, g, chunk, min(chunk + CHUNK_SIZE, cfg.n_episodes), tuple(group))
         for chunk in range(0, cfg.n_episodes, CHUNK_SIZE)
@@ -382,7 +385,8 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
     ]
 
     def cost(unit: _Unit) -> int:
-        return _cost(cfg, unit, dim)
+        fixed, per_episode = costs[unit.methods]
+        return fixed + per_episode * (unit.stop - unit.start)
 
     left = sum(map(cost, whole))
     loads, shares = [0] * jobs, [[] for _ in range(jobs)]
@@ -390,9 +394,13 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
         left -= cost(unit)
         targets = sorted(range(jobs), key=loads.__getitem__)[:2]  # the least loaded, stably
         options = [(unit,)]
-        if METHODS[unit.methods[0]].section == "ostim_cfg" and jobs > 1:
+        n = unit.stop - unit.start
+        if METHODS[unit.methods[0]].section == "ostim_cfg" and jobs > 1 and n > 1:
+            per_episode = costs[unit.methods][1]
+            even = (loads[targets[1]] - loads[targets[0]] + per_episode * n) // (2 * per_episode)
             options += [(unit._replace(stop=cut), unit._replace(start=cut))
-                        for cut in range(unit.start + 1, unit.stop)]
+                        for cut in sorted({unit.start + min(max(c, 1), n - 1)
+                                           for c in (even, even + 1)})]
         top, total = max(loads), sum(loads) + left
 
         def makespan(parts: tuple[_Unit, ...]) -> float:

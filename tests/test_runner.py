@@ -1006,25 +1006,35 @@ class TestJobs:
     def test_a_failure_stops_the_other_worker(self, store_path, tmp_path, monkeypatch,
                                               failing):
         # At chunk size 1, worker 0 (this process) takes the ostim and knn
-        # units of every even chunk and worker 1 those of every odd one. The
-        # other method logs each call and takes 50 ms, so a worker that went
-        # on past the failure would log 20.
+        # units of every even chunk and worker 1 those of every odd one.
+        # Only episode 0 fails, so worker 1 meets no failure of its own. The
+        # other method logs each call and takes 50 ms, so a worker 1 that went
+        # on past worker 0's failure would log 20.
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 1)
         set_cpus(monkeypatch, 2)
+        cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=40)
+        first = episode_checksum(sample_episode(load_feature_store(store_path), cfg.episode, 0))
         log, real = tmp_path / "calls", runner_mod.evaluate_method
         log.touch()
 
-        def evaluate_method(method, *args):
-            if method == failing:
+        def evaluate_method(method, episodes, *args):
+            if method == failing and episode_checksum(episodes[0]) == first:
                 raise ValueError("fails at once")
-            with log.open("a") as fh:
-                fh.write(".")
-            time.sleep(0.05)
-            return real(method, *args)
+            if method != failing:
+                with log.open("a") as fh:
+                    fh.write(".")
+                time.sleep(0.05)
+            return real(method, episodes, *args)
 
+        assert [[(unit.chunk, unit.methods) for _, unit in share]
+                for share in runner_mod._plan(cfg, 6, 2)] == [
+            [(chunk, (method,)) for chunk in range(first_chunk, 40, 2)
+             for method in ("ostim", "knn")]
+            for first_chunk in (0, 1)
+        ]
         monkeypatch.setattr(runner_mod, "evaluate_method", evaluate_method)
         with pytest.raises(DataError, match=rf"^episode 0, method {failing}: fails at once$"):
-            run(tiny_config(store_path, methods=("ostim", "knn"), n_episodes=40))
+            run(cfg)
         assert_no_child_left()
         # A unit or two before the failure is seen, and the failing worker's replay.
         assert len(log.read_text()) <= 5
@@ -1066,14 +1076,14 @@ class TestPlan:
     def test_wide_transductive_gives_each_of_two_workers_three_episode_refinements(self):
         shares = bench_plan("wide_transductive", 2)
         assert dealt(shares) == [
-            [("ostim", 0, 2), ("tim_closed", 0, 1)],
-            [("tim_closed", 1, 2), ("explicit_dummy", 0, 2)],
+            [("ostim", 0, 2), ("explicit_dummy", 0, 1)],
+            [("tim_closed", 0, 2), ("explicit_dummy", 1, 2)],
         ]
-        assert [index for share in shares for index, _ in share] == [0, 1, 2, 3]
+        assert [index for share in shares for index, _ in share] == [0, 2, 1, 3]
 
     def test_quickstart_cuts_nothing_at_two_workers(self):
         assert dealt(bench_plan("quickstart", 2)) == [
-            [("ostim", 0, 4)], [("tim_closed", 0, 4), ("simpleshot", 0, 4)],
+            [("ostim", 0, 4), ("simpleshot", 0, 4)], [("tim_closed", 0, 4)],
         ]
 
     def test_large_store_cuts_nothing_and_deals_52_and_48_episodes(self):
