@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import runner, synthgen
 from .diagnostics import split_diagnostics
-from .episodes import sample_episode
+from .episodes import Episode, sample_episode
 from .errors import ConfigError, FsosrError
 from .feature_store import (atomic_write, check_output_path, ingest_csv, load_feature_store,
-                            save_feature_store, sidecar_path)
+                            read_json, save_feature_store, sidecar_path)
 from .metrics import METRIC_NAMES
 
 
@@ -30,7 +31,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = runner.synth_spec_from_dict(runner.read_json(args.spec, "synth spec"))
+    spec = runner.synth_spec_from_dict(read_json(args.spec, "synth spec", ConfigError))
     fs = synthgen.generate(spec)
     save_feature_store(fs, args.out)
     print(f"wrote {fs.n} vectors, dim {fs.dim}, {fs.n_classes} classes -> {args.out}")
@@ -38,7 +39,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    doc = runner.read_json(args.spec, "episode spec") if args.spec else {}
+    doc = read_json(args.spec, "episode spec", ConfigError) if args.spec else {}
     spec = runner.episode_spec_from_dict(doc)
     if args.n < 0:
         raise ConfigError(f"--n must be >= 0, got {args.n}")
@@ -50,15 +51,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for index, path in enumerate(paths):
         episode = sample_episode(fs, spec, index, split=args.split)
-        doc = {
-            "episode_index": index,
-            "closed_classes": episode.closed_classes.tolist(),
-            "open_classes": episode.open_classes.tolist(),
-            "support_labels": episode.support_labels.tolist(),
-            "support_vectors": episode.support_vectors.tolist(),
-            "query_truth": episode.query_truth.tolist(),
-            "query_vectors": episode.query_vectors.tolist(),
-        }
+        doc = {f.name: getattr(episode, f.name).tolist() for f in fields(Episode)}
+        doc["episode_index"] = index
         with atomic_write(path, "w") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True))
     print(f"wrote {args.n} episodes -> {out_dir}")

@@ -30,7 +30,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, StoreError
+from .errors import ConfigError, DataError, FsosrError, StoreError
 
 MAGIC = b"FSOS"
 VERSION = 1
@@ -242,6 +242,23 @@ def check_output_path(path: str | Path, what: str, directory: bool = False) -> N
         raise ConfigError(f"{what} {str(path)!r}: {existing} {problem}")
 
 
+def read_json(path: str | Path, what: str, error: type[FsosrError]) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; ``error``, starting
+    with the path and naming ``what``, if the file is missing or cannot be
+    read, is not UTF-8 JSON, is nested too deep to parse or is not an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise error(f"{path}: missing {what}") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what} ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise error(f"{path}: {what} is not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 @contextmanager
 def atomic_write(path: Path, mode: str, **open_kwargs) -> Iterator[IO]:
     """Open a temporary file beside ``path``, making missing directories, for
@@ -317,14 +334,7 @@ def load_feature_store(path: str | Path) -> FeatureSet:
         )
 
     meta_path = sidecar_path(path)
-    if not meta_path.exists():
-        raise StoreError(f"{meta_path}: missing sidecar metadata")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise StoreError(f"{meta_path}: unreadable sidecar ({exc})") from exc
-    if not isinstance(meta, dict):
-        meta = {}
+    meta = read_json(meta_path, "sidecar metadata", StoreError)
     class_names = meta.get("class_names")
     splits = meta.get("splits")
     if not isinstance(class_names, list) or len(class_names) != c:
@@ -393,27 +403,29 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
     csv_path = Path(csv_path)
     tokens: list[str] = []
     rows: list[np.ndarray] = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and len(row) >= 2 and not any(map(_is_number, row[1:])):
-                continue  # header row: no feature field is a number
-            if len(row) < 2:
-                raise DataError(f"{csv_path}:{lineno}: need label plus >=1 feature")
-            try:
-                with np.errstate(over="ignore"):  # a value beyond float32 raises below
-                    values = np.array([float(x) for x in row[1:]], dtype=np.float32)
-            except ValueError as exc:
-                raise DataError(f"{csv_path}:{lineno}: bad feature value ({exc})") from exc
-            finite = np.isfinite(values)
-            if not finite.all():
-                j = int(np.argmin(finite))
-                raise DataError(f"{csv_path}:{lineno}: feature {j} is {row[1 + j].strip()!r}, "
-                                "which is not a finite float32")
-            rows.append(values)
-            tokens.append(row[0])
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            for lineno, row in enumerate(csv.reader(fh, strict=True), start=1):
+                if not row:
+                    continue
+                if lineno == 1 and len(row) >= 2 and not any(map(_is_number, row[1:])):
+                    continue  # header row: no feature field is a number
+                if len(row) < 2:
+                    raise DataError(f"{csv_path}:{lineno}: need label plus >=1 feature")
+                try:
+                    with np.errstate(over="ignore"):  # a value beyond float32 raises below
+                        values = np.array([float(x) for x in row[1:]], dtype=np.float32)
+                except ValueError as exc:
+                    raise DataError(f"{csv_path}:{lineno}: bad feature value ({exc})") from exc
+                finite = np.isfinite(values)
+                if not finite.all():
+                    j = int(np.argmin(finite))
+                    raise DataError(f"{csv_path}:{lineno}: feature {j} is "
+                                    f"{row[1 + j].strip()!r}, which is not a finite float32")
+                rows.append(values)
+                tokens.append(row[0])
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{csv_path}: cannot read CSV ({exc})") from exc
     if not rows:
         raise DataError(f"{csv_path}: no data rows")
     widths = {r.size for r in rows}
@@ -425,12 +437,9 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
     labels = np.array([name_to_id[t] for t in tokens], dtype=np.int64)
     vectors = np.array(rows)
 
-    try:
-        split_spec = json.loads(Path(splits_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read split file {splits_path}: {exc}") from exc
-    if not isinstance(split_spec, dict) or not set(split_spec) <= set(SPLITS):
-        raise DataError(f"{splits_path}: expected a JSON object with keys from {SPLITS}")
+    split_spec = read_json(splits_path, "split file", DataError)
+    if not set(split_spec) <= set(SPLITS):
+        raise DataError(f"{splits_path}: split file keys must be from {SPLITS}")
     fs = FeatureSet(
         vectors=vectors,
         labels=labels,

@@ -45,7 +45,7 @@ from . import baselines, ostim, workers
 from .episodes import Episode, EpisodeSpec, sample_episode
 from .errors import ConfigError, DataError, FsosrError, integer, number
 from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_path,
-                            load_feature_store)
+                            load_feature_store, read_json)
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
 from .synthgen import SynthSpec
 from .transforms import NormalizedChunk, normalize_chunk
@@ -241,22 +241,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     return _build(RunConfig, doc, "run")
 
 
-def read_json(path: str | Path, what: str = "config") -> dict:
-    """The JSON object in the file at ``path``; ConfigError if it cannot be
-    read, is not JSON or is not an object. ``what`` names it in messages."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {path} must be a JSON object")
-    return doc
-
-
 def load_config(path: str | Path) -> RunConfig:
-    return config_from_dict(read_json(path))
+    return config_from_dict(read_json(path, "config", ConfigError))
 
 
 def _config_snapshot(cfg: RunConfig) -> dict:

@@ -3,12 +3,14 @@ arrays; every chunk evaluator reads the ``NormalizedChunk`` it returns, and
 the refinement API of ``fsosr.ostim`` and the package's exports take only
 chunks. Only ``transforms.unit_rows`` constructs a DegenerateFeatureError,
 so every vector, centroid and prototype at its centering point is named by
-one rule."""
+one rule. Only ``feature_store.read_json`` parses JSON, so every input
+document is read and refused by one rule."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+from collections.abc import Callable
 from pathlib import Path
 
 import fsosr
@@ -72,23 +74,31 @@ def test_only_normalize_chunk_stacks_episodes():
     assert found == {("transforms.py", "normalize_chunk")}
 
 
-def error_constructors(source: str, name: str, error: str) -> set[tuple[str, str]]:
-    """(file, function) of every call of the class ``error``, by name or as
-    an attribute, in ``source``."""
+def callers(source: str, name: str, called: Callable[[ast.expr], bool]) -> set[tuple[str, str]]:
+    """(file, function) of every call in ``source`` whose callee ``called`` accepts."""
     found = set()
 
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and error in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        ):
+        if isinstance(node, ast.Call) and called(node.func):
             found.add((name, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(source, name), "<module>")
     return found
+
+
+def named(callee: str) -> Callable[[ast.expr], bool]:
+    """Whether a callee is ``callee``, by name or as an attribute."""
+    return lambda func: callee in (getattr(func, "id", None), getattr(func, "attr", None))
+
+
+def parses_json(func: ast.expr) -> bool:
+    """Whether a callee is ``json.load`` or ``json.loads``."""
+    return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name) and func.value.id == "json")
 
 
 def test_the_guard_flags_constructions_of_the_error_only():
@@ -99,7 +109,7 @@ def test_the_guard_flags_constructions_of_the_error_only():
         "def d():\n    raise DivergenceError('overflows')\n"
         "error = DegenerateFeatureError('at import')\n"
     )
-    assert error_constructors(source, "m.py", "DegenerateFeatureError") == {
+    assert callers(source, "m.py", named("DegenerateFeatureError")) == {
         ("m.py", "a"), ("m.py", "b"), ("m.py", "<module>")
     }
 
@@ -107,8 +117,25 @@ def test_the_guard_flags_constructions_of_the_error_only():
 def test_only_unit_rows_constructs_a_degenerate_feature_error():
     found = set()
     for path in SOURCES:
-        found |= error_constructors(path.read_text(), path.name, "DegenerateFeatureError")
+        found |= callers(path.read_text(), path.name, named("DegenerateFeatureError"))
     assert found == {("transforms.py", "unit_rows")}
+
+
+def test_the_guard_flags_json_parsing_only():
+    source = (
+        "def a(path):\n    return json.loads(path.read_text())\n"
+        "def b(fh):\n    return json.load(fh)\n"
+        "def c(data):\n    return pickle.loads(data)\n"
+        "def d(doc):\n    return json.dumps(doc)\n"
+    )
+    assert callers(source, "m.py", parses_json) == {("m.py", "a"), ("m.py", "b")}
+
+
+def test_only_read_json_parses_json():
+    found = set()
+    for path in SOURCES:
+        found |= callers(path.read_text(), path.name, parses_json)
+    assert found == {("feature_store.py", "read_json")}
 
 
 def test_no_public_ostim_function_takes_an_episode():

@@ -534,3 +534,78 @@ class TestExitCodes:
         from fsosr import DivergenceError
 
         assert DivergenceError("x").exit_code == 4
+
+
+# Each command that reads an input file: its argv, the file a case spoils,
+# the name its messages give that file and the exit code when it is bad.
+# ``cfg`` is a valid run config on the store, and ``csv``/``splits`` a valid
+# ingest pair, so the spoiled file is the first one to fail.
+INPUT_FILES = {
+    "run --config": ("run --config {cfg}", "cfg", "config", 2),
+    "sweep --config": ("sweep --config {cfg} --param ostim.alpha --grid 0.1", "cfg", "config", 2),
+    "synth --spec": ("synth --spec {spec} --out {out}", "spec", "synth spec", 2),
+    "sample --spec": ("sample --store {store} --spec {spec} --dump {dump}", "spec",
+                      "episode spec", 2),
+    "ingest --splits": ("ingest --csv {csv} --splits {splits} --out {out}", "splits",
+                        "split file", 3),
+    "run sidecar": ("run --config {cfg}", "sidecar", "sidecar metadata", 3),
+    "diagnose sidecar": ("diagnose --store {store}", "sidecar", "sidecar metadata", 3),
+    "ingest --csv": ("ingest --csv {csv} --splits {splits} --out {out}", "csv", "CSV", 3),
+}
+# Each way to spoil a file: its bytes (None: made by ``spoil``) and how the
+# message goes on after the file's path.
+JSON_FAILURES = {
+    "missing": (None, "missing {what}"),
+    "a directory": (None, "cannot read {what}"),
+    "not UTF-8": (b'{"store": "\xff"}', "{what} is not valid JSON"),
+    "not JSON": (b"{not json", "{what} is not valid JSON"),
+    "nested 100,000 deep": (b"[" * 100_000 + b"]" * 100_000, "{what} is not valid JSON"),
+    "not an object": (b"[1, 2]", "{what} must be a JSON object"),
+}
+CSV_FAILURES = {
+    "missing": (None, "cannot read {what} (["),
+    "a directory": (None, "cannot read {what} (["),
+    "not UTF-8": (b"a,0.5\nb\xff,1.5\n", "cannot read {what} ('utf-8' codec can't decode"),
+    "a 200,000-character field": (b"a,0.5\nb," + b"1" * 200_000 + b"\n",
+                                  "cannot read {what} (field larger than field limit"),
+    "an unterminated quote": (b'a,0.5\nb,"1.5\n', "cannot read {what} (unexpected end of data"),
+    "text after a closing quote": (b'a,0.5\nb,"1.5"x\n',
+                                   "cannot read {what} (',' expected after '\"'"),
+}
+
+
+def spoil(path: Path, data: bytes | None, failure: str) -> None:
+    """Make ``path`` missing, a directory or a file holding ``data``."""
+    path.unlink(missing_ok=True)
+    if failure == "a directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+
+
+@pytest.mark.parametrize("command, failure", [
+    *((command, failure) for command in INPUT_FILES if command != "ingest --csv"
+      for failure in JSON_FAILURES),
+    *(("ingest --csv", failure) for failure in CSV_FAILURES),
+])
+def test_an_unreadable_input_file_is_one_line_naming_it(
+    synth_store, tmp_path, capsys, command, failure
+):
+    argv, spoiled, what, code = INPUT_FILES[command]
+    files = {name: tmp_path / f"input_{name}" for name in ("cfg", "spec", "csv", "splits")}
+    files["cfg"].write_text(json.dumps({
+        "store": str(synth_store), "methods": ["knn"], "n_episodes": 1,
+        "episodes": {"n_way": 2, "n_query_per_class": 2, "n_open_classes": 1},
+    }))
+    files["csv"].write_text("a,0.5\nb,1.5\n")
+    files["splits"].write_text(json.dumps({"base": ["a"], "test": ["b"]}))
+    files["sidecar"] = sidecar_path(synth_store)
+    data, problem = (CSV_FAILURES if spoiled == "csv" else JSON_FAILURES)[failure]
+    path = files[spoiled]
+    spoil(path, data, failure)
+    argv = argv.format(store=synth_store, out=tmp_path / "out.fsos", dump=tmp_path / "dump",
+                       **files).split()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {problem.format(what=what)}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err

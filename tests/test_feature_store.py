@@ -571,6 +571,15 @@ class TestIngest:
             np.array([[1, 2], [5, 6]], dtype=np.float32),
         )
 
+    def test_quoted_csv_fields_parse_as_unquoted(self, tmp_path):
+        csv_file = tmp_path / "data.csv"
+        csv_file.write_text('label,f0,f1\n"c,at","1.0",2.0\ndog,"3.0"," 4.0"\n')
+        splits_file = tmp_path / "splits.json"
+        splits_file.write_text(json.dumps({"base": ["c,at"], "test": ["dog"]}))
+        fs = ingest_csv(csv_file, splits_file, tmp_path / "store.fsos")
+        assert fs.class_names == ("c,at", "dog")
+        assert np.array_equal(fs.vectors, np.array([[1, 2], [3, 4]], dtype=np.float32))
+
     @pytest.mark.parametrize("splits, entry", [
         ({"base": [None], "test": ["b"]}, "entry None"),
         ({"base": 5}, "must be a list, got 5"),
