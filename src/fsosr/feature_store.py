@@ -405,10 +405,12 @@ def ingest_csv(csv_path: str | Path, splits_path: str | Path, out_path: str | Pa
     rows: list[np.ndarray] = []
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh, strict=True), start=1):
+            reader = csv.reader(fh, strict=True)
+            for record, row in enumerate(reader):
+                lineno = reader.line_num  # the line the record ends on
                 if not row:
                     continue
-                if lineno == 1 and len(row) >= 2 and not any(map(_is_number, row[1:])):
+                if record == 0 and len(row) >= 2 and not any(map(_is_number, row[1:])):
                     continue  # header row: no feature field is a number
                 if len(row) < 2:
                     raise DataError(f"{csv_path}:{lineno}: need label plus >=1 feature")

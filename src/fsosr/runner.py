@@ -14,6 +14,9 @@ chunk with one ``ostim``-section method, or with all of its
 ``simpleshot`` and ``knn`` reports. ``_plan`` deals the units to up to one
 process per CPU of the affinity mask (this process and children forked
 from it, see ``workers``) from the config and the store's dimension alone.
+The children are forked on the first run for a FeatureSet and serve its
+later runs, so each unit carries its chunk's bounds: a worker never reads
+``CHUNK_SIZE``, which may change between runs.
 A worker stacks and normalizes a chunk once per centering in use into a
 ``NormalizedChunk`` ``view`` and serves each of its ranges of that chunk
 from it; each range's one sheet or score array is scored by one
@@ -316,11 +319,12 @@ def _replay(episodes: list[Episode], start: int, cfg: RunConfig,
 
 
 class _Unit(NamedTuple):
-    """Episodes ``[start, stop)`` of the chunk that begins at episode
-    ``chunk``, with group ``group`` of its methods. Units sort in the
+    """Episodes ``[start, stop)`` of the chunk of episodes ``[chunk,
+    chunk_stop)``, with group ``group`` of its methods. Units sort in the
     canonical order: chunk, group, range start."""
 
     chunk: int
+    chunk_stop: int
     group: int
     start: int
     stop: int
@@ -365,8 +369,9 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
         groups.setdefault(key, []).append(method)
     costs = {tuple(group): _cost(cfg, tuple(group), dim) for group in groups.values()}
     whole = [
-        _Unit(chunk, g, chunk, min(chunk + CHUNK_SIZE, cfg.n_episodes), tuple(group))
+        _Unit(chunk, stop, g, chunk, stop, tuple(group))
         for chunk in range(0, cfg.n_episodes, CHUNK_SIZE)
+        for stop in [min(chunk + CHUNK_SIZE, cfg.n_episodes)]
         for g, group in enumerate(groups.values())
     ]
 
@@ -400,16 +405,13 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
     return [[(rank[unit], unit) for unit in sorted(share)] for share in shares if share]
 
 
-def _sample_chunk(fs: FeatureSet, cfg: RunConfig, start: int, split: str) -> list[Episode]:
-    indices = range(start, min(start + CHUNK_SIZE, cfg.n_episodes))
-    return [sample_episode(fs, cfg.episode, i, split=split) for i in indices]
-
-
-def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
-                    base_mu: np.ndarray | None, failed: mmap.mmap,
-                    worker: int) -> tuple[list, tuple[int, Exception] | None]:
+def _evaluate_units(fs: FeatureSet, failed: mmap.mmap, worker: int, units, cfg: RunConfig,
+                    split: str, base_mu: np.ndarray | None
+                    ) -> tuple[list, tuple[int, Exception] | None]:
     """Evaluate the ``(index, unit)`` pairs ``units`` in order, up to the
     first that fails or the first after a unit that failed in any worker.
+    This is the ``work`` of the run's ``workers``, so it reads everything
+    that can change between runs from its arguments.
 
     ``failed`` holds one int64 per worker, shared across the fork: the
     index of its failing unit, else the unit count. Slot ``worker`` is this
@@ -436,7 +438,8 @@ def _evaluate_units(units, fs: FeatureSet, cfg: RunConfig, split: str,
         try:
             if unit.chunk != chunk:
                 chunk, views, episodes = unit.chunk, {}, []  # [] until sampled
-                episodes = _sample_chunk(fs, cfg, unit.chunk, split)
+                episodes = [sample_episode(fs, cfg.episode, i, split=split)
+                            for i in range(unit.chunk, unit.chunk_stop)]
             for method in unit.methods:
                 done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views, span)
         except Exception as exc:
@@ -457,26 +460,34 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None,
     ``run_report.json`` and ``run_report.csv``; an ``output_dir`` that is
     or lies under a file, or where a report is a directory, is refused
     before the store loads. The units run as ``_plan`` deals them, in up
-    to one process per CPU of the affinity mask; the children are forked
-    from this one and share its store. A failing unit stops every worker
-    before its next unit after it, and its own worker names the failure;
-    the earliest unit's is raised. Output is byte-identical across
-    repeated runs, chunk sizes and process counts, and so is the error of
-    a failing run.
+    to one process per CPU of the affinity mask: this one and children
+    forked from it, which share its store (see ``workers``). The children
+    are forked on the first run for a given ``fs`` and process count and
+    serve every later run on that ``fs``; they end when ``fs`` is collected
+    or another ``fs`` or count comes, when a run raises, and before this
+    returns if it loaded the store itself. A child does not see a function
+    replaced after it was forked. A failing unit stops every worker before
+    its next unit after it, and its own worker names the failure; the
+    earliest unit's is raised. Output is byte-identical across repeated
+    runs, chunk sizes, process counts and fresh or reused children, and so
+    is the error of a failing run.
     """
     _check_output_dir(cfg.output_dir, REPORT_FILES)
-    if fs is None:
+    loaded = fs is None
+    if loaded:
         fs = load_feature_store(cfg.store)
+    with workers.ending(keep=not loaded):
+        return _run(cfg, fs, split)
+
+
+def _run(cfg: RunConfig, fs: FeatureSet, split: str) -> dict[str, RunReport]:
     needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
     base_mu = base_mean(fs) if needs_base_mu else None
 
     shares = _plan(cfg, fs.dim, workers.job_count())
-    jobs = len(shares)
-    with mmap.mmap(-1, 8 * jobs) as failed:  # anonymous and shared with the forks
-        struct.pack_into(f"{jobs}q", failed, 0, *[sum(map(len, shares))] * jobs)
-        outcomes = workers.in_workers(
-            lambda j: _evaluate_units(shares[j], fs, cfg, split, base_mu, failed, j), jobs
-        )
+    pool = workers.pool(fs, _evaluate_units, len(shares))
+    struct.pack_into(f"{len(shares)}q", pool.shared, 0, *[sum(map(len, shares))] * len(shares))
+    outcomes = pool.map([(share, cfg, split, base_mu) for share in shares])
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -560,12 +571,13 @@ def sweep_alpha(cfg: RunConfig, grid: list[float]) -> tuple[float, list[dict]]:
     if not fs.split_class_ids("val").size:
         raise DataError("store has no validation split to sweep over")
     table = []
-    for ostim_cfg in points:
-        sweep_cfg = replace(cfg, methods=("ostim",), ostim_cfg=ostim_cfg, output_dir=None)
-        report = run(sweep_cfg, fs=fs, split="val")["ostim"]
-        table.append(
-            {"alpha": ostim_cfg.alpha,
-             **{name: report.metrics[name].mean for name in METRIC_NAMES}}
-        )
+    with workers.ending(keep=False):  # every grid point runs in the same workers
+        for ostim_cfg in points:
+            sweep_cfg = replace(cfg, methods=("ostim",), ostim_cfg=ostim_cfg, output_dir=None)
+            report = run(sweep_cfg, fs=fs, split="val")["ostim"]
+            table.append(
+                {"alpha": ostim_cfg.alpha,
+                 **{name: report.metrics[name].mean for name in METRIC_NAMES}}
+            )
     best = min(table, key=lambda row: (-row["auroc"], row["alpha"]))
     return best["alpha"], table

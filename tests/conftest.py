@@ -30,7 +30,12 @@ QUICKSTART = SynthSpec(
 
 
 def set_cpus(monkeypatch, n: int) -> None:
-    """Give runs an affinity mask of ``n`` CPUs, so they use up to ``n`` processes."""
+    """Give runs an affinity mask of ``n`` CPUs, so they use up to ``n`` processes.
+
+    The worker children of a run live as long as the FeatureSet it was given
+    (a run that loads its own store ends them before it returns). A child
+    runs the code as it was when forked: a monkeypatch made after that, on a
+    set that is kept across runs, is seen by this process only."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -131,6 +136,15 @@ def episode_view(
 ) -> NormalizedChunk:
     """The chunk of the one ``episode``, normalized at ``centering``."""
     return normalize_chunk([episode], centering, base_mu)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_the_test():
+    """Every test ends with no child process of this one left, running or
+    unreaped: a FeatureSet that a test held has ended its workers with it."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

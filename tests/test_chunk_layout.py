@@ -4,7 +4,8 @@ the refinement API of ``fsosr.ostim`` and the package's exports take only
 chunks. Only ``transforms.unit_rows`` constructs a DegenerateFeatureError,
 so every vector, centroid and prototype at its centering point is named by
 one rule. Only ``feature_store.read_json`` parses JSON, so every input
-document is read and refused by one rule."""
+document is read and refused by one rule. Only ``fsosr.workers`` forks, so
+every worker process is started, reused and ended by one rule."""
 
 from __future__ import annotations
 
@@ -101,6 +102,12 @@ def parses_json(func: ast.expr) -> bool:
             and isinstance(func.value, ast.Name) and func.value.id == "json")
 
 
+def forks(func: ast.expr) -> bool:
+    """Whether a callee is ``os.fork``."""
+    return (isinstance(func, ast.Attribute) and func.attr == "fork"
+            and isinstance(func.value, ast.Name) and func.value.id == "os")
+
+
 def test_the_guard_flags_constructions_of_the_error_only():
     source = (
         "def a(x):\n    raise DegenerateFeatureError(f'{x} coincides')\n"
@@ -166,3 +173,27 @@ def test_no_exported_function_takes_an_episode():
     }
     assert not takes_episode
     assert fsosr.normalize_chunk in functions
+
+
+def test_the_guard_flags_forks_only():
+    source = (
+        "def a():\n    return os.fork()\n"
+        "def b(pool):\n    return pool.fork()\n"
+        "def c():\n    return os.forkpty()\n"
+        "pid = os.fork()\n"
+    )
+    assert callers(source, "m.py", forks) == {("m.py", "a"), ("m.py", "<module>")}
+
+
+def test_only_workers_forks_and_in_workers_is_gone():
+    found = set()
+    for path in SOURCES:
+        found |= callers(path.read_text(), path.name, forks)
+    assert {name for name, _ in found} == {"workers.py"}
+    names = {
+        getattr(node, attr, None)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), path.name))
+        for attr in ("id", "attr", "name")
+    }
+    assert "in_workers" not in names

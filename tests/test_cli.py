@@ -389,6 +389,20 @@ class TestExitCodes:
         )
         assert not (tmp_path / "o.fsos").exists()
 
+    @pytest.mark.parametrize("text", [
+        'a,0.5\n"b\nc",1.5\nd,x\n',
+        # A header that spans two lines is still the first record.
+        '"lab\nel",f0\nb,1.5\nd,x\n',
+    ], ids=["quoted-label", "quoted-header"])
+    def test_a_record_is_named_by_the_line_it_ends_on(self, tmp_path, capsys, text):
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text(text)
+        splits_path = tmp_path / "splits.json"
+        splits_path.write_text(json.dumps({"test": ["a", "b", "b\nc", "d"]}))
+        assert main(["ingest", "--csv", str(csv_path), "--splits", str(splits_path),
+                     "--out", str(tmp_path / "o.fsos")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {csv_path}:4: bad feature value")
+
     def test_missing_config_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -869,10 +869,10 @@ class TestJobs:
                           n_episodes=4)
         (share,) = runner_mod._plan(cfg, 6, 1)
         assert [(index, tuple(unit)) for index, unit in share] == [
-            (0, (0, 0, 0, 3, ("ostim",))), (1, (0, 1, 0, 3, ("tim_closed",))),
-            (2, (0, 2, 0, 3, ("knn", "strong_baseline"))),
-            (3, (3, 0, 3, 4, ("ostim",))), (4, (3, 1, 3, 4, ("tim_closed",))),
-            (5, (3, 2, 3, 4, ("knn", "strong_baseline"))),
+            (0, (0, 3, 0, 0, 3, ("ostim",))), (1, (0, 3, 1, 0, 3, ("tim_closed",))),
+            (2, (0, 3, 2, 0, 3, ("knn", "strong_baseline"))),
+            (3, (3, 4, 0, 3, 4, ("ostim",))), (4, (3, 4, 1, 3, 4, ("tim_closed",))),
+            (5, (3, 4, 2, 3, 4, ("knn", "strong_baseline"))),
         ]
 
     def test_job_count(self, monkeypatch):
@@ -1039,6 +1039,162 @@ class TestJobs:
         # A unit or two before the failure is seen, and the failing worker's replay.
         assert len(log.read_text()) <= 5
 
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from now on, in order."""
+    forked, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def has_a_child() -> bool:
+    return os.waitpid(-1, os.WNOHANG) == (0, 0)
+
+
+def report_bytes(out: Path) -> list[bytes]:
+    return [(out / name).read_bytes() for name in runner_mod.REPORT_FILES]
+
+
+class TestWorkerReuse:
+    """The children forked for a FeatureSet serve every later run on it,
+    and what they return does not depend on it."""
+
+    def test_two_runs_on_one_held_set_fork_once(self, store_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        cfg = tiny_config(store_path, methods=BENCH_METHODS["quickstart"])
+        assert len(runner_mod._plan(cfg, 6, 2)) == 2
+        forked = counting_forks(monkeypatch)
+        fs = load_feature_store(store_path)
+        first = run(cfg, fs=fs)
+        assert run(cfg, fs=fs) == first
+        assert len(forked) == 1
+
+    def test_a_sweep_forks_once(self, store_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(runner_mod, "CHUNK_SIZE", 1)  # four units, so two workers
+        forked = counting_forks(monkeypatch)
+        _, table = sweep_alpha(tiny_config(store_path, methods=("ostim",)), [0.5, 1.0, 2.0])
+        assert len(table) == 3
+        assert len(forked) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
+    def test_reused_workers_write_the_reports_of_fresh_ones(self, store_path, tmp_path,
+                                                           monkeypatch, jobs):
+        set_cpus(monkeypatch, jobs)
+        fs = load_feature_store(store_path)
+        for name, methods in BENCH_METHODS.items():
+            cfg = tiny_config(store_path, methods=methods, n_episodes=7)
+            other = replace(cfg, episode=replace(cfg.episode, seed=5))
+            for kind, held in (("fresh", None), ("reused", fs)):
+                run(other, fs=held)  # the reused workers serve another run first
+                run(replace(cfg, output_dir=str(tmp_path / name / kind)), fs=held)
+            reused, fresh = (report_bytes(tmp_path / name / kind) for kind in ("reused", "fresh"))
+            assert reused == fresh
+
+    def test_a_chunk_size_set_after_the_fork_reaches_the_workers(self, store_path, tmp_path,
+                                                                 monkeypatch):
+        set_cpus(monkeypatch, 2)
+        cfg = tiny_config(store_path, methods=("ostim", "knn"), n_episodes=7)
+        forked = counting_forks(monkeypatch)
+        fs = load_feature_store(store_path)
+        for chunk in (1, 16, 3):  # the workers are forked at chunk size 1
+            monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
+            run(replace(cfg, output_dir=str(tmp_path / f"chunk{chunk}")), fs=fs)
+        assert len(forked) == 1
+        assert (report_bytes(tmp_path / "chunk3") == report_bytes(tmp_path / "chunk1")
+                == report_bytes(tmp_path / "chunk16"))
+
+
+class TestWorkerLifetime:
+    """The children end with their FeatureSet, when another set comes, when
+    a run raises and at interpreter exit; one that ended is replaced."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+
+    @staticmethod
+    def cfg(store_path) -> RunConfig:
+        return tiny_config(store_path, methods=BENCH_METHODS["quickstart"])
+
+    def test_dropping_the_set_ends_its_workers(self, store_path):
+        fs = load_feature_store(store_path)
+        run(self.cfg(store_path), fs=fs)
+        assert has_a_child()
+        del fs
+        assert_no_child_left()
+
+    def test_a_second_set_ends_the_first_sets_workers(self, store_path, monkeypatch):
+        forked = counting_forks(monkeypatch)
+        first, second = load_feature_store(store_path), load_feature_store(store_path)
+        reports = run(self.cfg(store_path), fs=first)
+        assert run(self.cfg(store_path), fs=second) == reports
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+        assert has_a_child()
+        del second
+        assert_no_child_left()
+
+    def test_a_worker_killed_between_runs_is_replaced(self, store_path, monkeypatch):
+        forked = counting_forks(monkeypatch)
+        fs = load_feature_store(store_path)
+        reports = run(self.cfg(store_path), fs=fs)
+        os.kill(forked[0], signal.SIGKILL)
+        os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        assert run(self.cfg(store_path), fs=fs) == reports
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    def test_a_run_that_raises_leaves_no_child(self, store_path, monkeypatch):
+        def fail():
+            raise ValueError("fails here")
+
+        fs = load_feature_store(store_path)
+        run(self.cfg(store_path), fs=fs)
+        assert has_a_child()
+        monkeypatch.setattr(runner_mod, "evaluate_method", acting(fail, here=True))
+        with pytest.raises(DataError, match="fails here"):
+            run(self.cfg(store_path), fs=fs)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads /proc")
+    def test_no_worker_outlives_an_interpreter_that_holds_its_set(self, store_path):
+        # The exit hook, registered before the workers' own, sees whether
+        # they were reaped before the interpreter ended; prctl is off, so
+        # the kernel does not end them.
+        script = (
+            "import atexit, os; import fsosr.workers as workers; "
+            "from fsosr import EpisodeSpec, RunConfig, load_feature_store, run; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; workers._prctl = lambda: None; "
+            "children = lambda: print(open(f'/proc/self/task/{os.getpid()}/children').read()); "
+            "atexit.register(children); "
+            f"fs = load_feature_store({store_path!r}); "
+            f"run(RunConfig(store={store_path!r}, methods={BENCH_METHODS['quickstart']!r}, "
+            "n_episodes=4, episode=EpisodeSpec(n_way=3, n_shot=1, n_query_per_class=3, "
+            "n_open_classes=2)), fs=fs); "
+            "children()"
+        )
+        src = str(Path(runner_mod.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        while_held, at_exit = done.stdout.splitlines()
+        (worker,) = while_held.split()
+        assert at_exit.split() == []
+        assert not Path(f"/proc/{worker}").exists()
 
 
 def bench_workloads() -> dict:
