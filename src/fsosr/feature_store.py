@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import mmap
 import os
 import struct
 import zlib
@@ -39,6 +40,12 @@ SPLITS = ("base", "val", "test")
 _HEADER = struct.Struct("<4sIIQI")
 # Vector components per block of rows that ``base_mean`` copies at a time.
 _BLOCK_ELEMENTS = 65_536
+# A store of at least this many bytes is mapped read-only at load; a smaller
+# one is read into a copy. Median loads of stores at D=16 and D=64 (2-core
+# x86-64, page cache warm): mapping costs 12-18 us more than reading up to
+# 256 KiB, is within 5 us of it at 320-448 KiB, and saves 7-8 us at 512 KiB,
+# 60-80 us at 1 MiB and 140-170 us at 2 MiB.
+_MAP_MIN_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -285,11 +292,21 @@ def load_feature_store(path: str | Path) -> FeatureSet:
     The loader checks the file format and the sidecar's structure; the
     FeatureSet it builds checks the contents, once. Every failure is a
     StoreError naming the store or its sidecar. The vectors are a read-only
-    view of the file's bytes, which stay alive with the FeatureSet.
+    view of the file's bytes, which stay alive with the FeatureSet: a copy
+    read into memory, or, for a store of at least ``_MAP_MIN_BYTES``, a
+    read-only shared mapping of the file, whose page-cache pages forked
+    workers share. A save replaces a store by renaming a new file over it,
+    so a set mapped from the old file keeps its values. Rewriting a loaded
+    store in place (``cp`` over it, truncating it) is not supported: the
+    process may then see changed vectors or die of SIGBUS.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size >= _MAP_MIN_BYTES:
+                raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            else:
+                raw = fh.read()
     except OSError as exc:
         raise StoreError(f"{path}: cannot read store ({exc})") from exc
     if len(raw) < _HEADER.size:

@@ -5,7 +5,9 @@ chunks. Only ``transforms.unit_rows`` constructs a DegenerateFeatureError,
 so every vector, centroid and prototype at its centering point is named by
 one rule. Only ``feature_store.read_json`` parses JSON, so every input
 document is read and refused by one rule. Only ``fsosr.workers`` forks, so
-every worker process is started, reused and ended by one rule."""
+every worker process is started, reused and ended by one rule. Only
+``feature_store.load_feature_store`` maps a file, and ``fsosr.workers`` maps
+only anonymous memory, so every mapping of a store is made by one rule."""
 
 from __future__ import annotations
 
@@ -75,14 +77,14 @@ def test_only_normalize_chunk_stacks_episodes():
     assert found == {("transforms.py", "normalize_chunk")}
 
 
-def callers(source: str, name: str, called: Callable[[ast.expr], bool]) -> set[tuple[str, str]]:
-    """(file, function) of every call in ``source`` whose callee ``called`` accepts."""
+def callers(source: str, name: str, called: Callable[[ast.Call], bool]) -> set[tuple[str, str]]:
+    """(file, function) of every call in ``source`` that ``called`` accepts."""
     found = set()
 
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and called(node.func):
+        if isinstance(node, ast.Call) and called(node):
             found.add((name, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -91,21 +93,32 @@ def callers(source: str, name: str, called: Callable[[ast.expr], bool]) -> set[t
     return found
 
 
-def named(callee: str) -> Callable[[ast.expr], bool]:
-    """Whether a callee is ``callee``, by name or as an attribute."""
-    return lambda func: callee in (getattr(func, "id", None), getattr(func, "attr", None))
+def named(callee: str) -> Callable[[ast.Call], bool]:
+    """Whether a call's callee is ``callee``, by name or as an attribute."""
+    return lambda call: callee in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
 
 
-def parses_json(func: ast.expr) -> bool:
-    """Whether a callee is ``json.load`` or ``json.loads``."""
-    return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
-            and isinstance(func.value, ast.Name) and func.value.id == "json")
+def module_call(module: str, *functions: str) -> Callable[[ast.Call], bool]:
+    """Whether a call's callee is ``module.function`` for one of ``functions``."""
+    return lambda call: (isinstance(call.func, ast.Attribute) and call.func.attr in functions
+                         and isinstance(call.func.value, ast.Name) and call.func.value.id == module)
 
 
-def forks(func: ast.expr) -> bool:
-    """Whether a callee is ``os.fork``."""
-    return (isinstance(func, ast.Attribute) and func.attr == "fork"
-            and isinstance(func.value, ast.Name) and func.value.id == "os")
+parses_json = module_call("json", "load", "loads")
+forks = module_call("os", "fork")
+
+
+def maps_anonymous_memory(call: ast.Call) -> bool:
+    """Whether a call is ``mmap.mmap(-1, ...)``."""
+    return (module_call("mmap", "mmap")(call) and bool(call.args)
+            and ast.unparse(call.args[0]) == "-1")
+
+
+def maps_a_file(call: ast.Call) -> bool:
+    """Whether a call maps a file: ``mmap.mmap`` of anything but -1, or any
+    ``memmap``."""
+    return ((module_call("mmap", "mmap")(call) and not maps_anonymous_memory(call))
+            or named("memmap")(call))
 
 
 def test_the_guard_flags_constructions_of_the_error_only():
@@ -197,3 +210,24 @@ def test_only_workers_forks_and_in_workers_is_gone():
         for attr in ("id", "attr", "name")
     }
     assert "in_workers" not in names
+
+
+def test_the_guard_flags_file_mappings_only():
+    source = (
+        "def a(fh):\n    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)\n"
+        "def b(path):\n    return np.memmap(path, mode='r')\n"
+        "def c(n):\n    return mmap.mmap(-1, n)\n"
+        "def d(path):\n    return memmap(path)\n"
+        "shared = mmap.mmap(-1, 8)\n"
+    )
+    assert callers(source, "m.py", maps_a_file) == {("m.py", "a"), ("m.py", "b"), ("m.py", "d")}
+    assert callers(source, "m.py", maps_anonymous_memory) == {("m.py", "c"), ("m.py", "<module>")}
+
+
+def test_only_load_feature_store_maps_a_file_and_workers_only_anonymous_memory():
+    files, anonymous = set(), set()
+    for path in SOURCES:
+        files |= callers(path.read_text(), path.name, maps_a_file)
+        anonymous |= callers(path.read_text(), path.name, maps_anonymous_memory)
+    assert files == {("feature_store.py", "load_feature_store")}
+    assert {name for name, _ in anonymous} == {"workers.py"}

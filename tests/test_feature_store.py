@@ -1,11 +1,16 @@
-"""Feature store: invariant validation, binary round-trip, corruption errors."""
+"""Feature store: invariant validation, binary round-trip, corruption errors.
+
+A store is read into a copy or mapped, by its size. Every load test runs on
+both sides of that choice, by setting the size at which stores are mapped."""
 
 from __future__ import annotations
 
 import json
+import mmap
 import re
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from fsosr import (
     ingest_csv,
     sample_episode,
 )
+from fsosr import feature_store
 from fsosr.cli import main
 from fsosr.feature_store import (
     _BLOCK_ELEMENTS,
@@ -30,6 +36,51 @@ from fsosr.feature_store import (
 )
 
 from conftest import make_feature_set, properties, traced_peak
+
+# The ``_MAP_MIN_BYTES`` that reads every store, and the one that maps every
+# store of at least one byte.
+MAP_MIN_BYTES = {"read": 2**62, "mapped": 1}
+
+
+@pytest.fixture(params=sorted(MAP_MIN_BYTES))
+def side(request, monkeypatch) -> str:
+    """Loads in the test read every store, or map every nonempty one."""
+    monkeypatch.setattr(feature_store, "_MAP_MIN_BYTES", MAP_MIN_BYTES[request.param])
+    return request.param
+
+
+def backing(fs: FeatureSet) -> type:
+    """The type of the buffer a loaded set's vectors view: bytes or mmap."""
+    base = fs.vectors
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(base.obj)
+
+
+def assert_same_set(a: FeatureSet, b: FeatureSet) -> None:
+    assert np.array_equal(a.vectors, b.vectors) and a.vectors.dtype == b.vectors.dtype
+    assert np.array_equal(a.labels, b.labels) and a.labels.dtype == b.labels.dtype
+    assert a.class_names == b.class_names and a.split_of_class == b.split_of_class
+
+
+def load_both_ways(path) -> FeatureSet:
+    """Load ``path`` read and mapped. The two loads give equal sets, and the
+    mapped one is returned, or StoreErrors with the same message, and the
+    mapped one is raised."""
+    outcomes = {}
+    for way, min_bytes in MAP_MIN_BYTES.items():
+        with mock.patch.object(feature_store, "_MAP_MIN_BYTES", min_bytes):
+            try:
+                outcomes[way] = load_feature_store(path)
+            except StoreError as exc:
+                outcomes[way] = exc
+    read, mapped = outcomes["read"], outcomes["mapped"]
+    if isinstance(read, StoreError) or isinstance(mapped, StoreError):
+        assert str(read) == str(mapped)
+        raise mapped
+    assert backing(read) is bytes and backing(mapped) is mmap.mmap
+    assert_same_set(read, mapped)
+    return mapped
 
 
 def small_fs(**kwargs) -> FeatureSet:
@@ -95,18 +146,17 @@ class TestValidation:
         assert fs.vectors[0, 0] == 7.0
 
 
+@pytest.mark.usefixtures("side")
 class TestRoundTrip:
-    def test_identity(self, tmp_path, rng):
+    def test_identity(self, tmp_path, rng, side):
         fs = make_feature_set(rng, splits={c: s for c, s in
                                            zip(range(6), ["base", "base", "val", "test", "test", "test"])})
         path = tmp_path / "store.fsos"
         save_feature_store(fs, path)
         loaded = load_feature_store(path)
-        assert np.array_equal(loaded.vectors, fs.vectors)
+        assert backing(loaded) is {"read": bytes, "mapped": mmap.mmap}[side]
         assert loaded.vectors.dtype == np.float32
-        assert np.array_equal(loaded.labels, fs.labels)
-        assert loaded.class_names == fs.class_names
-        assert loaded.split_of_class == fs.split_of_class
+        assert_same_set(loaded, fs)
 
     def test_class_names_are_strings_before_and_after_a_round_trip(self, tmp_path):
         fs = small_fs(class_names=(7, "b"))
@@ -141,6 +191,34 @@ class TestRoundTrip:
         assert not (tmp_path / "bad.fsos").exists()
 
 
+class TestMapping:
+    def test_a_store_of_the_mapping_size_is_mapped_and_a_smaller_one_read(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "store.fsos"
+        save_feature_store(small_fs(), path)
+        size = path.stat().st_size
+        monkeypatch.setattr(feature_store, "_MAP_MIN_BYTES", size)
+        assert backing(load_feature_store(path)) is mmap.mmap
+        monkeypatch.setattr(feature_store, "_MAP_MIN_BYTES", size + 1)
+        assert backing(load_feature_store(path)) is bytes
+
+    def test_a_held_set_keeps_its_values_when_a_save_replaces_its_file(
+            self, tmp_path, rng, side):
+        """A save renames a new file over the path, so a set mapped from the
+        old one still reads the old file's bytes. Rewriting a mapped store
+        in place is not supported."""
+        path = tmp_path / "store.fsos"
+        save_feature_store(make_feature_set(rng), path)
+        held = load_feature_store(path)
+        vectors, labels = held.vectors.copy(), held.labels.copy()
+        new = make_feature_set(rng, splits={c: "base" for c in range(6)})
+        assert not np.array_equal(new.vectors, vectors)
+        save_feature_store(new, path)
+        assert np.array_equal(held.vectors, vectors) and np.array_equal(held.labels, labels)
+        assert_same_set(load_feature_store(path), new)
+
+
+@pytest.mark.usefixtures("side")
 class TestAtomicSave:
     def test_failed_save_leaves_the_earlier_store_intact(self, tmp_path, rng, fill_disk):
         path = tmp_path / "store.fsos"
@@ -177,6 +255,7 @@ class TestClassIndex:
     def test_rows_and_counts_match_the_labels(self, rng):
         self.assert_rows_match_label_scan(self.shuffled_fs(rng))
 
+    @pytest.mark.usefixtures("side")
     def test_rows_and_counts_match_the_labels_of_a_loaded_store(self, tmp_path, rng):
         path = tmp_path / "store.fsos"
         save_feature_store(self.shuffled_fs(rng), path)
@@ -218,64 +297,70 @@ class TestCorruption:
         raw[:4] = b"NOPE"
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="magic"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_bad_version(self, stored):
         raw = bytearray(stored.read_bytes())
         raw[4:8] = struct.pack("<I", 9)
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="version 9"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_truncation_names_missing_record(self, stored):
         raw = stored.read_bytes()
         record_size = 4 + 4 * 4
         stored.write_bytes(raw[: 24 + 9 * record_size])  # drop record 10 + crc
         with pytest.raises(StoreError, match=r"record 10"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_flipped_payload_byte_fails_checksum(self, stored):
         raw = bytearray(stored.read_bytes())
         raw[30] ^= 0xFF
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="checksum"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_trailing_garbage(self, stored):
         stored.write_bytes(stored.read_bytes() + b"xx")
         with pytest.raises(StoreError, match="trailing"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_empty_header_counts(self, stored):
         raw = bytearray(stored.read_bytes())
         raw[8:12] = struct.pack("<I", 0)  # dim = 0
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="empty store"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
-    def test_header_too_short(self, stored):
-        stored.write_bytes(stored.read_bytes()[:10])
-        with pytest.raises(StoreError, match="too short"):
-            load_feature_store(stored)
+    @pytest.mark.parametrize("length", [0, 10])
+    def test_header_too_short(self, stored, length):
+        stored.write_bytes(stored.read_bytes()[:length])
+        with pytest.raises(StoreError, match=f"too short for header \\({length} < 24 bytes\\)"):
+            load_both_ways(stored)
 
     def test_missing_sidecar(self, stored):
         sidecar_path(stored).unlink()
         with pytest.raises(StoreError, match="sidecar") as info:
-            load_feature_store(stored)
+            load_both_ways(stored)
         assert str(info.value).startswith(f"{sidecar_path(stored)}: missing sidecar")
 
     def test_missing_store_message_starts_with_its_path(self, tmp_path):
         missing = tmp_path / "missing.fsos"
         with pytest.raises(StoreError) as info:
-            load_feature_store(missing)
+            load_both_ways(missing)
         assert str(info.value).startswith(f"{missing}: cannot read store")
+
+    def test_a_directory_cannot_be_read_as_a_store(self, tmp_path):
+        with pytest.raises(StoreError, match="cannot read store") as info:
+            load_both_ways(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path}: cannot read store")
 
     def test_sidecar_split_overlap(self, stored):
         meta = json.loads(sidecar_path(stored).read_text())
         meta["splits"]["val"] = [0]
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="two splits"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     @pytest.mark.parametrize("names", [["cat", "cat"], [1, "1"]])
     def test_sidecar_duplicate_class_names(self, stored, names):
@@ -283,7 +368,7 @@ class TestCorruption:
         meta["class_names"] = names
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match=r"store\.fsos: classes 0 and 1 share the name"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     @staticmethod
     def rewrite_payload(stored, offset, data):
@@ -304,20 +389,20 @@ class TestCorruption:
         meta["splits"] = splits
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="split 'base'"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_nan_payload_reported_with_vector_and_component(self, stored):
         record_size = 4 + 4 * 4
         # second component of vector 3
         self.rewrite_payload(stored, 24 + 3 * record_size + 4 + 4, struct.pack("<f", float("nan")))
         with pytest.raises(StoreError, match=r"vector 3, component 1"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     def test_label_out_of_range_names_path_label_and_vector(self, stored):
         record_size = 4 + 4 * 4
         self.rewrite_payload(stored, 24 + 7 * record_size, struct.pack("<I", 2))  # C = 2
         with pytest.raises(StoreError, match=r"store\.fsos: label 2 at vector 7 out of range"):
-            load_feature_store(stored)
+            load_both_ways(stored)
 
     @pytest.mark.parametrize("dim", [2**31, 600_000_000])
     def test_header_dim_numpy_cannot_describe(self, stored, dim):
@@ -325,7 +410,7 @@ class TestCorruption:
         raw[8:12] = struct.pack("<I", dim)
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="truncated payload") as info:
-            load_feature_store(stored)
+            load_both_ways(stored)
         assert str(info.value).startswith(str(stored))
         assert main(["diagnose", "--store", str(stored)]) == 3
 
@@ -376,10 +461,11 @@ def pristine(tmp_path_factory):
 
 
 def load_or_store_error(path):
-    """Load ``path``; a failure must be a StoreError whose message starts
-    with the store's or the sidecar's path. Any other exception propagates."""
+    """Load ``path`` both ways; a failure must be a StoreError whose message
+    starts with the store's or the sidecar's path. Any other exception
+    propagates."""
     try:
-        return load_feature_store(path)
+        return load_both_ways(path)
     except StoreError as exc:
         assert str(exc).startswith((str(path), str(sidecar_path(path)))), str(exc)
         return None
@@ -422,13 +508,18 @@ def peak_feature_set(rng) -> FeatureSet:
     )
 
 
-def test_load_peak_memory_is_bounded(tmp_path, rng):
-    """A load holds the file bytes (which the vectors view), the int64
-    labels and one finiteness mask at most: about 1.3x the payload at
-    D=32, under 1.5x."""
+@pytest.mark.parametrize("way, bound", [("read", 1.5), ("mapped", 0.5)])
+def test_load_peak_memory_is_bounded(tmp_path, rng, monkeypatch, way, bound):
+    """A load holds the int64 labels (8 B per record) and one finiteness
+    mask (1 B per component) at most, plus the file bytes the vectors view
+    when the store is read: about 0.32x the payload at D=32 when it is
+    mapped, under 0.5x, and 1.32x when read, under 1.5x. This store is
+    mapped at the shipped size."""
     path = tmp_path / "big.fsos"
     save_feature_store(peak_feature_set(rng), path)
-    assert traced_peak(lambda: load_feature_store(path)) < 1.5 * PEAK_PAYLOAD
+    assert path.stat().st_size >= feature_store._MAP_MIN_BYTES
+    monkeypatch.setattr(feature_store, "_MAP_MIN_BYTES", MAP_MIN_BYTES[way])
+    assert traced_peak(lambda: load_feature_store(path)) < bound * PEAK_PAYLOAD
 
 
 def test_save_peak_memory_is_bounded(tmp_path, rng):
