@@ -5,29 +5,30 @@ Every method in a run consumes the identical episode stream (same
 ``(seed, index)`` pairs), so cross-method comparisons are paired. Each
 method section (``OstimConfig``, ``BaselineConfig``) holds all of its
 settings, centering and ``variant`` included, and ``_KEYS`` declares their
-JSON keys once, for parsing and the report snapshot. ``METHODS`` maps each
-method name to the ``RunConfig`` field of its section and to its chunk
-evaluator ``evaluate(section, view, done)``. The stream is cut into chunks
-of ``CHUNK_SIZE`` episodes and the work into units: an episode range of a
+JSON keys once, for parsing and the report snapshot. ``PARTS`` maps each
+part (a classifier's sheet or a detector's scores) to the ``RunConfig``
+field of its section and its ``compute(section, view)``; only this table
+names the chunk functions of ``baselines`` and ``ostim``, so a method is
+composed in one place. ``METHODS`` maps each method to its parts: one,
+or a (classifier, detector) pair. The stream is cut into chunks of
+``CHUNK_SIZE`` episodes and the work into units: an episode range of a
 chunk with one ``ostim``-section method, or with all of its
-``baseline``-section methods, so ``strong_baseline`` reuses the
-``simpleshot`` and ``knn`` reports. ``_plan`` deals the units to up to one
+``baseline``-section methods. ``_plan`` deals the units to up to one
 process per CPU of the affinity mask (this process and children forked
 from it, see ``workers``) from the config and the store's dimension alone.
 The children are forked on the first run for a FeatureSet and serve its
 later runs, so each unit carries its chunk's bounds: a worker never reads
-``CHUNK_SIZE``, which may change between runs.
-A worker stacks and normalizes a chunk once per centering in use into a
-``NormalizedChunk`` ``view`` and serves each of its ranges of that chunk
-from it; each range's one sheet or score array is scored by one
-``score_chunk`` call. Every operation is per episode, so results depend
-neither on the plan nor on the chunk size. Results are reduced in the
-canonical unit order (chunk, group, range start). A failing unit stops
-every worker before its next later unit, and the worker that hit it
-replays the unit's whole chunk one episode at a time, methods in config
-order, to name the first failing (episode, method) in stream order;
-nothing is evaluated twice. The run raises the failure of the earliest
-unit.
+``CHUNK_SIZE``, which may change between runs. A worker stacks and
+normalizes a chunk once per centering in use into a ``NormalizedChunk``
+``view``, serves each of its ranges of that chunk from it, and computes
+and scores each part a range needs once, by one ``score_chunk`` call.
+Every operation is per episode, so results depend neither on the plan nor
+on the chunk size. Results are reduced in the canonical unit order (chunk,
+group, range start). A failing unit stops every worker before its next
+later unit, and the worker that hit it replays the unit's whole chunk one
+episode at a time, methods in config order, to name the first failing
+(episode, method) in stream order; nothing is evaluated twice. The run
+raises the failure of the earliest unit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .errors import ConfigError, DataError, FsosrError, integer, number
 from .feature_store import (FeatureSet, atomic_write, base_mean, check_output_path,
                             load_feature_store, read_json)
 from .metrics import METRIC_NAMES, EpisodeReport, RunReport, aggregate, score_chunk
+from .predictions import PredictionSheet
 from .synthgen import SynthSpec
 from .transforms import NormalizedChunk, normalize_chunk
 
@@ -96,54 +98,34 @@ class RunConfig:
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         support = self.episode.n_way * self.episode.n_shot
-        if {"knn", "strong_baseline"} & set(self.methods) and self.baseline_cfg.knn_k > support:
+        if any("knn" in METHODS[m] for m in self.methods) and self.baseline_cfg.knn_k > support:
             raise ConfigError(f"baseline.knn_k must be at most the support size {support} "
                               f"(n_way * n_shot), got {self.baseline_cfg.knn_k}")
 
 
-class Method(NamedTuple):
+class Part(NamedTuple):
+    """A classifier's sheet or a detector's (E, n_query) scores of a chunk's view."""
+
     section: str  # the RunConfig field holding its section ("ostim_cfg" or "baseline_cfg")
-    evaluate: Callable[[Section, NormalizedChunk, dict], list[EpisodeReport]]
+    compute: Callable[[Section, NormalizedChunk], PredictionSheet | np.ndarray]
 
 
-def _scored(sheet, view: NormalizedChunk) -> list[EpisodeReport]:
-    return score_chunk(view.query_truth, sheet.outlier_score, sheet.closed_pred)
+# The refinements refine with their variant, ``ostim``'s being its section's.
+PARTS: dict[str, Part] = {
+    **{name: Part("ostim_cfg", lambda ocfg, view, variant=variant: ostim.predict(
+           ostim.refine(ostim.init_prototypes(view, variant or ocfg.variant), view, ocfg),
+           view, ocfg))
+       for name, variant in (("ostim", None), ("tim_closed", ostim.Variant.CLOSED),
+                             ("explicit_dummy", ostim.Variant.EXPLICIT_DUMMY))},
+    "simpleshot": Part("baseline_cfg",
+                       lambda bcfg, view: baselines.simpleshot_chunk(view, bcfg.temperature)),
+    "knn": Part("baseline_cfg", lambda bcfg, view: baselines.knn_chunk(view, bcfg.knn_k)),
+}
 
-
-def _refined(variant: ostim.Variant | None):
-    """Refine the chunk with ``variant``, or with the section's own when it is None."""
-
-    def evaluate(ocfg, view, done):
-        ps = ostim.init_prototypes(view, variant or ocfg.variant)
-        return _scored(ostim.predict(ostim.refine(ps, view, ocfg), view, ocfg), view)
-
-    return evaluate
-
-
-def _simpleshot(bcfg, view, done):
-    return _scored(baselines.simpleshot_chunk(view, bcfg.temperature), view)
-
-
-def _knn(bcfg, view, done):
-    return score_chunk(view.query_truth, baselines.knn_chunk(view, bcfg.knn_k))
-
-
-def _strong_baseline(bcfg, view, done):
-    """``knn``'s reports with ``simpleshot``'s accuracy, at the same centering."""
-    simpleshot, knn = (
-        done[m] if m in done else METHODS[m].evaluate(bcfg, view, done)
-        for m in ("simpleshot", "knn")
-    )
-    return [replace(k, acc=s.acc) for s, k in zip(simpleshot, knn)]
-
-
-METHODS: dict[str, Method] = {
-    "ostim": Method("ostim_cfg", _refined(None)),
-    "tim_closed": Method("ostim_cfg", _refined(ostim.Variant.CLOSED)),
-    "explicit_dummy": Method("ostim_cfg", _refined(ostim.Variant.EXPLICIT_DUMMY)),
-    "simpleshot": Method("baseline_cfg", _simpleshot),
-    "knn": Method("baseline_cfg", _knn),
-    "strong_baseline": Method("baseline_cfg", _strong_baseline),
+# Each method's parts: one part, or a (classifier, detector) pair reported
+# as the detector with the classifier's accuracy.
+METHODS: dict[str, tuple[str, ...]] = {
+    **{name: (name,) for name in PARTS}, "strong_baseline": ("simpleshot", "knn"),
 }
 
 
@@ -275,23 +257,31 @@ def episode_checksum(episode: Episode) -> int:
 
 def evaluate_method(
     method: str, episodes: list[Episode], cfg: RunConfig, base_mu: np.ndarray | None,
-    done: dict[str, list[EpisodeReport]], views: dict[str, NormalizedChunk],
+    views: dict[str, NormalizedChunk], scored: dict[str, list[EpisodeReport]],
     span: slice = slice(None),
 ) -> list[EpisodeReport]:
     """Score one method on the episodes ``span`` of a chunk of same-shape
     episodes, in order.
 
-    ``done`` holds the unit's reports so far and ``views`` the whole chunk
-    at each centering so far, to which a missing one is added; the method
-    reads ``span`` of it. A failure raises the error of some failing
-    episode of the chunk; ``_replay`` names it and the method.
+    ``views`` holds the whole chunk at each centering so far and ``scored``
+    the unit's scored parts so far; a missing one is added to each. A part
+    reads ``span`` of its centering's view. A failure raises the error of
+    some failing episode of the chunk; ``_replay`` names it and the method.
     """
-    section = getattr(cfg, METHODS[method].section)
-    centering = section.centering
-    if centering not in views:
-        views[centering] = normalize_chunk(episodes, centering, base_mu)
-    view = NormalizedChunk(*(part[span] for part in views[centering]))
-    return METHODS[method].evaluate(section, view, done)
+    for name in METHODS[method]:
+        if name not in scored:
+            part = PARTS[name]
+            section = getattr(cfg, part.section)
+            if section.centering not in views:
+                views[section.centering] = normalize_chunk(episodes, section.centering, base_mu)
+            view = NormalizedChunk(*(array[span] for array in views[section.centering]))
+            out = part.compute(section, view)
+            scored[name] = (score_chunk(view.query_truth, out) if isinstance(out, np.ndarray)
+                            else score_chunk(view.query_truth, out.outlier_score, out.closed_pred))
+    classifier, detector = scored[METHODS[method][0]], scored[METHODS[method][-1]]
+    if classifier is detector:
+        return detector
+    return [replace(d, acc=c.acc) for c, d in zip(classifier, detector)]
 
 
 def _replay(episodes: list[Episode], start: int, cfg: RunConfig,
@@ -340,7 +330,7 @@ def _cost(cfg: RunConfig, methods: tuple[str, ...], dim: int) -> tuple[int, int]
     spec = cfg.episode
     rows = spec.n_way * spec.n_shot + (spec.n_way + spec.n_open_classes) * spec.n_query_per_class
     table = spec.n_way * rows * dim
-    if METHODS[methods[0]].section == "baseline_cfg":
+    if PARTS[METHODS[methods[0]][0]].section == "baseline_cfg":
         return 0, table
     steps = cfg.ostim_cfg.n_steps + 1
     return steps * _STEP_COST, steps * table
@@ -365,7 +355,7 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
     """
     groups: dict[str, list[str]] = {}
     for method in (m for m in METHODS if m in cfg.methods):
-        key = "baseline" if METHODS[method].section == "baseline_cfg" else method
+        key = "baseline" if PARTS[METHODS[method][0]].section == "baseline_cfg" else method
         groups.setdefault(key, []).append(method)
     costs = {tuple(group): _cost(cfg, tuple(group), dim) for group in groups.values()}
     whole = [
@@ -386,7 +376,7 @@ def _plan(cfg: RunConfig, dim: int, jobs: int) -> list[list[tuple[int, _Unit]]]:
         targets = sorted(range(jobs), key=loads.__getitem__)[:2]  # the least loaded, stably
         options = [(unit,)]
         n = unit.stop - unit.start
-        if METHODS[unit.methods[0]].section == "ostim_cfg" and jobs > 1 and n > 1:
+        if PARTS[METHODS[unit.methods[0]][0]].section == "ostim_cfg" and jobs > 1 and n > 1:
             per_episode = costs[unit.methods][1]
             even = (loads[targets[1]] - loads[targets[0]] + per_episode * n) // (2 * per_episode)
             options += [(unit._replace(stop=cut), unit._replace(start=cut))
@@ -434,21 +424,21 @@ def _evaluate_units(fs: FeatureSet, failed: mmap.mmap, worker: int, units, cfg: 
         if index > min(struct.unpack_from(f"{jobs}q", failed)):
             break
         span = slice(unit.start - unit.chunk, unit.stop - unit.chunk)
-        done: dict[str, list[EpisodeReport]] = {}
+        scored: dict[str, list[EpisodeReport]] = {}
         try:
             if unit.chunk != chunk:
                 chunk, views, episodes = unit.chunk, {}, []  # [] until sampled
                 episodes = [sample_episode(fs, cfg.episode, i, split=split)
                             for i in range(unit.chunk, unit.chunk_stop)]
-            for method in unit.methods:
-                done[method] = evaluate_method(method, episodes, cfg, base_mu, done, views, span)
+            reports = {method: evaluate_method(method, episodes, cfg, base_mu, views, scored, span)
+                       for method in unit.methods}
         except Exception as exc:
             struct.pack_into("q", failed, 8 * worker, index)
             if episodes and isinstance(exc, (FsosrError, ValueError)):
                 exc = _replay(episodes, unit.chunk, cfg, base_mu) or exc
             return results, (index, exc)
         crcs = [episode_checksum(episode) for episode in episodes[span]] if unit.group == 0 else []
-        results.append((index, done, crcs))
+        results.append((index, reports, crcs))
     return results, None
 
 
@@ -481,7 +471,8 @@ def run(cfg: RunConfig, fs: FeatureSet | None = None,
 
 
 def _run(cfg: RunConfig, fs: FeatureSet, split: str) -> dict[str, RunReport]:
-    needs_base_mu = any(getattr(cfg, METHODS[m].section).centering == "base" for m in cfg.methods)
+    needs_base_mu = any(getattr(cfg, PARTS[part].section).centering == "base"
+                        for m in cfg.methods for part in METHODS[m])
     base_mu = base_mean(fs) if needs_base_mu else None
 
     shares = _plan(cfg, fs.dim, workers.job_count())

@@ -7,7 +7,10 @@ one rule. Only ``feature_store.read_json`` parses JSON, so every input
 document is read and refused by one rule. Only ``fsosr.workers`` forks, so
 every worker process is started, reused and ended by one rule. Only
 ``feature_store.load_feature_store`` maps a file, and ``fsosr.workers`` maps
-only anonymous memory, so every mapping of a store is made by one rule."""
+only anonymous memory, so every mapping of a store is made by one rule. In
+``fsosr.runner`` only the ``PARTS`` table names the chunk functions of
+``baselines`` and the refinement of ``ostim``, so every method is composed
+of its parts in one place."""
 
 from __future__ import annotations
 
@@ -231,3 +234,54 @@ def test_only_load_feature_store_maps_a_file_and_workers_only_anonymous_memory()
         anonymous |= callers(path.read_text(), path.name, maps_anonymous_memory)
     assert files == {("feature_store.py", "load_feature_store")}
     assert {name for name, _ in anonymous} == {"workers.py"}
+
+
+# The functions that compute a part of a method, by module.
+PART_FUNCTIONS = {"baselines": {"simpleshot_chunk", "knn_chunk"},
+                  "ostim": {"init_prototypes", "refine", "predict"}}
+
+
+def names_a_part_function(node: ast.AST) -> bool:
+    """Whether a node is ``module.function`` of ``PART_FUNCTIONS``, a bare
+    name of one of those functions, or an import of one."""
+    functions = set().union(*PART_FUNCTIONS.values())
+    return (
+        (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+         and node.attr in PART_FUNCTIONS.get(node.value.id, ()))
+        or (isinstance(node, ast.Name) and node.id in functions)
+        or (isinstance(node, ast.alias) and node.name in functions)
+    )
+
+
+def defined_name(statement: ast.stmt) -> str:
+    """The function, class or variable a top-level statement defines, else ``<module>``."""
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        return ast.unparse(getattr(statement, "target", None) or statement.targets[0])
+    return getattr(statement, "name", "<module>")
+
+
+def statements_naming_part_functions(source: str, name: str) -> set[str]:
+    """What each top-level statement of ``source`` that names a part
+    function defines."""
+    return {defined_name(statement) for statement in ast.parse(source, name).body
+            if any(map(names_a_part_function, ast.walk(statement)))}
+
+
+def test_the_guard_flags_statements_naming_part_functions_only():
+    source = (
+        "def a(ps, view, cfg):\n    return ostim.refine(ps, view, cfg)\n"
+        "PARTS: dict = {'knn': lambda b, v: baselines.knn_chunk(v, b.knn_k)}\n"
+        "OTHER = {'s': baselines.simpleshot_chunk}\n"
+        "from .ostim import predict as p\n"
+        "def b(episode):\n    return baselines.knn_outlier_score(episode)\n"
+        "def c(sheet, run):\n    return sheet.predict, run.refine\n"
+        "class D:\n    init = staticmethod(init_prototypes)\n"
+    )
+    assert statements_naming_part_functions(source, "m.py") == {
+        "a", "PARTS", "OTHER", "<module>", "D"
+    }
+
+
+def test_only_the_parts_table_names_the_part_functions_in_runner():
+    path = ROOT / "src" / "fsosr" / "runner.py"
+    assert statements_naming_part_functions(path.read_text(), path.name) == {"PARTS"}

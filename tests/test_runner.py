@@ -132,12 +132,12 @@ class TestConfigParsing:
         assert cfg.baseline_cfg == BaselineConfig(centering="task")
         assert round_trip(cfg) == cfg
 
-    @pytest.mark.parametrize("methods", [["knn"], ["strong_baseline"], ["simpleshot"]])
-    def test_knn_k_is_checked_against_the_support_size_when_used(self, store_path, methods):
+    @pytest.mark.parametrize("method", runner_mod.METHODS)
+    def test_knn_k_is_checked_against_the_support_size_when_used(self, store_path, method):
         # 3-way 2-shot: 6 support vectors.
-        doc = {"store": store_path, "episodes": {"n_way": 3, "n_shot": 2}, "methods": methods}
+        doc = {"store": store_path, "episodes": {"n_way": 3, "n_shot": 2}, "methods": [method]}
         assert config_from_dict({**doc, "baseline": {"knn_k": 6}}).baseline_cfg.knn_k == 6
-        if methods == ["simpleshot"]:
+        if method not in ("knn", "strong_baseline"):
             assert config_from_dict({**doc, "baseline": {"knn_k": 7}}).baseline_cfg.knn_k == 7
         else:
             with pytest.raises(ConfigError, match=r"baseline\.knn_k .* support size 6 .* got 7"):
@@ -311,23 +311,27 @@ class TestRun:
         csv_lines = (out / "run_report.csv").read_text().splitlines()
         assert csv_lines[1].split(",")[2] == ""  # empty acc cell
 
-    def test_each_evaluator_receives_its_own_section(self, store_path, monkeypatch):
-        cfg = tiny_config(store_path, methods=tuple(runner_mod.METHODS), n_episodes=1)
+    @pytest.mark.parametrize("methods, parts", [
+        (tuple(runner_mod.METHODS), set(runner_mod.PARTS)),
+        (("strong_baseline",), {"simpleshot", "knn"}),
+    ], ids=["all_methods", "strong_baseline"])
+    def test_each_part_receives_its_own_section(self, store_path, monkeypatch, methods, parts):
+        cfg = tiny_config(store_path, methods=methods, n_episodes=1)
         seen = {}
 
-        def spy(name, method):
-            def evaluate(section, view, done):
+        def spy(name, part):
+            def compute(section, view):
                 seen[name] = section
-                return method.evaluate(section, view, done)
+                return part.compute(section, view)
 
-            return method._replace(evaluate=evaluate)
+            return part._replace(compute=compute)
 
-        monkeypatch.setattr(runner_mod, "METHODS",
-                            {name: spy(name, m) for name, m in runner_mod.METHODS.items()})
+        monkeypatch.setattr(runner_mod, "PARTS",
+                            {name: spy(name, p) for name, p in runner_mod.PARTS.items()})
         set_cpus(monkeypatch, 1)  # the spy sees only this process
         run(cfg)
         transductive = ("ostim", "tim_closed", "explicit_dummy")
-        assert seen.keys() == set(cfg.methods)
+        assert seen.keys() == parts
         for name, section in seen.items():
             assert section is (cfg.ostim_cfg if name in transductive else cfg.baseline_cfg)
 
@@ -436,27 +440,61 @@ STRONG_BASELINE_METHOD_LISTS = [
     ("strong_baseline",),
 ]
 
+# Each method key as (classifier, detector) of the per-episode parts; a
+# detector alone has no classifier.
+COMPOSITIONS = {
+    "ostim": ("ostim", "ostim"),
+    "tim_closed": ("tim_closed", "tim_closed"),
+    "explicit_dummy": ("explicit_dummy", "explicit_dummy"),
+    "simpleshot": ("simpleshot", "simpleshot"),
+    "knn": (None, "knn"),
+    "strong_baseline": ("simpleshot", "knn"),
+}
+
+# Each key on its own and in each of the lists above, every run once.
+COMPOSED_RUNS = list(dict.fromkeys(
+    (key, methods if key in methods else (*methods, key))
+    for key in COMPOSITIONS for methods in [(), *STRONG_BASELINE_METHOD_LISTS]
+))
+
 
 class TestStrongBaseline:
-    """``strong_baseline`` is the chunk's ``knn`` report with the
-    ``simpleshot`` accuracy, however the methods are listed or chunked."""
+    """Every method's reports are its detector's outlier scores and its
+    classifier's accuracy, scored one episode at a time, however the
+    methods are listed or chunked: ``strong_baseline`` is the chunk's
+    ``knn`` report with the ``simpleshot`` accuracy."""
 
-    @pytest.mark.parametrize("methods", STRONG_BASELINE_METHOD_LISTS)
+    @pytest.mark.parametrize("key, methods", COMPOSED_RUNS)
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_equals_the_per_episode_composition(self, store_path, monkeypatch, methods, chunk):
+    def test_equals_the_per_episode_composition(self, store_path, monkeypatch, key, methods,
+                                                chunk):
         monkeypatch.setattr(runner_mod, "CHUNK_SIZE", chunk)
         cfg = tiny_config(store_path, methods=methods, n_episodes=7)
         fs = load_feature_store(store_path)
         mu = base_mean(fs)
-        bcfg = cfg.baseline_cfg
+        ocfg, bcfg = cfg.ostim_cfg, cfg.baseline_cfg
+        variants = {"ostim": ocfg.variant, "tim_closed": Variant.CLOSED,
+                    "explicit_dummy": Variant.EXPLICIT_DUMMY}
+
+        def part(name, episode):
+            """The part's (outlier scores, closed-set predictions) of the episode."""
+            if name == "knn":
+                return knn_outlier_score(episode, "base", mu, bcfg.knn_k), None
+            if name == "simpleshot":
+                sheet = simpleshot_classify(episode, "base", mu, bcfg.temperature)
+                return sheet.outlier_score, sheet.closed_pred
+            sheet = refined_sheet(episode_view(episode, ocfg.centering, mu), variants[name], ocfg)
+            return sheet.outlier_score[0], sheet.closed_pred[0]
+
+        classifier, detector = COMPOSITIONS[key]
         expected = []
         for i in range(cfg.n_episodes):
             episode = sample_episode(fs, cfg.episode, i)
-            sheet = simpleshot_classify(episode, "base", mu, bcfg.temperature)
-            scores = knn_outlier_score(episode, "base", mu, bcfg.knn_k)
-            expected.append(score_episode(episode.query_truth, scores, sheet.closed_pred))
+            parts = {name: part(name, episode) for name in {classifier, detector} - {None}}
+            closed_pred = None if classifier is None else parts[classifier][1]
+            expected.append(score_episode(episode.query_truth, parts[detector][0], closed_pred))
         snapshot = runner_mod._config_snapshot(cfg)
-        assert run(cfg, fs=fs)["strong_baseline"] == aggregate(expected, "strong_baseline", snapshot)
+        assert run(cfg, fs=fs)[key] == aggregate(expected, key, snapshot)
 
     def test_reuses_the_simpleshot_and_knn_results(self, store_path, monkeypatch):
         cfg = tiny_config(store_path, methods=("strong_baseline", "knn", "simpleshot"),
