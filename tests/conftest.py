@@ -6,6 +6,7 @@ import builtins
 import dataclasses
 import errno
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -141,10 +142,14 @@ def episode_view(
 @pytest.fixture(autouse=True)
 def no_worker_outlives_the_test():
     """Every test ends with no child process of this one left, running or
-    unreaped: a FeatureSet that a test held has ended its workers with it."""
+    unreaped, and no thread it started alive: a FeatureSet that a test held
+    has ended its workers with it, and a load has joined its checksum thread."""
+    threads = set(threading.enumerate())
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    left = set(threading.enumerate()) - threads
+    assert not left, f"threads left alive: {left}"
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ one rule. Only ``feature_store.read_json`` parses JSON, so every input
 document is read and refused by one rule. Only ``fsosr.workers`` forks, so
 every worker process is started, reused and ended by one rule. Only
 ``feature_store.load_feature_store`` maps a file, and ``fsosr.workers`` maps
-only anonymous memory, so every mapping of a store is made by one rule. In
+only anonymous memory, so every mapping of a store is made by one rule. Only
+``feature_store.load_feature_store`` starts a thread, which it joins before
+it returns, so ``fsosr.workers`` never forks while a helper thread runs. In
 ``fsosr.runner`` only the ``PARTS`` table names the chunk functions of
 ``baselines`` and the refinement of ``ostim``, so every method is composed
 of its parts in one place."""
@@ -234,6 +236,34 @@ def test_only_load_feature_store_maps_a_file_and_workers_only_anonymous_memory()
         anonymous |= callers(path.read_text(), path.name, maps_anonymous_memory)
     assert files == {("feature_store.py", "load_feature_store")}
     assert {name for name, _ in anonymous} == {"workers.py"}
+
+
+def starts_a_thread(call: ast.Call) -> bool:
+    """Whether a call constructs a ``Thread``, a ``Timer`` or a
+    ``ThreadPoolExecutor``, by name or as an attribute, or is
+    ``start_new_thread``."""
+    return any(named(callee)(call) for callee in
+               ("Thread", "Timer", "ThreadPoolExecutor", "start_new_thread"))
+
+
+def test_the_guard_flags_thread_starts_only():
+    source = (
+        "def a(f):\n    return threading.Thread(target=f)\n"
+        "def b(f):\n    return Thread(target=f)\n"
+        "def c(f):\n    return ThreadPoolExecutor(2).submit(f)\n"
+        "def d():\n    return threading.Lock(), threading.RLock(), threading.local()\n"
+        "def e(pool, f):\n    return pool.submit(f)\n"
+        "ticker = threading.Timer(1.0, print)\n"
+    )
+    assert callers(source, "m.py", starts_a_thread) == {
+        ("m.py", "a"), ("m.py", "b"), ("m.py", "c"), ("m.py", "<module>")}
+
+
+def test_only_load_feature_store_starts_a_thread():
+    found = set()
+    for path in SOURCES:
+        found |= callers(path.read_text(), path.name, starts_a_thread)
+    assert found == {("feature_store.py", "load_feature_store")}
 
 
 # The functions that compute a part of a method, by module.

@@ -1,15 +1,21 @@
 """Feature store: invariant validation, binary round-trip, corruption errors.
 
-A store is read into a copy or mapped, by its size. Every load test runs on
-both sides of that choice, by setting the size at which stores are mapped."""
+A store is read into a copy or mapped, by its size, and its checksum is
+computed inline or on a second thread, by its payload's size. Every load
+test runs on each side of both choices, by setting the sizes at which stores
+are mapped and checksummed on a thread."""
 
 from __future__ import annotations
 
+import gc
 import json
 import mmap
 import re
 import struct
+import threading
+import time
 import zlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -37,15 +43,27 @@ from fsosr.feature_store import (
 
 from conftest import make_feature_set, properties, traced_peak
 
-# The ``_MAP_MIN_BYTES`` that reads every store, and the one that maps every
-# store of at least one byte.
-MAP_MIN_BYTES = {"read": 2**62, "mapped": 1}
+# Each side of the two choices a load makes, by name: the store's bytes read
+# or mapped, and its checksum computed inline or on a second thread. A side
+# sets ``_MAP_MIN_BYTES`` and ``_CRC_THREAD_MIN_BYTES`` past every test store
+# or to a size every store or payload reaches.
+SIDES = {
+    f"{way}-{crc}": {"_MAP_MIN_BYTES": map_min, "_CRC_THREAD_MIN_BYTES": thread_min}
+    for way, map_min in (("read", 2**62), ("mapped", 1))
+    for crc, thread_min in (("inline", 2**62), ("threaded", 0))
+}
 
 
-@pytest.fixture(params=sorted(MAP_MIN_BYTES))
+def set_side(monkeypatch, side: str) -> None:
+    """Make later loads in the test take ``side``."""
+    for name, size in SIDES[side].items():
+        monkeypatch.setattr(feature_store, name, size)
+
+
+@pytest.fixture(params=sorted(SIDES))
 def side(request, monkeypatch) -> str:
-    """Loads in the test read every store, or map every nonempty one."""
-    monkeypatch.setattr(feature_store, "_MAP_MIN_BYTES", MAP_MIN_BYTES[request.param])
+    """Loads in the test take one side of ``SIDES``."""
+    set_side(monkeypatch, request.param)
     return request.param
 
 
@@ -63,24 +81,25 @@ def assert_same_set(a: FeatureSet, b: FeatureSet) -> None:
     assert a.class_names == b.class_names and a.split_of_class == b.split_of_class
 
 
-def load_both_ways(path) -> FeatureSet:
-    """Load ``path`` read and mapped. The two loads give equal sets, and the
-    mapped one is returned, or StoreErrors with the same message, and the
-    mapped one is raised."""
+def load_every_way(path) -> FeatureSet:
+    """Load ``path`` on every side of ``SIDES``. The loads give equal sets,
+    each read or mapped as its side says, and the last is returned, or
+    StoreErrors with the same message, and the last is raised."""
     outcomes = {}
-    for way, min_bytes in MAP_MIN_BYTES.items():
-        with mock.patch.object(feature_store, "_MAP_MIN_BYTES", min_bytes):
+    for side in SIDES:
+        with mock.patch.multiple(feature_store, **SIDES[side]):
             try:
-                outcomes[way] = load_feature_store(path)
+                outcomes[side] = load_feature_store(path)
             except StoreError as exc:
-                outcomes[way] = exc
-    read, mapped = outcomes["read"], outcomes["mapped"]
-    if isinstance(read, StoreError) or isinstance(mapped, StoreError):
-        assert str(read) == str(mapped)
-        raise mapped
-    assert backing(read) is bytes and backing(mapped) is mmap.mmap
-    assert_same_set(read, mapped)
-    return mapped
+                outcomes[side] = exc
+    *_, last = outcomes.values()
+    if any(isinstance(outcome, StoreError) for outcome in outcomes.values()):
+        assert len({str(outcome) for outcome in outcomes.values()}) == 1, outcomes
+        raise last
+    for side, loaded in outcomes.items():
+        assert backing(loaded) is (mmap.mmap if side.startswith("mapped") else bytes)
+        assert_same_set(loaded, last)
+    return last
 
 
 def small_fs(**kwargs) -> FeatureSet:
@@ -154,7 +173,7 @@ class TestRoundTrip:
         path = tmp_path / "store.fsos"
         save_feature_store(fs, path)
         loaded = load_feature_store(path)
-        assert backing(loaded) is {"read": bytes, "mapped": mmap.mmap}[side]
+        assert backing(loaded) is (mmap.mmap if side.startswith("mapped") else bytes)
         assert loaded.vectors.dtype == np.float32
         assert_same_set(loaded, fs)
 
@@ -218,6 +237,82 @@ class TestMapping:
         assert_same_set(load_feature_store(path), new)
 
 
+class TestChecksumThread:
+    @staticmethod
+    def started_threads(monkeypatch) -> list[threading.Thread]:
+        """The threads later loads start, in order."""
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(feature_store, "threading", SimpleNamespace(Thread=Thread))
+        return started
+
+    def test_a_payload_of_the_thread_size_is_checksummed_on_a_thread_and_a_smaller_one_inline(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "store.fsos"
+        save_feature_store(small_fs(), path)
+        started = self.started_threads(monkeypatch)
+        payload_size = 10 * (4 + 4 * 4)
+        monkeypatch.setattr(feature_store, "_CRC_THREAD_MIN_BYTES", payload_size)
+        assert_same_set(load_feature_store(path), small_fs())
+        assert len(started) == 1 and not started[0].is_alive()
+        monkeypatch.setattr(feature_store, "_CRC_THREAD_MIN_BYTES", payload_size + 1)
+        assert_same_set(load_feature_store(path), small_fs())
+        assert len(started) == 1
+
+    def test_a_checksum_thread_that_cannot_start_is_replaced_by_the_inline_checksum(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "store.fsos"
+        save_feature_store(small_fs(), path)
+        monkeypatch.setattr(feature_store, "_CRC_THREAD_MIN_BYTES", 0)
+
+        class Thread(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(feature_store, "threading", SimpleNamespace(Thread=Thread))
+        assert_same_set(load_feature_store(path), small_fs())
+        raw = bytearray(path.read_bytes())
+        raw[30] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match="checksum mismatch"):
+            load_feature_store(path)
+
+    def test_an_error_in_the_contents_check_propagates_after_the_thread_ends(
+            self, tmp_path, monkeypatch):
+        """The checksum is held back until the contents check has raised,
+        then takes a while: the error is raised unchanged once the thread
+        has ended, not while it runs."""
+        path = tmp_path / "store.fsos"
+        save_feature_store(small_fs(), path)
+        monkeypatch.setattr(feature_store, "_CRC_THREAD_MIN_BYTES", 0)
+        started = self.started_threads(monkeypatch)
+        checking, raised = threading.Event(), threading.Event()
+        error = RuntimeError("contents check failed")
+
+        def crc32(data):
+            checking.set()
+            raised.wait(timeout=5)
+            time.sleep(0.05)
+            return zlib.crc32(data)
+
+        def validate(fs):
+            assert checking.wait(timeout=5)
+            raised.set()
+            raise error
+
+        monkeypatch.setattr(feature_store, "zlib", SimpleNamespace(crc32=crc32))
+        monkeypatch.setattr(feature_store, "validate_feature_set", validate)
+        with pytest.raises(RuntimeError) as info:
+            load_feature_store(path)
+        assert info.value is error
+        assert len(started) == 1 and not started[0].is_alive()
+
+
 @pytest.mark.usefixtures("side")
 class TestAtomicSave:
     def test_failed_save_leaves_the_earlier_store_intact(self, tmp_path, rng, fill_disk):
@@ -270,6 +365,7 @@ class TestClassIndex:
             rows = fs._split_rows(split)
             assert np.array_equal(rows, np.flatnonzero(np.isin(fs.labels, fs.split_class_ids(split))))
 
+    @pytest.mark.usefixtures("side")
     def test_built_on_first_use_and_shared(self, tmp_path, rng):
         fs = self.shuffled_fs(rng)
         path = tmp_path / "store.fsos"
@@ -297,62 +393,62 @@ class TestCorruption:
         raw[:4] = b"NOPE"
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="magic"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_bad_version(self, stored):
         raw = bytearray(stored.read_bytes())
         raw[4:8] = struct.pack("<I", 9)
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="version 9"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_truncation_names_missing_record(self, stored):
         raw = stored.read_bytes()
         record_size = 4 + 4 * 4
         stored.write_bytes(raw[: 24 + 9 * record_size])  # drop record 10 + crc
         with pytest.raises(StoreError, match=r"record 10"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_flipped_payload_byte_fails_checksum(self, stored):
         raw = bytearray(stored.read_bytes())
         raw[30] ^= 0xFF
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="checksum"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_trailing_garbage(self, stored):
         stored.write_bytes(stored.read_bytes() + b"xx")
         with pytest.raises(StoreError, match="trailing"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_empty_header_counts(self, stored):
         raw = bytearray(stored.read_bytes())
         raw[8:12] = struct.pack("<I", 0)  # dim = 0
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="empty store"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     @pytest.mark.parametrize("length", [0, 10])
     def test_header_too_short(self, stored, length):
         stored.write_bytes(stored.read_bytes()[:length])
         with pytest.raises(StoreError, match=f"too short for header \\({length} < 24 bytes\\)"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_missing_sidecar(self, stored):
         sidecar_path(stored).unlink()
         with pytest.raises(StoreError, match="sidecar") as info:
-            load_both_ways(stored)
+            load_every_way(stored)
         assert str(info.value).startswith(f"{sidecar_path(stored)}: missing sidecar")
 
     def test_missing_store_message_starts_with_its_path(self, tmp_path):
         missing = tmp_path / "missing.fsos"
         with pytest.raises(StoreError) as info:
-            load_both_ways(missing)
+            load_every_way(missing)
         assert str(info.value).startswith(f"{missing}: cannot read store")
 
     def test_a_directory_cannot_be_read_as_a_store(self, tmp_path):
         with pytest.raises(StoreError, match="cannot read store") as info:
-            load_both_ways(tmp_path)
+            load_every_way(tmp_path)
         assert str(info.value).startswith(f"{tmp_path}: cannot read store")
 
     def test_sidecar_split_overlap(self, stored):
@@ -360,7 +456,7 @@ class TestCorruption:
         meta["splits"]["val"] = [0]
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="two splits"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     @pytest.mark.parametrize("names", [["cat", "cat"], [1, "1"]])
     def test_sidecar_duplicate_class_names(self, stored, names):
@@ -368,7 +464,7 @@ class TestCorruption:
         meta["class_names"] = names
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match=r"store\.fsos: classes 0 and 1 share the name"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     @staticmethod
     def rewrite_payload(stored, offset, data):
@@ -389,20 +485,58 @@ class TestCorruption:
         meta["splits"] = splits
         sidecar_path(stored).write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="split 'base'"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_nan_payload_reported_with_vector_and_component(self, stored):
         record_size = 4 + 4 * 4
         # second component of vector 3
         self.rewrite_payload(stored, 24 + 3 * record_size + 4 + 4, struct.pack("<f", float("nan")))
         with pytest.raises(StoreError, match=r"vector 3, component 1"):
-            load_both_ways(stored)
+            load_every_way(stored)
 
     def test_label_out_of_range_names_path_label_and_vector(self, stored):
         record_size = 4 + 4 * 4
         self.rewrite_payload(stored, 24 + 7 * record_size, struct.pack("<I", 2))  # C = 2
         with pytest.raises(StoreError, match=r"store\.fsos: label 2 at vector 7 out of range"):
-            load_both_ways(stored)
+            load_every_way(stored)
+
+    @pytest.mark.parametrize("sidecar", ["valid", "broken"])
+    def test_a_checksum_mismatch_is_reported_before_a_bad_sidecar_or_value(self, stored, sidecar):
+        raw = bytearray(stored.read_bytes())
+        raw[24 + 4 : 24 + 8] = struct.pack("<f", float("nan"))  # checksum left as it was
+        stored.write_bytes(bytes(raw))
+        if sidecar == "broken":
+            sidecar_path(stored).write_text("{")
+        with pytest.raises(StoreError, match="checksum mismatch"):
+            load_every_way(stored)
+
+    def test_a_bad_sidecar_is_reported_before_a_bad_value(self, stored):
+        self.rewrite_payload(stored, 24 + 4, struct.pack("<f", float("nan")))
+        sidecar_path(stored).write_text("{")
+        with pytest.raises(StoreError, match="sidecar metadata is not valid JSON") as info:
+            load_every_way(stored)
+        assert str(info.value).startswith(str(sidecar_path(stored)))
+
+    @pytest.mark.usefixtures("side")
+    @pytest.mark.parametrize("checksum", ["valid", "broken"])
+    def test_a_failed_load_leaves_no_reference_cycle(self, stored, checksum):
+        """Its error frees the store's bytes when the caller drops it,
+        not at some later garbage collection."""
+        if checksum == "broken":
+            raw = bytearray(stored.read_bytes())
+            raw[30] ^= 0xFF
+            stored.write_bytes(bytes(raw))
+        sidecar_path(stored).write_text("{")
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                load_feature_store(stored)
+            except StoreError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("dim", [2**31, 600_000_000])
     def test_header_dim_numpy_cannot_describe(self, stored, dim):
@@ -410,7 +544,7 @@ class TestCorruption:
         raw[8:12] = struct.pack("<I", dim)
         stored.write_bytes(bytes(raw))
         with pytest.raises(StoreError, match="truncated payload") as info:
-            load_both_ways(stored)
+            load_every_way(stored)
         assert str(info.value).startswith(str(stored))
         assert main(["diagnose", "--store", str(stored)]) == 3
 
@@ -465,7 +599,7 @@ def load_or_store_error(path):
     starts with the store's or the sidecar's path. Any other exception
     propagates."""
     try:
-        return load_both_ways(path)
+        return load_every_way(path)
     except StoreError as exc:
         assert str(exc).startswith((str(path), str(sidecar_path(path)))), str(exc)
         return None
@@ -508,17 +642,18 @@ def peak_feature_set(rng) -> FeatureSet:
     )
 
 
-@pytest.mark.parametrize("way, bound", [("read", 1.5), ("mapped", 0.5)])
-def test_load_peak_memory_is_bounded(tmp_path, rng, monkeypatch, way, bound):
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_load_peak_memory_is_bounded(tmp_path, rng, monkeypatch, side):
     """A load holds the int64 labels (8 B per record) and one finiteness
     mask (1 B per component) at most, plus the file bytes the vectors view
     when the store is read: about 0.32x the payload at D=32 when it is
-    mapped, under 0.5x, and 1.32x when read, under 1.5x. This store is
-    mapped at the shipped size."""
+    mapped, under 0.5x, and 1.32x when read, under 1.5x, whichever thread
+    computes the checksum. This store is mapped at the shipped size."""
     path = tmp_path / "big.fsos"
     save_feature_store(peak_feature_set(rng), path)
     assert path.stat().st_size >= feature_store._MAP_MIN_BYTES
-    monkeypatch.setattr(feature_store, "_MAP_MIN_BYTES", MAP_MIN_BYTES[way])
+    set_side(monkeypatch, side)
+    bound = 0.5 if side.startswith("mapped") else 1.5
     assert traced_peak(lambda: load_feature_store(path)) < bound * PEAK_PAYLOAD
 
 
